@@ -10,9 +10,12 @@
 //!   vs. `Avx2` on potrf16 and kf8 (the machines differ only in FMA, so
 //!   the delta isolates contraction);
 //! * `generate()` on the default target is the AVX2 target — unchanged
-//!   historical behavior.
+//!   historical behavior;
+//! * every paper app × target × ν × policy emits the C and measures the
+//!   `Report` pinned in `tests/snapshots/golden_digests.txt`.
 
 use slingen::{apps, generate_with_spec, Options, Target, VariantSpec};
+use slingen_ir::Program;
 use slingen_synth::Policy;
 
 /// The pinned variant each snapshot was generated from: Lazy policy at
@@ -152,4 +155,61 @@ fn tune_cache_distinguishes_targets() {
     // and each replays its own artifact
     assert!(slingen::generate(&p, &avx2).unwrap().tuning.cache_hit);
     assert!(slingen::generate(&p, &fma).unwrap().tuning.cache_hit);
+}
+
+fn paper_apps() -> Vec<(&'static str, Program)> {
+    vec![
+        ("potrf", apps::potrf(6)),
+        ("trsyl", apps::trsyl(4)),
+        ("trlya", apps::trlya(4)),
+        ("trtri", apps::trtri(6)),
+        ("kf", apps::kf(4)),
+        ("gpr", apps::gpr(4)),
+        ("l1a", apps::l1a(8)),
+    ]
+}
+
+/// FNV-1a over the bytes of `s`: a fixed, dependency-free digest for the
+/// Report wire lines in the golden table.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Golden output digests: for every paper app × target × ν × policy at
+/// loop threshold 64, the emitted C (`digest_c_for`: hash and byte
+/// length) and the exact IEEE-754 wire form of the measured `Report` must
+/// match the committed table. Any change to Stage 1-3, the unparser, or
+/// the machine model that alters a single byte or bit fails here; on a
+/// mismatch the fresh table is printed so an intentional change can be
+/// reviewed and committed.
+#[test]
+fn golden_digests_are_stable_everywhere() {
+    use std::fmt::Write;
+    let mut fresh = String::new();
+    for (name, program) in paper_apps() {
+        for target in Target::ALL {
+            let opts = Options::for_target(target);
+            for &nu in target.widths() {
+                for policy in Policy::ALL {
+                    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+                    let g = generate_with_spec(&program, spec, &opts)
+                        .unwrap_or_else(|e| panic!("{name}/{target}/nu{nu}/{policy}: {e}"));
+                    let (c_hash, c_len) = slingen_cir::unparse::digest_c_for(&g.function, target);
+                    assert_eq!(c_len, g.c_code.len(), "{name}/{target}/nu{nu}/{policy}");
+                    let wire = fnv1a(&g.report.to_wire());
+                    let _ = writeln!(
+                        fresh,
+                        "{name} {target} {nu} {policy} {c_hash:016x} {c_len} {wire:016x}"
+                    );
+                }
+            }
+        }
+    }
+    let path = format!("{}/../../tests/snapshots/golden_digests.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        fresh == want,
+        "emitted C or Report drifted from tests/snapshots/golden_digests.txt; fresh table \
+         (app target nu policy c_hash c_len report_hash):\n{fresh}"
+    );
 }
