@@ -52,7 +52,6 @@ fn kernel_passes() -> PassConfig {
         cse: true,
         fma_contraction: false,
         iterations: 2,
-        block_memo: true,
     }
 }
 

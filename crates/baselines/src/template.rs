@@ -31,7 +31,6 @@ pub fn template_codegen(program: &Program) -> Result<BaselineCode, Box<dyn std::
         cse: true,
         fma_contraction: false,
         iterations: 2,
-        block_memo: true,
     };
     optimize(&mut f, &passes);
     Ok(BaselineCode { function: f, kernels: KernelLib::new() })

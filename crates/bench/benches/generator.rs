@@ -59,43 +59,6 @@ fn bench_stages(c: &mut Criterion) {
             f
         })
     });
-    // the same pipeline with the block memo pinned on, asserting the
-    // reuse actually fires: fixpoint tail rounds replay memoized CSE
-    // segments and skip clean passes instead of re-scanning ~43k
-    // instructions per round. Compare against `stage3_passes_potrf64`
-    // to price the memo itself.
-    g.bench_function("stage3_block_reuse", |b| {
-        use slingen_cir::passes::optimize_with_stats;
-        b.iter(|| {
-            let mut f = f64_.clone();
-            let cfg = PassConfig { block_memo: true, ..PassConfig::default() };
-            let stats = optimize_with_stats(&mut f, &cfg, &mut |_, _| {});
-            assert!(
-                stats.rounds.iter().map(|r| r.blocks_skipped).sum::<usize>() > 0,
-                "block memo never fired on potrf64"
-            );
-            f
-        })
-    });
-    // incremental CSE in isolation: one nearly-clean round over the
-    // converged ~43k-instruction potrf64 body (a single register dirty),
-    // i.e. the cost the fixpoint loop pays per round after the seeding
-    // scan — memoized key reuse plus dirty-set bookkeeping.
-    use slingen_cir::passes::{cse, DirtyLog, RoundStats};
-    let mut fc = f64_.clone();
-    optimize(&mut fc, &PassConfig::default());
-    let mut cache = cse::CseCache::default();
-    let mut dirty = DirtyLog::all_dirty();
-    let mut seed_round = RoundStats::default();
-    cse::cse_incremental(&mut fc, &mut cache, &mut dirty, &mut seed_round);
-    g.bench_function("cse_incremental", |b| {
-        b.iter(|| {
-            let mut round = RoundStats::default();
-            dirty.mark_s(slingen_cir::SReg(0));
-            cse::cse_incremental(&mut fc, &mut cache, &mut dirty, &mut round);
-            round.cse_reused
-        })
-    });
     g.finish();
 }
 

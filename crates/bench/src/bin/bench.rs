@@ -85,16 +85,11 @@ fn measure(name: &str, program: &Program, passes_breakdown: bool) -> Record {
     });
     if passes_breakdown {
         for (i, r) in fixpoint.rounds.iter().enumerate() {
-            if r.cse_skipped {
-                eprintln!("    round {i}: cse skipped (clean dirty log)");
-            } else {
-                eprintln!(
-                    "    round {i}: cse re-keyed {:5}  reused {:5}{}",
-                    r.cse_rekeyed,
-                    r.cse_reused,
-                    if r.changed { "" } else { "  (fixpoint)" }
-                );
-            }
+            eprintln!(
+                "    round {i}: cse keyed {:5}{}",
+                r.cse_rekeyed,
+                if r.changed { "" } else { "  (fixpoint)" }
+            );
         }
         if !fixpoint.converged {
             eprintln!("    WARNING: stopped on the iteration cap, not at a fixpoint");
@@ -123,7 +118,6 @@ struct TuneRecord {
     pruned: usize,
     deduped: usize,
     predicted: usize,
-    blocks_reused: usize,
     lb_pruned: usize,
     cold_ms: f64,
     cached_ms: f64,
@@ -159,7 +153,6 @@ fn measure_tune(name: &str, program: &Program) -> TuneRecord {
         pruned: g.tuning.pruned,
         deduped: g.tuning.deduped,
         predicted: g.tuning.predicted,
-        blocks_reused: g.tuning.blocks_reused,
         lb_pruned: g.tuning.lb_pruned,
         cold_ms,
         cached_ms,
@@ -478,7 +471,7 @@ fn main() {
                 t.cold_ms / t.cached_ms.max(1e-9),
                 t.hit_rate
             );
-            eprintln!("  blocks_reused {:5}  lb_pruned {:2}", t.blocks_reused, t.lb_pruned);
+            eprintln!("  lb_pruned {:2}", t.lb_pruned);
             for c in &t.rep_costs {
                 eprintln!(
                     "    rep {:16} lower {:8.3} ms  opt {:8.3} ms  measure {:8.3} ms",
@@ -509,16 +502,11 @@ fn main() {
     }
     json.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
-        let (rekeyed, reused): (usize, usize) = r
-            .fixpoint
-            .rounds
-            .iter()
-            .fold((0, 0), |(a, b), rd| (a + rd.cse_rekeyed, b + rd.cse_reused));
+        let rekeyed: usize = r.fixpoint.rounds.iter().map(|rd| rd.cse_rekeyed).sum();
         json.push_str(&format!(
             "    {{\"app\": \"{}\", \"stage1_ms\": {:.3}, \"stage2_ms\": {:.3}, \
              \"stage3_ms\": {:.3}, \"autotune_ms\": {:.3}, \"static_instrs\": {}, \
-             \"fixpoint\": {{\"rounds\": {}, \"cse_rekeyed\": {}, \"cse_reused\": {}, \
-             \"converged\": {}}}}}{}\n",
+             \"fixpoint\": {{\"rounds\": {}, \"cse_rekeyed\": {}, \"converged\": {}}}}}{}\n",
             r.app,
             r.stage1_ms,
             r.stage2_ms,
@@ -527,7 +515,6 @@ fn main() {
             r.static_instrs,
             r.fixpoint.rounds.len(),
             rekeyed,
-            reused,
             r.fixpoint.converged,
             if i + 1 < records.len() { "," } else { "" }
         ));
@@ -583,7 +570,7 @@ fn main() {
             json.push_str(&format!(
                 "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
                  \"variants_pruned\": {}, \"variants_deduped\": {}, \
-                 \"variants_predicted\": {}, \"blocks_reused\": {}, \"lb_pruned\": {}, \
+                 \"variants_predicted\": {}, \"lb_pruned\": {}, \
                  \"cold_ms\": {:.3}, \
                  \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
                  \"cache_hit_rate\": {:.3}, \"reps\": [{}]}}{}\n",
@@ -593,7 +580,6 @@ fn main() {
                 t.pruned,
                 t.deduped,
                 t.predicted,
-                t.blocks_reused,
                 t.lb_pruned,
                 t.cold_ms,
                 t.cached_ms,

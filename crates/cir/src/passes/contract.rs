@@ -29,7 +29,6 @@
 
 use crate::func::{CStmt, Function};
 use crate::instr::{BinOp, FmaKind, Instr, SOperand, SReg, VReg};
-use crate::passes::{Consumer, DirtyLog, DirtyView};
 
 /// A pending multiply whose result register may feed one add.
 #[derive(Clone, Copy)]
@@ -109,14 +108,14 @@ impl Contract {
 
     /// The multiply feeding scalar operand `o`, if it is a single-use
     /// register whose multiply operands are all still live.
-    fn smul_for(&self, o: &SOperand) -> Option<(SReg, SMul)> {
+    fn smul_for(&self, o: &SOperand) -> Option<SMul> {
         let SOperand::Reg(r) = o else { return None };
         let m = (*self.smuls.get(r.0)?)?;
         let live = self.sver(*r) == m.dst_ver
             && self.sop_ver(&m.a) == m.a_ver
             && self.sop_ver(&m.b) == m.b_ver;
         let single_use = self.sreads.get(r.0).copied().unwrap_or(0) == 1;
-        (live && single_use).then_some((*r, m))
+        (live && single_use).then_some(m)
     }
 
     fn vmul_for(&self, r: VReg) -> Option<VMul> {
@@ -128,30 +127,26 @@ impl Contract {
     }
 }
 
-/// Rewrite one instruction in place; returns `true` on contraction. The
-/// fused multiply's destination loses its single read, so it is marked
-/// dirty (its definition dies; DCE must recheck its run).
-fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
+/// Rewrite one instruction in place; returns `true` on contraction.
+fn process(st: &mut Contract, ins: &mut Instr) -> bool {
     let mut changed = false;
     match ins {
         Instr::SBin { op: op @ (BinOp::Add | BinOp::Sub), dst, a, b } => {
             // prefer the first operand's multiply; for Add fall back to
             // the second (addition commutes), deterministically
-            if let Some((mr, m)) = st.smul_for(a) {
+            if let Some(m) = st.smul_for(a) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd, // a*b + c
                     _ => FmaKind::MulSub,          // a*b - c
                 };
                 *ins = Instr::SFma { kind, dst: *dst, a: m.a, b: m.b, c: *b };
-                dirty.mark_s(mr);
                 changed = true;
-            } else if let Some((mr, m)) = st.smul_for(b) {
+            } else if let Some(m) = st.smul_for(b) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd, // c + a*b
                     _ => FmaKind::NegMulAdd,       // c - a*b
                 };
                 *ins = Instr::SFma { kind, dst: *dst, a: m.a, b: m.b, c: *a };
-                dirty.mark_s(mr);
                 changed = true;
             }
         }
@@ -161,18 +156,14 @@ fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
                     BinOp::Add => FmaKind::MulAdd,
                     _ => FmaKind::MulSub,
                 };
-                let mr = *a;
                 *ins = Instr::VFma { kind, dst: *dst, a: m.a, b: m.b, c: *b };
-                dirty.mark_v(mr);
                 changed = true;
             } else if let Some(m) = st.vmul_for(*b) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd,
                     _ => FmaKind::NegMulAdd,
                 };
-                let mr = *b;
                 *ins = Instr::VFma { kind, dst: *dst, a: m.a, b: m.b, c: *a };
-                dirty.mark_v(mr);
                 changed = true;
             }
         }
@@ -213,51 +204,21 @@ fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
     changed
 }
 
-fn walk(stmts: &mut [CStmt], st: &mut Contract, dirty: &mut DirtyLog, view: &DirtyView) -> bool {
+fn walk(stmts: &mut [CStmt], st: &mut Contract) -> bool {
     let mut changed = false;
-    // Clean-run skipping (block memo): multiply facts are run-local and
-    // the whole-function read counts can only have changed for marked
-    // registers, so a clean run repeats its previous (non-)fusions.
-    let mut run_end = 0;
-    let mut run_clean = false;
-    for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(dirty, view, stmts, r);
-                run_end = end;
-                run_clean = clean;
-                if clean {
-                    dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
-        match &mut stmts[r] {
-            CStmt::I(_) if run_clean => {}
-            CStmt::I(ins) => {
-                if process(st, ins, dirty) {
-                    // the add/sub became an FMA: its key changed
-                    if let Some(r) = ins.sreg_write() {
-                        dirty.mark_s(r);
-                    }
-                    if let Some(r) = ins.vreg_write() {
-                        dirty.mark_v(r);
-                    }
-                    changed = true;
-                }
-            }
+    for s in stmts {
+        match s {
+            CStmt::I(ins) => changed |= process(st, ins),
             CStmt::For { body, .. } => {
                 st.reset();
-                changed |= walk(body, st, dirty, view);
+                changed |= walk(body, st);
                 st.reset();
             }
             CStmt::If { then_, else_, .. } => {
                 st.reset();
-                changed |= walk(then_, st, dirty, view);
+                changed |= walk(then_, st);
                 st.reset();
-                changed |= walk(else_, st, dirty, view);
+                changed |= walk(else_, st);
                 st.reset();
             }
         }
@@ -269,22 +230,8 @@ fn walk(stmts: &mut [CStmt], st: &mut Contract, dirty: &mut DirtyLog, view: &Dir
 /// returns whether anything changed. The dead multiplies are left for
 /// [`super::dce`] to collect.
 pub fn contract(f: &mut Function) -> bool {
-    contract_tracked(f, &mut DirtyLog::default())
-}
-
-/// [`contract`], additionally recording fused definitions into `dirty`
-/// for the incremental scans, and skipping runs that are provably clean
-/// for this pass.
-pub fn contract_tracked(f: &mut Function, dirty: &mut DirtyLog) -> bool {
-    if dirty.skip_enabled() && dirty.is_clean_for(Consumer::Contract) {
-        dirty.note_skip();
-        return false;
-    }
-    let view = dirty.begin(Consumer::Contract);
     let mut st = Contract::for_function(f);
-    let changed = walk(&mut f.body, &mut st, dirty, &view);
-    dirty.commit(Consumer::Contract, &view);
-    changed
+    walk(&mut f.body, &mut st)
 }
 
 #[cfg(test)]

@@ -13,33 +13,14 @@
 //! register/buffer id; and commutative canonicalization uses the derived
 //! [`Ord`] on the key types directly.
 //!
-//! Across cleanup-fixpoint rounds the pass is **incremental**
-//! ([`cse_incremental`]): a [`CseCache`] memoizes each instruction's
-//! hashed key under its destination register, and a round re-keys only
-//! instructions whose destination or operands appear in the
-//! [`DirtyLog`] seeded by the other cleanup passes. The availability
-//! maps and version/epoch tables are still rebuilt from scratch every
-//! round — only key *construction and hashing* (the dominant cost at
-//! tens of thousands of instructions) is memoized — so the rewrite
-//! decisions are bit-identical to a from-scratch run by construction.
-//!
-//! Reusing a memoized key is sound because a key depends only on the
-//! instruction's content and its operands' version/epoch numbering at
-//! that point of the scan, and every event that can change either marks
-//! the dirty log (see the seeding rules in [`super`]): content rewrites
-//! mark the destination; a deleted definition marks its register (reader
-//! versions may shift); a deleted store marks its buffer (load epochs
-//! shift); region merges mark everything. Registers with more than one
-//! static definition are never memoized (one slot cannot represent two
-//! program points), and debug builds recompute every reused key and
-//! assert equality.
+//! Every call scans from scratch; nothing is remembered between calls, so
+//! the cleanup fixpoint in [`super`] sees the same rewrites a single
+//! standalone run would make.
 
 use crate::func::{CStmt, Function};
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::instr::{BinOp, FmaKind, Instr, LaneSel, SOperand, SReg, VReg};
-use crate::passes::{Consumer, DirtyLog, DirtyView, RoundStats};
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Key {
@@ -63,112 +44,33 @@ enum SKey {
 
 type VKey = (VReg, u32);
 
-/// A CSE key with its hash precomputed once. Used both as the memoized
-/// per-register cache entry and as the availability-map key, so a reused
-/// key is never re-hashed: `Hash` just writes the stored 64-bit value,
-/// and `Eq` falls back to full key comparison only on hash collision.
-#[derive(Debug, Clone)]
-struct CachedKey {
+/// A CSE key with its hash computed once, so the availability lookup and
+/// the insert that follows it never re-hash: `Hash` just writes the
+/// stored 64-bit value, and `Eq` falls back to full key comparison only
+/// on hash collision.
+#[derive(Debug)]
+struct HashedKey {
     hash: u64,
-    key: Rc<Key>,
+    key: Key,
 }
 
-impl CachedKey {
+impl HashedKey {
     fn new(key: Key) -> Self {
         let mut h = FxHasher::default();
         key.hash(&mut h);
-        CachedKey { hash: h.finish(), key: Rc::new(key) }
+        HashedKey { hash: h.finish(), key }
     }
 }
 
-impl PartialEq for CachedKey {
+impl PartialEq for HashedKey {
     fn eq(&self, other: &Self) -> bool {
         self.hash == other.hash && self.key == other.key
     }
 }
-impl Eq for CachedKey {}
-impl Hash for CachedKey {
+impl Eq for HashedKey {}
+impl Hash for HashedKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
-    }
-}
-
-/// Memoized key of the (single) instruction defining a register.
-#[derive(Debug, Clone, Default)]
-enum Slot {
-    /// No definition seen yet (or register unused).
-    #[default]
-    Unknown,
-    /// More than one static definition (cross-region first-definitions,
-    /// rename copy-backs): never memoized, one slot cannot stand for two
-    /// program points.
-    Multi,
-    /// The definition is not CSE-keyed (moves, extracts, symbolic-offset
-    /// loads).
-    NonKeyed,
-    /// The definition's key, hashed once.
-    Keyed(CachedKey),
-}
-
-/// Cross-round memo of per-definition CSE keys (see module docs).
-#[derive(Debug, Default)]
-pub struct CseCache {
-    init: bool,
-    s_slots: Vec<Slot>,
-    v_slots: Vec<Slot>,
-}
-
-impl CseCache {
-    /// Whether the first full scan has populated the cache.
-    pub fn is_initialized(&self) -> bool {
-        self.init
-    }
-
-    /// Size the slot tables and mark multi-definition registers.
-    fn prepare(&mut self, f: &Function) {
-        self.s_slots = vec![Slot::Unknown; f.n_sregs];
-        self.v_slots = vec![Slot::Unknown; f.n_vregs];
-        let mut sdefs = vec![0u8; f.n_sregs];
-        let mut vdefs = vec![0u8; f.n_vregs];
-        f.for_each_instr(&mut |ins| {
-            if let Some(r) = ins.sreg_write() {
-                super::grow_update(&mut sdefs, r.0, |c| *c = c.saturating_add(1));
-            }
-            if let Some(r) = ins.vreg_write() {
-                super::grow_update(&mut vdefs, r.0, |c| *c = c.saturating_add(1));
-            }
-        });
-        for (slot, n) in self.s_slots.iter_mut().zip(&sdefs) {
-            if *n >= 2 {
-                *slot = Slot::Multi;
-            }
-        }
-        for (slot, n) in self.v_slots.iter_mut().zip(&vdefs) {
-            if *n >= 2 {
-                *slot = Slot::Multi;
-            }
-        }
-    }
-
-    fn s_slot(&self, r: SReg) -> &Slot {
-        self.s_slots.get(r.0).unwrap_or(&Slot::Unknown)
-    }
-    fn v_slot(&self, r: VReg) -> &Slot {
-        self.v_slots.get(r.0).unwrap_or(&Slot::Unknown)
-    }
-    fn set_s(&mut self, r: SReg, slot: Slot) {
-        super::grow_update(&mut self.s_slots, r.0, |s| {
-            if !matches!(s, Slot::Multi) {
-                *s = slot;
-            }
-        });
-    }
-    fn set_v(&mut self, r: VReg, slot: Slot) {
-        super::grow_update(&mut self.v_slots, r.0, |s| {
-            if !matches!(s, Slot::Multi) {
-                *s = slot;
-            }
-        });
     }
 }
 
@@ -182,8 +84,10 @@ struct Cse {
     svers: Vec<(u32, u32)>,
     vvers: Vec<(u32, u32)>,
     epochs: Vec<(u32, u64)>,
-    avail_s: FxHashMap<CachedKey, (SReg, u32)>,
-    avail_v: FxHashMap<CachedKey, (VReg, u32)>,
+    avail_s: FxHashMap<HashedKey, (SReg, u32)>,
+    avail_v: FxHashMap<HashedKey, (VReg, u32)>,
+    /// Register definitions keyed so far ([`super::RoundStats::cse_rekeyed`]).
+    keyed: usize,
 }
 
 impl Cse {
@@ -195,6 +99,7 @@ impl Cse {
             epochs: vec![(0, 0); f.buffers.len()],
             avail_s: FxHashMap::default(),
             avail_v: FxHashMap::default(),
+            keyed: 0,
         }
     }
 
@@ -301,157 +206,27 @@ fn instr_key(st: &Cse, ins: &Instr) -> Option<Key> {
     }
 }
 
-/// Does a fresh key computation for `ins` depend on anything dirty?
-/// Allocation-free by matching operands directly (the generic read
-/// accessors build `Vec`s, which would dominate the clean path).
-fn reads_dirty(dirty: &DirtyLog, view: &DirtyView, ins: &Instr) -> bool {
-    let s = |o: &SOperand| matches!(o, SOperand::Reg(r) if dirty.s_dirty_at(view, *r));
-    match ins {
-        Instr::SBin { a, b, .. } => s(a) || s(b),
-        Instr::SFma { a, b, c, .. } => s(a) || s(b) || s(c),
-        Instr::SSqrt { a, .. } => s(a),
-        Instr::SLoad { src, .. } => dirty.buf_dirty_at(view, src.buf.0),
-        Instr::VBin { a, b, .. } => dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b),
-        Instr::VFma { a, b, c, .. } => {
-            dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b) || dirty.v_dirty_at(view, *c)
-        }
-        Instr::VBroadcast { src, .. } => s(src),
-        Instr::VShuffle { a, b, .. } | Instr::VBlend { a, b, .. } => {
-            dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b)
-        }
-        Instr::VLoad { base, .. } => dirty.buf_dirty_at(view, base.buf.0),
-        // non-keyed shapes: the (absent) key cannot depend on operands
-        _ => false,
-    }
-}
-
-/// One incremental scan's working state over the shared cache.
-struct Inc<'a> {
-    cache: &'a mut CseCache,
-    dirty: &'a mut DirtyLog,
-    view: DirtyView,
-    /// Full-recompute mode: first scan, or everything dirty.
-    full: bool,
-    /// Hashes of keys (re)computed by dirty instructions earlier in this
-    /// scan. A *clean* instruction's availability lookup can only resolve
-    /// differently than last scan if some earlier instruction's key
-    /// changed **to or from** this instruction's key, or the match's
-    /// version validity flipped — and every one of those events passes
-    /// the key-producing instruction through the recompute path (its
-    /// definition register is marked), landing its key here. A clean
-    /// instruction whose memoized key is absent from this set therefore
-    /// provably repeats last scan's "no rewrite" and skips the lookup
-    /// (hash collisions merely force a redundant lookup). Maintained only
-    /// in incremental scans (`!full`).
-    fresh_keys: FxHashSet<u64>,
-    /// Whether the previous instruction was replayed without a lookup —
-    /// open replayed segments are counted once ([`DirtyLog::note_skip`]).
-    seg_open: bool,
-    rekeyed: usize,
-    reused: usize,
-}
-
 /// Process one instruction, replacing repeats with moves in place.
 /// Returns `true` when the instruction was rewritten.
-fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
-    let sdst = ins.sreg_write();
-    let vdst = ins.vreg_write();
-    // fetch the memoized key, or (re)compute and memoize it
-    let mut replayed = false;
-    let key: Option<CachedKey> = {
-        let slot = match (sdst, vdst) {
-            (Some(r), _) => Some(inc.cache.s_slot(r)),
-            (_, Some(r)) => Some(inc.cache.v_slot(r)),
-            _ => None,
-        };
-        let def_dirty = match (sdst, vdst) {
-            (Some(r), _) => inc.dirty.s_dirty_at(&inc.view, r),
-            (_, Some(r)) => inc.dirty.v_dirty_at(&inc.view, r),
-            _ => true,
-        };
-        let reusable = !inc.full
-            && !def_dirty
-            && matches!(slot, Some(Slot::NonKeyed) | Some(Slot::Keyed(_)))
-            && !reads_dirty(inc.dirty, &inc.view, ins);
-        if reusable {
-            inc.reused += 1;
-            let cached = match slot {
-                Some(Slot::Keyed(k)) => Some(k.clone()),
-                _ => None,
-            };
-            #[cfg(debug_assertions)]
-            {
-                let fresh = instr_key(st, ins);
-                assert_eq!(
-                    cached.as_ref().map(|c| (*c.key).clone()),
-                    fresh,
-                    "incremental CSE reused a stale key (dirty-seeding rule violated) \
-                     for {ins:?}"
-                );
-            }
-            // Replay fast path: a clean instruction whose key no dirty
-            // instruction re-produced this scan repeats last scan's
-            // lookup miss — only its state effects are applied below.
-            replayed = match &cached {
-                None => true,
-                Some(k) => !inc.fresh_keys.contains(&k.hash),
-            };
-            cached
-        } else {
-            let fresh = instr_key(st, ins).map(CachedKey::new);
-            if let Some(k) = &fresh {
-                if !inc.full {
-                    inc.fresh_keys.insert(k.hash);
-                }
-            }
-            if sdst.is_some() || vdst.is_some() {
-                inc.rekeyed += 1;
-                let slot = match &fresh {
-                    Some(k) => Slot::Keyed(k.clone()),
-                    None => Slot::NonKeyed,
-                };
-                if let Some(r) = sdst {
-                    inc.cache.set_s(r, slot);
-                } else if let Some(r) = vdst {
-                    inc.cache.set_v(r, slot);
-                }
-            }
-            fresh
-        }
-    };
-    if replayed {
-        if !inc.seg_open {
-            inc.dirty.note_skip();
-            inc.seg_open = true;
-        }
-    } else {
-        inc.seg_open = false;
+fn process(st: &mut Cse, ins: &mut Instr) -> bool {
+    let key = instr_key(st, ins).map(HashedKey::new);
+    if ins.sreg_write().is_some() || ins.vreg_write().is_some() {
+        st.keyed += 1;
     }
     let mut replaced = false;
     if let Some(k) = &key {
-        if replayed {
-            // availability lookup provably repeats last scan's miss
-        } else if let Some(sdst) = sdst {
-            if let Some((r, v)) = st.avail_s.get(k) {
-                if st.sver(*r) == *v && *r != sdst {
-                    // the replaced computation's operands each lose a
-                    // read (deadness/single-use elsewhere may change)
-                    super::mark_reads(inc.dirty, ins);
-                    *ins = Instr::SMov { dst: sdst, a: (*r).into() };
-                    inc.dirty.mark_s(sdst);
+        if let Some(sdst) = ins.sreg_write() {
+            if let Some(&(r, v)) = st.avail_s.get(k) {
+                if st.sver(r) == v && r != sdst {
+                    *ins = Instr::SMov { dst: sdst, a: r.into() };
                     replaced = true;
-                    // the definition is a plain move now
-                    inc.cache.set_s(sdst, Slot::NonKeyed);
                 }
             }
-        } else if let Some(vdst) = vdst {
-            if let Some((r, v)) = st.avail_v.get(k) {
-                if st.vver(*r) == *v && *r != vdst {
-                    super::mark_reads(inc.dirty, ins);
-                    *ins = Instr::VMov { dst: vdst, src: *r };
-                    inc.dirty.mark_v(vdst);
+        } else if let Some(vdst) = ins.vreg_write() {
+            if let Some(&(r, v)) = st.avail_v.get(k) {
+                if st.vver(r) == v && r != vdst {
+                    *ins = Instr::VMov { dst: vdst, src: r };
                     replaced = true;
-                    inc.cache.set_v(vdst, Slot::NonKeyed);
                 }
             }
         }
@@ -489,107 +264,39 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
     replaced
 }
 
-fn walk(stmts: &mut [CStmt], st: &mut Cse, inc: &mut Inc) -> bool {
+fn walk(stmts: &mut [CStmt], st: &mut Cse) -> bool {
     let mut changed = false;
-    // Clean-run skipping (block memo): a run with no dirty definition,
-    // operand, or buffer for this pass re-keys to the same keys and
-    // repeats the same (absent) rewrites, so it is skipped wholesale —
-    // availability never crosses the control-flow boundaries that
-    // delimit runs.
-    let mut run_end = 0;
-    let mut run_clean = false;
-    for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(inc.dirty, &inc.view, stmts, r);
-                run_end = end;
-                run_clean = clean && !inc.full;
-                if run_clean {
-                    inc.dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
-        match &mut stmts[r] {
-            CStmt::I(_) if run_clean => {}
-            CStmt::I(ins) => changed |= process(st, inc, ins),
+    for s in stmts {
+        match s {
+            CStmt::I(ins) => changed |= process(st, ins),
             CStmt::For { body, .. } => {
                 st.reset();
-                inc.seg_open = false;
-                changed |= walk(body, st, inc);
+                changed |= walk(body, st);
                 st.reset();
-                inc.seg_open = false;
             }
             CStmt::If { then_, else_, .. } => {
                 st.reset();
-                inc.seg_open = false;
-                changed |= walk(then_, st, inc);
+                changed |= walk(then_, st);
                 st.reset();
-                inc.seg_open = false;
-                changed |= walk(else_, st, inc);
+                changed |= walk(else_, st);
                 st.reset();
-                inc.seg_open = false;
             }
         }
     }
-    changed
-}
-
-/// Eliminate common subexpressions in `f`, reusing memoized keys from
-/// `cache` for instructions untouched since the last scan (per `dirty`).
-/// Consumes and clears the dirty log; returns whether anything changed.
-///
-/// When the cache is warm and the dirty log is empty the scan is skipped
-/// outright: CSE is idempotent on its own output within the post-rename
-/// SSA regions, so a clean re-run could not change anything.
-pub fn cse_incremental(
-    f: &mut Function,
-    cache: &mut CseCache,
-    dirty: &mut DirtyLog,
-    round: &mut RoundStats,
-) -> bool {
-    if cache.init && dirty.is_clean_for(Consumer::Cse) {
-        round.cse_skipped = true;
-        return false;
-    }
-    let view = dirty.begin(Consumer::Cse);
-    let full = !cache.init || dirty.is_all_at(&view);
-    if !cache.init {
-        cache.prepare(f);
-    }
-    let mut st = Cse::for_function(f);
-    let mut inc = Inc {
-        cache,
-        dirty,
-        view,
-        full,
-        fresh_keys: FxHashSet::default(),
-        seg_open: false,
-        rekeyed: 0,
-        reused: 0,
-    };
-    let changed = walk(&mut f.body, &mut st, &mut inc);
-    round.cse_rekeyed += inc.rekeyed;
-    round.cse_reused += inc.reused;
-    cache.init = true;
-    // Commit past this scan's own rewrite marks: a rewrite leaves a plain
-    // move that neither keys nor shifts version numbering, so a rescan of
-    // it is a no-op for CSE (the marks stay visible to the *other*
-    // consumers, which is what they are for).
-    dirty.commit_now(Consumer::Cse);
     changed
 }
 
 /// Eliminate common subexpressions in `f`; returns whether anything
-/// changed. One-shot form of [`cse_incremental`] (fresh cache, all
-/// dirty).
+/// changed.
 pub fn cse(f: &mut Function) -> bool {
-    let mut cache = CseCache::default();
-    let mut dirty = DirtyLog::all_dirty();
-    let mut round = RoundStats::default();
-    cse_incremental(f, &mut cache, &mut dirty, &mut round)
+    cse_counted(f).0
+}
+
+/// [`cse`], also returning how many register definitions were keyed.
+pub(crate) fn cse_counted(f: &mut Function) -> (bool, usize) {
+    let mut st = Cse::for_function(f);
+    let changed = walk(&mut f.body, &mut st);
+    (changed, st.keyed)
 }
 
 #[cfg(test)]
@@ -752,77 +459,5 @@ mod tests {
         b.sstore(a, MemRef::new(t, 0));
         let mut f = b.finish();
         assert!(!cse(&mut f));
-    }
-
-    /// A warm cache with an empty dirty log skips the scan entirely and
-    /// reports it; a targeted dirty mark re-keys only the affected
-    /// instruction and its availability behavior stays correct.
-    #[test]
-    fn clean_round_skips_and_dirty_round_rekeys_sparsely() {
-        let mut b = FunctionBuilder::new("f", 1);
-        let t = b.buffer("t", 2, BufKind::ParamOut);
-        let a = b.smov(3.0);
-        let x = b.sbin(BinOp::Mul, a, a);
-        let y = b.sbin(BinOp::Mul, a, a);
-        b.sstore(x, MemRef::new(t, 0));
-        b.sstore(y, MemRef::new(t, 1));
-        let mut f = b.finish();
-        let mut cache = CseCache::default();
-        let mut dirty = DirtyLog::all_dirty();
-        let mut r0 = RoundStats::default();
-        assert!(cse_incremental(&mut f, &mut cache, &mut dirty, &mut r0));
-        assert!(r0.cse_rekeyed > 0);
-        assert_eq!(r0.cse_reused, 0, "first scan computes everything");
-        assert!(dirty.is_clean_for(Consumer::Cse), "the scan consumes the dirty log");
-        // clean round: whole-pass skip
-        let mut r1 = RoundStats::default();
-        assert!(!cse_incremental(&mut f, &mut cache, &mut dirty, &mut r1));
-        assert!(r1.cse_skipped);
-        assert_eq!((r1.cse_rekeyed, r1.cse_reused), (0, 0));
-        // targeted dirt: only the marked definition re-keys, the rest reuse
-        dirty.mark_s(crate::instr::SReg(0));
-        let mut r2 = RoundStats::default();
-        assert!(!cse_incremental(&mut f, &mut cache, &mut dirty, &mut r2));
-        assert!(!r2.cse_skipped);
-        assert!(r2.cse_reused > 0, "clean instructions must reuse memoized keys");
-        assert!(
-            r2.cse_rekeyed < r0.cse_rekeyed,
-            "a sparse dirty set must not re-key the whole function"
-        );
-    }
-
-    /// The one-shot wrapper and an incremental run over a mutating round
-    /// sequence agree with a from-scratch run (bit-identical rewrites).
-    #[test]
-    fn incremental_matches_scratch_after_mutation() {
-        let build = || {
-            let mut b = FunctionBuilder::new("f", 1);
-            let t = b.buffer("t", 4, BufKind::ParamInOut);
-            let a = b.sload(MemRef::new(t, 0));
-            let x = b.sbin(BinOp::Mul, a, a);
-            let y = b.sbin(BinOp::Mul, a, a);
-            let z = b.sbin(BinOp::Add, x, y);
-            b.sstore(z, MemRef::new(t, 1));
-            b.sstore(x, MemRef::new(t, 2));
-            b.sstore(y, MemRef::new(t, 3));
-            b.finish()
-        };
-        // incremental: scan, then re-scan with everything marked dirty
-        let mut f1 = build();
-        let mut cache = CseCache::default();
-        let mut dirty = DirtyLog::all_dirty();
-        let mut r = RoundStats::default();
-        cse_incremental(&mut f1, &mut cache, &mut dirty, &mut r);
-        dirty.mark_all();
-        cse_incremental(&mut f1, &mut cache, &mut dirty, &mut r);
-        // scratch: two one-shot runs
-        let mut f2 = build();
-        cse(&mut f2);
-        cse(&mut f2);
-        assert_eq!(
-            crate::pretty::function_to_string(&f1),
-            crate::pretty::function_to_string(&f2),
-            "incremental and from-scratch CSE must produce identical code"
-        );
     }
 }

@@ -20,7 +20,6 @@
 use crate::func::{BufKind, BufferDecl, CStmt, Function};
 use crate::fxhash::FxHashSet;
 use crate::instr::Instr;
-use crate::passes::{Consumer, DirtyLog, DirtyView};
 
 #[derive(Default)]
 struct Usage {
@@ -131,52 +130,19 @@ fn instr_is_dead(buffers: &[BufferDecl], u: &Usage, ins: &Instr) -> bool {
 }
 
 /// Compact `stmts` in place, dropping dead instructions and emptied
-/// control flow; sets `removed` when anything was dropped. Removals are
-/// recorded into `dirty` for the incremental scans: a deleted definition
-/// shifts reader versions (mark its register), its erased reads shift
-/// deadness and single-use counts elsewhere (mark its operand registers
-/// and referenced buffers), a deleted store shifts load epochs and cell
-/// observability (mark its buffer), and a deleted `For`/`If` merges
-/// straight-line regions (mark everything).
-///
-/// Runs with nothing dirty for this pass were already swept against the
-/// same (unchanged, per the marking rules) read counts and kept whole, so
-/// they are skipped without re-checking deadness.
-fn sweep(
-    buffers: &[BufferDecl],
-    u: &Usage,
-    stmts: &mut Vec<CStmt>,
-    removed: &mut bool,
-    dirty: &mut DirtyLog,
-    view: &DirtyView,
-) {
+/// control flow; sets `removed` when anything was dropped.
+fn sweep(buffers: &[BufferDecl], u: &Usage, stmts: &mut Vec<CStmt>, removed: &mut bool) {
     let mut w = 0;
-    let mut run_end = 0;
-    let mut run_clean = false;
     for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(dirty, view, stmts, r);
-                run_end = end;
-                run_clean = clean;
-                if clean {
-                    dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
         let keep = match &mut stmts[r] {
-            CStmt::I(_) if run_clean => true,
             CStmt::I(ins) => !instr_is_dead(buffers, u, ins),
             CStmt::For { body, .. } => {
-                sweep(buffers, u, body, removed, dirty, view);
+                sweep(buffers, u, body, removed);
                 !body.is_empty()
             }
             CStmt::If { then_, else_, .. } => {
-                sweep(buffers, u, then_, removed, dirty, view);
-                sweep(buffers, u, else_, removed, dirty, view);
+                sweep(buffers, u, then_, removed);
+                sweep(buffers, u, else_, removed);
                 !(then_.is_empty() && else_.is_empty())
             }
         };
@@ -186,18 +152,6 @@ fn sweep(
             }
             w += 1;
         } else {
-            match &stmts[r] {
-                CStmt::I(ins) => {
-                    if let Some(reg) = ins.sreg_write() {
-                        dirty.mark_s(reg);
-                    }
-                    if let Some(reg) = ins.vreg_write() {
-                        dirty.mark_v(reg);
-                    }
-                    super::mark_reads(dirty, ins);
-                }
-                CStmt::For { .. } | CStmt::If { .. } => dirty.mark_all(),
-            }
             *removed = true;
         }
     }
@@ -207,34 +161,19 @@ fn sweep(
 /// Remove dead instructions and dead local stores from `f`, iterating to a
 /// fixpoint; returns whether anything was removed.
 pub fn dce(f: &mut Function) -> bool {
-    dce_tracked(f, &mut DirtyLog::default())
-}
-
-/// [`dce`], additionally recording removals into `dirty` for the
-/// incremental scans, and skipping runs that are provably clean for this
-/// pass.
-pub fn dce_tracked(f: &mut Function, dirty: &mut DirtyLog) -> bool {
-    if dirty.skip_enabled() && dirty.is_clean_for(Consumer::Dce) {
-        // nothing changed since the last DCE fixpoint: deadness is a
-        // function of the (unchanged) whole-function read sets
-        dirty.note_skip();
-        return false;
-    }
-    let view = dirty.begin(Consumer::Dce);
     let mut any = false;
     let mut u = Usage::default();
     loop {
         collect(f, &mut u);
         let mut removed = false;
         let mut body = std::mem::take(&mut f.body);
-        sweep(&f.buffers, &u, &mut body, &mut removed, dirty, &view);
+        sweep(&f.buffers, &u, &mut body, &mut removed);
         f.body = body;
         if !removed {
             break;
         }
         any = true;
     }
-    dirty.commit(Consumer::Dce, &view);
     any
 }
 

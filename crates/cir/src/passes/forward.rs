@@ -31,18 +31,6 @@
 use crate::func::{CStmt, Function};
 use crate::fxhash::FxHashMap;
 use crate::instr::{Instr, LaneSel, SOperand, SReg, VReg};
-use crate::passes::{Consumer, DirtyLog, DirtyView};
-
-/// Mark the destination register of `ins` in the dirty log (incremental
-/// CSE seeding: the definition's content or existence changed).
-fn mark_def(dirty: &mut DirtyLog, ins: &Instr) {
-    if let Some(r) = ins.sreg_write() {
-        dirty.mark_s(r);
-    }
-    if let Some(r) = ins.vreg_write() {
-        dirty.mark_v(r);
-    }
-}
 
 /// Who holds the current value of a memory cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,11 +213,11 @@ fn process(st: &mut State, ins: &mut Instr, ls_analysis: bool, scalar_repl: bool
                         .iter()
                         .map(|l| l.and_then(|off| st.cells.get(&(base.buf.0, boff + off)).copied()))
                         .collect();
-                    let all_tracked = lanes
+                    let all_known = lanes
                         .iter()
                         .zip(&sources)
                         .all(|(l, s)| l.is_none() || s.is_some_and(|c| st.valid(&c)));
-                    if all_tracked {
+                    if all_known {
                         replacement = rewrite_vload(dst, &sources);
                     }
                 }
@@ -268,81 +256,33 @@ fn process(st: &mut State, ins: &mut Instr, ls_analysis: bool, scalar_repl: bool
     }
 }
 
-fn walk(
-    stmts: &mut Vec<CStmt>,
-    st: &mut State,
-    ls: bool,
-    sr: bool,
-    dirty: &mut DirtyLog,
-    view: &DirtyView,
-) -> bool {
+fn walk(stmts: &mut Vec<CStmt>, st: &mut State, ls: bool, sr: bool) -> bool {
     let mut changed = false;
     let mut w = 0;
-    // Clean-run skipping (block memo): runs with nothing dirty for this
-    // pass are kept verbatim without touching `st` — sound because cell
-    // facts never cross run boundaries and version checks are run-local
-    // equalities (see the module docs in `super`).
-    let mut run_end = 0;
-    let mut run_clean = false;
     for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(dirty, view, stmts, r);
-                run_end = end;
-                run_clean = clean;
-                if clean {
-                    dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
         let keep = match &mut stmts[r] {
-            CStmt::I(_) if run_clean => true,
-            CStmt::I(ins) => {
-                // a rewritten or dropped load stops observing its buffer:
-                // stores into it may become dead, so mark it too
-                let load_buf = match ins {
-                    Instr::SLoad { src, .. } => Some(src.buf.0),
-                    Instr::VLoad { base, .. } => Some(base.buf.0),
-                    _ => None,
-                };
-                match process(st, ins, ls, sr) {
-                    Outcome::Keep => true,
-                    Outcome::Rewritten => {
-                        // the definition's content changed (load → mov/
-                        // extract/shuffle/blend)
-                        mark_def(dirty, ins);
-                        if let Some(b) = load_buf {
-                            dirty.mark_buf(b);
-                        }
-                        changed = true;
-                        true
-                    }
-                    Outcome::Drop => {
-                        // the definition disappears: later definitions of
-                        // the register (and their readers) shift versions
-                        mark_def(dirty, ins);
-                        if let Some(b) = load_buf {
-                            dirty.mark_buf(b);
-                        }
-                        changed = true;
-                        false
-                    }
+            CStmt::I(ins) => match process(st, ins, ls, sr) {
+                Outcome::Keep => true,
+                Outcome::Rewritten => {
+                    changed = true;
+                    true
                 }
-            }
+                Outcome::Drop => {
+                    changed = true;
+                    false
+                }
+            },
             CStmt::For { body, .. } => {
                 st.clear_cells();
-                changed |= walk(body, st, ls, sr, dirty, view);
+                changed |= walk(body, st, ls, sr);
                 st.clear_cells();
                 true
             }
             CStmt::If { then_, else_, .. } => {
                 st.clear_cells();
-                changed |= walk(then_, st, ls, sr, dirty, view);
+                changed |= walk(then_, st, ls, sr);
                 st.clear_cells();
-                changed |= walk(else_, st, ls, sr, dirty, view);
+                changed |= walk(else_, st, ls, sr);
                 st.clear_cells();
                 true
             }
@@ -361,30 +301,10 @@ fn walk(
 /// Run scalar replacement (`scalar_repl`) and/or the load/store analysis
 /// (`ls_analysis`) over `f`; returns whether anything changed.
 pub fn forward(f: &mut Function, ls_analysis: bool, scalar_repl: bool) -> bool {
-    forward_tracked(f, ls_analysis, scalar_repl, &mut DirtyLog::default())
-}
-
-/// [`forward`], additionally recording touched definitions into `dirty`
-/// for the incremental scans, and skipping runs that are provably clean
-/// for this pass.
-pub fn forward_tracked(
-    f: &mut Function,
-    ls_analysis: bool,
-    scalar_repl: bool,
-    dirty: &mut DirtyLog,
-) -> bool {
-    if dirty.skip_enabled() && dirty.is_clean_for(Consumer::Forward) {
-        // nothing changed since this pass last ran: rerunning it would
-        // reproduce its own fixpoint
-        dirty.note_skip();
-        return false;
-    }
-    let view = dirty.begin(Consumer::Forward);
     let mut st = State::for_function(f);
     let mut body = std::mem::take(&mut f.body);
-    let changed = walk(&mut body, &mut st, ls_analysis, scalar_repl, dirty, &view);
+    let changed = walk(&mut body, &mut st, ls_analysis, scalar_repl);
     f.body = body;
-    dirty.commit(Consumer::Forward, &view);
     changed
 }
 
@@ -459,10 +379,8 @@ impl CopyState {
         });
         super::grow_update(&mut self.vcopies, r.0, |c| *c = (gen, None));
     }
-    /// Substitute a scalar operand; returns `true` on change. The
-    /// substituted-away register lost a read (its definition may become
-    /// dead or its multiply single-use), so it is marked dirty.
-    fn subst_sop(&self, o: &mut SOperand, dirty: &mut DirtyLog) -> bool {
+    /// Substitute a scalar operand; returns `true` on change.
+    fn subst_sop(&self, o: &mut SOperand) -> bool {
         if let SOperand::Reg(r) = *o {
             if let Some((src, v)) = self.scopy(r) {
                 let live = match src {
@@ -470,7 +388,6 @@ impl CopyState {
                     SOperand::Imm(_) => true,
                 };
                 if live && src != *o {
-                    dirty.mark_s(r);
                     *o = src;
                     return true;
                 }
@@ -479,10 +396,9 @@ impl CopyState {
         false
     }
     /// Substitute a vector register read; returns `true` on change.
-    fn subst_v(&self, r: &mut VReg, dirty: &mut DirtyLog) -> bool {
+    fn subst_v(&self, r: &mut VReg) -> bool {
         if let Some((src, v)) = self.vcopy(*r) {
             if self.vver(src) == v && src != *r {
-                dirty.mark_v(*r);
                 *r = src;
                 return true;
             }
@@ -509,33 +425,33 @@ impl CopyState {
     }
 }
 
-fn copyprop_instr(st: &mut CopyState, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
+fn copyprop_instr(st: &mut CopyState, ins: &mut Instr) -> bool {
     let mut changed = false;
     match ins {
-        Instr::SMov { a, .. } | Instr::SSqrt { a, .. } => changed |= st.subst_sop(a, dirty),
+        Instr::SMov { a, .. } | Instr::SSqrt { a, .. } => changed |= st.subst_sop(a),
         Instr::SBin { a, b, .. } => {
-            changed |= st.subst_sop(a, dirty);
-            changed |= st.subst_sop(b, dirty);
+            changed |= st.subst_sop(a);
+            changed |= st.subst_sop(b);
         }
         Instr::SFma { a, b, c, .. } => {
-            changed |= st.subst_sop(a, dirty);
-            changed |= st.subst_sop(b, dirty);
-            changed |= st.subst_sop(c, dirty);
+            changed |= st.subst_sop(a);
+            changed |= st.subst_sop(b);
+            changed |= st.subst_sop(c);
         }
-        Instr::SStore { src, .. } => changed |= st.subst_sop(src, dirty),
-        Instr::VBroadcast { src, .. } => changed |= st.subst_sop(src, dirty),
-        Instr::VMov { src, .. } | Instr::VStore { src, .. } => changed |= st.subst_v(src, dirty),
+        Instr::SStore { src, .. } => changed |= st.subst_sop(src),
+        Instr::VBroadcast { src, .. } => changed |= st.subst_sop(src),
+        Instr::VMov { src, .. } | Instr::VStore { src, .. } => changed |= st.subst_v(src),
         Instr::VBin { a, b, .. } | Instr::VShuffle { a, b, .. } | Instr::VBlend { a, b, .. } => {
-            changed |= st.subst_v(a, dirty);
-            changed |= st.subst_v(b, dirty);
+            changed |= st.subst_v(a);
+            changed |= st.subst_v(b);
         }
         Instr::VFma { a, b, c, .. } => {
-            changed |= st.subst_v(a, dirty);
-            changed |= st.subst_v(b, dirty);
-            changed |= st.subst_v(c, dirty);
+            changed |= st.subst_v(a);
+            changed |= st.subst_v(b);
+            changed |= st.subst_v(c);
         }
         Instr::VExtract { src, .. } | Instr::VReduceAdd { src, .. } => {
-            changed |= st.subst_v(src, dirty);
+            changed |= st.subst_v(src);
         }
         Instr::SLoad { .. } | Instr::VLoad { .. } | Instr::Call { .. } => {}
     }
@@ -556,49 +472,21 @@ fn copyprop_instr(st: &mut CopyState, ins: &mut Instr, dirty: &mut DirtyLog) -> 
     changed
 }
 
-fn copyprop_walk(
-    stmts: &mut [CStmt],
-    st: &mut CopyState,
-    dirty: &mut DirtyLog,
-    view: &DirtyView,
-) -> bool {
+fn copyprop_walk(stmts: &mut [CStmt], st: &mut CopyState) -> bool {
     let mut changed = false;
-    let mut run_end = 0;
-    let mut run_clean = false;
-    for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(dirty, view, stmts, r);
-                run_end = end;
-                run_clean = clean;
-                if clean {
-                    dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
-        match &mut stmts[r] {
-            CStmt::I(_) if run_clean => {}
-            CStmt::I(ins) => {
-                if copyprop_instr(st, ins, dirty) {
-                    // substituted operands change the definition's key
-                    // (substitutions in stores have no key to invalidate)
-                    mark_def(dirty, ins);
-                    changed = true;
-                }
-            }
+    for s in stmts {
+        match s {
+            CStmt::I(ins) => changed |= copyprop_instr(st, ins),
             CStmt::For { body, .. } => {
                 st.reset();
-                changed |= copyprop_walk(body, st, dirty, view);
+                changed |= copyprop_walk(body, st);
                 st.reset();
             }
             CStmt::If { then_, else_, .. } => {
                 st.reset();
-                changed |= copyprop_walk(then_, st, dirty, view);
+                changed |= copyprop_walk(then_, st);
                 st.reset();
-                changed |= copyprop_walk(else_, st, dirty, view);
+                changed |= copyprop_walk(else_, st);
                 st.reset();
             }
         }
@@ -609,22 +497,8 @@ fn copyprop_walk(
 /// Propagate scalar and vector copies within straight-line regions;
 /// returns whether anything changed.
 pub fn copyprop(f: &mut Function) -> bool {
-    copyprop_tracked(f, &mut DirtyLog::default())
-}
-
-/// [`copyprop`], additionally recording touched definitions into `dirty`
-/// for the incremental scans, and skipping runs that are provably clean
-/// for this pass.
-pub fn copyprop_tracked(f: &mut Function, dirty: &mut DirtyLog) -> bool {
-    if dirty.skip_enabled() && dirty.is_clean_for(Consumer::Copyprop) {
-        dirty.note_skip();
-        return false;
-    }
-    let view = dirty.begin(Consumer::Copyprop);
     let mut st = CopyState::for_function(f);
-    let changed = copyprop_walk(&mut f.body, &mut st, dirty, &view);
-    dirty.commit(Consumer::Copyprop, &view);
-    changed
+    copyprop_walk(&mut f.body, &mut st)
 }
 
 #[cfg(test)]

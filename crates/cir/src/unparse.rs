@@ -59,6 +59,15 @@ pub fn digest_c_for(f: &Function, target: Target) -> (u64, usize) {
     out.finish()
 }
 
+/// Digest of the bytes of `s`: `(hash, byte_len)`, the same digest
+/// [`digest_c_for`] streams for emitted C. The hardware measurer keys its
+/// compiled-harness cache with it.
+pub fn digest_str(s: &str) -> (u64, usize) {
+    let mut out = StreamDigest::default();
+    out.push(s.as_bytes());
+    out.finish()
+}
+
 /// Configuration for [`to_c_harness`]: per-parameter initial data plus
 /// the timing-loop shape.
 pub struct HarnessOpts<'a> {
@@ -803,6 +812,7 @@ mod tests {
             }
             assert_eq!(d.finish(), streamed, "chunk size {chunk}");
         }
+        assert_eq!(digest_str(&c), streamed);
         assert_eq!(streamed.1, c.len());
     }
 
@@ -821,6 +831,14 @@ mod tests {
         assert!(c.contains("_mm256_loadu_pd(x)"), "{c}");
         assert!(c.contains("_mm256_add_pd(v0, v1)"), "{c}");
         assert!(c.contains("_mm256_storeu_pd(y, v2)"), "{c}");
+    }
+
+    #[test]
+    fn digest_str_distinguishes_and_is_stable() {
+        let a = digest_str("int main(void) { return 0; }");
+        let b = digest_str("int main(void) { return 1; }");
+        assert_ne!(a.0, b.0);
+        assert_eq!(a, digest_str("int main(void) { return 0; }"));
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! callers fall back to the model-only flow, logging why.
 
 use crate::workload;
-use slingen_cir::unparse::{to_c_harness, HarnessOpts};
-use slingen_cir::{Function, Target};
+use slingen_cir::unparse::{digest_str, to_c_harness, HarnessOpts};
+use slingen_cir::{BufKind, Function, Target};
 use slingen_ir::Program;
 use slingen_lgen::BufferMap;
 use slingen_perf::{Machine, MeasuredTime};
-use slingen_vm::BufferSet;
+use slingen_vm::{BufferSet, NullMonitor};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -272,8 +272,10 @@ impl HardwareMeasurer {
         Ok(bin)
     }
 
-    /// Run a compiled harness and parse its `SLINGEN_MEASURE` line.
-    fn run(&self, bin: &Path) -> Result<MeasuredTime, HwError> {
+    /// Run a compiled harness, check its `SLINGEN_CHECK` line against the
+    /// VM checksum `expected` ([`vm_checksum`]), and parse its
+    /// `SLINGEN_MEASURE` line.
+    fn run(&self, bin: &Path, expected: (f64, f64)) -> Result<MeasuredTime, HwError> {
         let out = Command::new(bin)
             .output()
             .map_err(|e| HwError(format!("harness {} failed to run: {e}", bin.display())))?;
@@ -281,15 +283,18 @@ impl HardwareMeasurer {
             return Err(HwError(format!("harness exited with {}", out.status)));
         }
         let stdout = String::from_utf8_lossy(&out.stdout);
+        check_checksum(&stdout, expected)?;
         parse_measure_line(&stdout)
             .ok_or_else(|| HwError(format!("harness output unparseable: {stdout:?}")))
     }
 
     /// Emit, compile (or reuse), and time the harness for one function.
+    /// The harness's output checksum must match the VM's, so a
+    /// miscompiled harness cannot time a no-op.
     ///
     /// # Errors
     ///
-    /// [`HwError`] on any compile/run/parse failure.
+    /// [`HwError`] on any compile/run/parse failure or checksum mismatch.
     pub fn measure_c(
         &self,
         function: &Function,
@@ -303,7 +308,7 @@ impl HardwareMeasurer {
         };
         let source = to_c_harness(function, self.target, &opts);
         let bin = self.compile(&source)?;
-        self.run(&bin)
+        self.run(&bin, vm_checksum(function, inits)?)
     }
 }
 
@@ -361,27 +366,48 @@ fn parse_measure_line(stdout: &str) -> Option<MeasuredTime> {
     Some(MeasuredTime { cycles: cycles?, ns: ns?, reps: reps? })
 }
 
-/// The same streaming digest the tuner uses for emitted C, applied to a
-/// harness source string: `(hash, len)` keys the artifact cache.
-fn digest_str(s: &str) -> (u64, usize) {
-    // FxHash-style word folding over the bytes; collisions additionally
-    // guarded by the length in the artifact file name.
-    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut state = 0u64;
-    let bytes = s.as_bytes();
-    let mut chunks = bytes.chunks_exact(8);
-    for c in chunks.by_ref() {
-        let w = u64::from_le_bytes(c.try_into().unwrap());
-        state = (state.rotate_left(5) ^ w).wrapping_mul(K);
+/// The checksum the harness prints, computed by running `function` once
+/// in the VM from the same inputs: the sum over every non-`ParamIn`
+/// parameter buffer in `Function::params` order, and the sum of their
+/// magnitudes (the scale of the comparison tolerance).
+fn vm_checksum(function: &Function, inits: &[Vec<f64>]) -> Result<(f64, f64), HwError> {
+    let mut bufs = BufferSet::for_function(function);
+    for ((id, _), init) in function.params().zip(inits) {
+        // the harness zero-fills a short init the same way
+        let mut data = vec![0.0; bufs.get(id).len()];
+        let n = init.len().min(data.len());
+        data[..n].copy_from_slice(&init[..n]);
+        bufs.set(id, &data);
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rest.len()].copy_from_slice(rest);
-        state = (state.rotate_left(5) ^ u64::from_le_bytes(last)).wrapping_mul(K);
+    slingen_vm::execute(function, &mut bufs, &mut NullMonitor)
+        .map_err(|e| HwError(format!("VM checksum run failed: {e}")))?;
+    let (mut sum, mut mag) = (0.0f64, 0.0f64);
+    for (id, decl) in function.params() {
+        if decl.kind != BufKind::ParamIn {
+            for &x in bufs.get(id) {
+                sum += x;
+                mag += x.abs();
+            }
+        }
     }
-    state = (state.rotate_left(5) ^ bytes.len() as u64).wrapping_mul(K);
-    (state, bytes.len())
+    Ok((sum, mag))
+}
+
+/// Compare the harness's `SLINGEN_CHECK` line with the VM checksum
+/// `(sum, magnitude)`: they must agree within 1e-9 relative to the
+/// magnitude. A missing, unparseable, or non-finite checksum is a
+/// mismatch.
+fn check_checksum(stdout: &str, (sum, mag): (f64, f64)) -> Result<(), HwError> {
+    let got = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("SLINGEN_CHECK "))
+        .and_then(|v| v.trim().parse::<f64>().ok())
+        .ok_or_else(|| HwError("harness printed no parseable SLINGEN_CHECK line".into()))?;
+    if got.is_finite() && (got - sum).abs() <= 1e-9 * mag.max(f64::MIN_POSITIVE) {
+        Ok(())
+    } else {
+        Err(HwError(format!("harness checksum {got} does not match the VM's {sum}")))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -645,11 +671,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_distinguishes_and_is_stable() {
-        let a = digest_str("int main(void) { return 0; }");
-        let b = digest_str("int main(void) { return 1; }");
-        assert_ne!(a.0, b.0);
-        assert_eq!(a, digest_str("int main(void) { return 0; }"));
+    fn checksum_line_is_checked_against_the_vm() {
+        let vm = (6.0, 10.0);
+        let out = |check: &str| format!("SLINGEN_MEASURE cycles 1 ns 1 reps 1\n{check}");
+        assert!(check_checksum(&out("SLINGEN_CHECK 6.0000000000000009\n"), vm).is_ok());
+        let err = check_checksum(&out("SLINGEN_CHECK 6.5\n"), vm).unwrap_err();
+        assert!(err.0.contains("does not match"), "{err}");
+        let err = check_checksum(&out(""), vm).unwrap_err();
+        assert!(err.0.contains("no parseable SLINGEN_CHECK"), "{err}");
+        assert!(check_checksum(&out("SLINGEN_CHECK nan\n"), vm).is_err());
+        assert!(check_checksum(&out("SLINGEN_CHECK -nan\n"), vm).is_err());
+        assert!(check_checksum(&out("SLINGEN_CHECK 6\n"), (f64::NAN, 10.0)).is_err());
     }
 
     #[test]

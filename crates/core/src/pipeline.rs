@@ -182,7 +182,7 @@ pub fn generate_with_spec(
 ) -> Result<Generated, Error> {
     let mut db = slingen_synth::AlgorithmDb::new();
     let basic = slingen_synth::synthesize_program(program, spec.policy, spec.nu, &mut db)?;
-    let function = tuner::lower_variant(program, spec, &basic, options)?;
+    let function = tuner::lower_variant(program, spec, &basic, options)?.function;
     let report = measure(program, &function, options, None)?.expect("no budget, no cutoff");
     let variant = Variant { function, spec, report };
     Ok(emit(

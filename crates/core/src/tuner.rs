@@ -46,7 +46,7 @@ use crate::cache::{CachedWin, Claim, PersistedWin};
 pub use crate::cache::{ShardStats, TuneCache};
 use crate::pipeline::{measure, Generated, Options, DEFAULT_LOOP_THRESHOLD};
 use crate::Error;
-use slingen_cir::passes::optimize_with_stats;
+use slingen_cir::passes::optimize;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program_profiled, LowerOptions, LowerProfile};
@@ -239,10 +239,8 @@ pub struct TuneStats {
     /// Whether the entry originated from a persisted cache file
     /// ([`TuneCache::load`]) rather than a search in this process.
     pub persisted: bool,
-    /// Straight-line blocks (and whole pass invocations) the Stage-3
-    /// block memo proved clean and replayed instead of re-scanning,
-    /// summed over every representative lowering of the search
-    /// ([`slingen_cir::passes::RoundStats::blocks_skipped`]).
+    /// Always 0: Stage 3 no longer replays clean blocks. Kept because
+    /// the external benchmark under `perfbench/` reads it.
     pub blocks_reused: usize,
     /// Measurements abandoned before the VM even ran because the static
     /// pressure bound ([`slingen_perf::pressure_lower_bound`]) already
@@ -367,6 +365,18 @@ impl<'p> Synthesizer<'p> {
     }
 }
 
+/// One variant after Stages 2–3: the optimized function, the
+/// [`LowerProfile`] recorded while Stage 2 ran (the basis of the tuner's
+/// predictive threshold dedupe), and how long lowering and the
+/// optimization pipeline took, in milliseconds (the [`RepCost`]
+/// breakdown).
+pub(crate) struct Lowered {
+    pub(crate) function: Function,
+    pub(crate) profile: LowerProfile,
+    pub(crate) lower_ms: f64,
+    pub(crate) opt_ms: f64,
+}
+
 /// Stages 2–3 for one already-synthesized variant: lowering plus the
 /// optimization pipeline specialized for the options' target (FMA
 /// contraction on FMA targets).
@@ -375,41 +385,15 @@ pub(crate) fn lower_variant(
     spec: VariantSpec,
     basic: &BasicProgram,
     options: &Options,
-) -> Result<Function, Error> {
-    lower_variant_profiled(program, spec, basic, options).map(|(f, _)| f)
-}
-
-/// [`lower_variant`], also returning the [`LowerProfile`] recorded while
-/// Stage 2 ran — the basis of the tuner's predictive threshold dedupe.
-pub(crate) fn lower_variant_profiled(
-    program: &Program,
-    spec: VariantSpec,
-    basic: &BasicProgram,
-    options: &Options,
-) -> Result<(Function, LowerProfile), Error> {
-    lower_variant_timed(program, spec, basic, options).map(|(f, p, _, _, _)| (f, p))
-}
-
-/// [`lower_variant_profiled`], additionally reporting how long Stage 2
-/// (lowering) and Stage 3 (the optimization pipeline) took, in
-/// milliseconds — the per-representative cost breakdown surfaced through
-/// [`RepCost`] — and how many clean blocks the Stage-3 block memo
-/// skipped ([`TuneStats::blocks_reused`]).
-fn lower_variant_timed(
-    program: &Program,
-    spec: VariantSpec,
-    basic: &BasicProgram,
-    options: &Options,
-) -> Result<(Function, LowerProfile, f64, f64, usize), Error> {
+) -> Result<Lowered, Error> {
     let t0 = std::time::Instant::now();
     let (mut function, profile) =
         lower_program_profiled(program, basic, program.name(), &spec.lower_options())?;
     let lower_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    let stats = optimize_with_stats(&mut function, &options.passes_for_target(), &mut |_, _| {});
+    optimize(&mut function, &options.passes_for_target());
     let opt_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let blocks_skipped = stats.rounds.iter().map(|r| r.blocks_skipped).sum();
-    Ok((function, profile, lower_ms, opt_ms, blocks_skipped))
+    Ok(Lowered { function, profile, lower_ms, opt_ms })
 }
 
 /// The dedupe key of one lowered body: a 64-bit digest of the emitted C
@@ -448,19 +432,16 @@ enum Slot {
     Done { key: BodyKey, predicted: bool },
 }
 
-/// What one representative thread produces: the lowered function, its
-/// Stage-2 profile, the body digest, and the measurement it ran inline
-/// (`None` when the body was already measured).
+/// What one representative thread produces: the lowered variant, the
+/// body digest, and the measurement it ran inline (`None` when the body
+/// was already measured).
 struct RepOut {
-    function: Function,
-    profile: LowerProfile,
+    lowered: Lowered,
     key: BodyKey,
     /// The measurement this thread ran (`None`: body already measured).
     measured: Option<Result<Option<Report>, Error>>,
-    /// (lower_ms, opt_ms, measure_ms) — the [`RepCost`] breakdown.
-    timings: (f64, f64, f64),
-    /// Clean blocks the Stage-3 block memo skipped in this lowering.
-    blocks_skipped: usize,
+    /// Time spent in that measurement (0 when it was skipped).
+    measure_ms: f64,
     /// Whether the measurement was cut off by the static pressure bound
     /// without running the VM ([`TuneStats::lb_pruned`]).
     lb_pruned: bool,
@@ -615,15 +596,15 @@ impl<'p> Search<'p> {
                             #[cfg(debug_assertions)]
                             {
                                 let basic = basics[i].as_ref().expect("pending items have basics");
-                                let (f, p) = lower_variant_profiled(program, spec, basic, options)
+                                let l = lower_variant(program, spec, basic, options)
                                     .expect("predicted variant must lower like its representative");
                                 debug_assert_eq!(
-                                    body_key(&f, options.target),
+                                    body_key(&l.function, options.target),
                                     key,
                                     "LowerProfile predicted a collision that does not hold for {spec}"
                                 );
                                 debug_assert_eq!(
-                                    &p, profile,
+                                    &l.profile, profile,
                                     "LowerProfile differs across thresholds of one (policy, ν) group"
                                 );
                             }
@@ -653,54 +634,44 @@ impl<'p> Search<'p> {
                         let spec = batch_specs[i];
                         let basic = basics[i].clone().expect("pending items have basics");
                         scope.spawn(move || {
-                            let r = lower_variant_timed(program, spec, &basic, options).map(
-                                |(f, profile, lower_ms, opt_ms, blocks_skipped)| {
-                                    let key = body_key(&f, options.target);
-                                    let mut lb_pruned = false;
-                                    let (m, measure_ms) = if measured.contains_key(&key) {
-                                        (None, 0.0)
-                                    } else {
-                                        let t = std::time::Instant::now();
-                                        // Incumbent fast path: when a cycle
-                                        // budget is set and the static
-                                        // pressure bound already exceeds it,
-                                        // the budgeted VM run is guaranteed
-                                        // to be abandoned — skip it. Debug
-                                        // builds run the VM anyway and
-                                        // prove the prediction.
-                                        let m = match budget {
-                                            Some(b)
-                                                if pressure_lower_bound(&f, &options.machine)
-                                                    > b =>
-                                            {
-                                                lb_pruned = true;
-                                                #[cfg(debug_assertions)]
-                                                debug_assert!(
-                                                    matches!(
-                                                        measure(program, &f, options, budget),
-                                                        Ok(None)
-                                                    ),
-                                                    "pressure_lower_bound exceeded the budget \
+                            let r = lower_variant(program, spec, &basic, options).map(|lowered| {
+                                let f = &lowered.function;
+                                let key = body_key(f, options.target);
+                                let mut lb_pruned = false;
+                                let (m, measure_ms) = if measured.contains_key(&key) {
+                                    (None, 0.0)
+                                } else {
+                                    let t = std::time::Instant::now();
+                                    // Incumbent fast path: when a cycle
+                                    // budget is set and the static
+                                    // pressure bound already exceeds it,
+                                    // the budgeted VM run is guaranteed
+                                    // to be abandoned — skip it. Debug
+                                    // builds run the VM anyway and
+                                    // prove the prediction.
+                                    let m = match budget {
+                                        Some(b)
+                                            if pressure_lower_bound(f, &options.machine) > b =>
+                                        {
+                                            lb_pruned = true;
+                                            #[cfg(debug_assertions)]
+                                            debug_assert!(
+                                                matches!(
+                                                    measure(program, f, options, budget),
+                                                    Ok(None)
+                                                ),
+                                                "pressure_lower_bound exceeded the budget \
                                                      but the budgeted VM run was not cut off \
                                                      for {spec}"
-                                                );
-                                                Ok(None)
-                                            }
-                                            _ => measure(program, &f, options, budget),
-                                        };
-                                        (Some(m), t.elapsed().as_secs_f64() * 1e3)
+                                            );
+                                            Ok(None)
+                                        }
+                                        _ => measure(program, f, options, budget),
                                     };
-                                    RepOut {
-                                        function: f,
-                                        profile,
-                                        key,
-                                        measured: m,
-                                        timings: (lower_ms, opt_ms, measure_ms),
-                                        blocks_skipped,
-                                        lb_pruned,
-                                    }
-                                },
-                            );
+                                    (Some(m), t.elapsed().as_secs_f64() * 1e3)
+                                };
+                                RepOut { lowered, key, measured: m, measure_ms, lb_pruned }
+                            });
                             (i, r)
                         })
                     })
@@ -717,17 +688,9 @@ impl<'p> Search<'p> {
                 let spec = batch_specs[i];
                 match r {
                     Err(e) => slots[i] = Some(Slot::Err(e)),
-                    Ok(RepOut {
-                        function: f,
-                        profile,
-                        key,
-                        measured: m,
-                        timings: (lower_ms, opt_ms, measure_ms),
-                        blocks_skipped,
-                        lb_pruned,
-                    }) => {
+                    Ok(RepOut { lowered, key, measured: m, measure_ms, lb_pruned }) => {
+                        let Lowered { function: f, profile, lower_ms, opt_ms } = lowered;
                         self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
-                        self.stats.blocks_reused += blocks_skipped;
                         if lb_pruned {
                             self.stats.lb_pruned += 1;
                         }
@@ -1021,7 +984,8 @@ fn materialize_persisted(
     let basic = synthesize_program(program, spec.policy, spec.nu, &mut db)
         .map_err(|e| format!("persisted spec no longer synthesizes: {e}"))?;
     let function = lower_variant(program, spec, &basic, options)
-        .map_err(|e| format!("persisted spec no longer lowers: {e}"))?;
+        .map_err(|e| format!("persisted spec no longer lowers: {e}"))?
+        .function;
     let c_code = slingen_cir::unparse::to_c_for(&function, options.target);
     if c_code != p.c_code {
         return Err("persisted C differs from re-materialized C (stale generator?)".into());

@@ -13,7 +13,6 @@
 
 use crate::machine::{Machine, Resource};
 use crate::report::Report;
-use slingen_cir::fxhash::FxHashMap;
 use slingen_cir::{BinOp, CStmt, Function, Instr, InstrClass};
 use slingen_vm::{Event, Monitor};
 use std::collections::{BTreeMap, HashMap};
@@ -56,17 +55,6 @@ pub struct Scheduler {
     /// (the autotuner's early cutoff for dominated variants).
     budget: Option<f64>,
     exceeded: bool,
-    /// Memoized demand tapes, keyed by static-instruction identity.
-    ///
-    /// [`demands`] is a pure function of `(instr, width)`, and every
-    /// [`Event`] borrows its instruction from a [`Function`] that outlives
-    /// the run — so the address of an `Instr` identifies one static
-    /// instruction (and thereby its function's width) for the scheduler's
-    /// whole lifetime. A rolled loop body or repeatedly-called kernel
-    /// block is decomposed once and its tape replayed on every later
-    /// dynamic execution, instead of re-matching and re-allocating a
-    /// `Vec<Demand>` per event.
-    demand_memo: FxHashMap<usize, Box<[Demand]>>,
 }
 
 impl Scheduler {
@@ -93,7 +81,6 @@ impl Scheduler {
             instructions: 0,
             budget,
             exceeded: false,
-            demand_memo: FxHashMap::default(),
         }
     }
 
@@ -339,33 +326,24 @@ impl Monitor for Scheduler {
         *self.counts.entry(ev.instr.class()).or_insert(0) += 1;
 
         let ready = self.sources_ready(ev);
-        let Scheduler { machine, demand_memo, res_free, res_units, .. } = self;
-        let dem: &[Demand] = demand_memo
-            .entry(ev.instr as *const Instr as usize)
-            .or_insert_with(|| demands(machine, ev.instr, ev.width).into_boxed_slice());
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            dem.len(),
-            demands(machine, ev.instr, ev.width).len(),
-            "demand tape replay diverged from a fresh decomposition"
-        );
+        let dem = demands(&self.machine, ev.instr, ev.width);
 
         // issue on the primary resource
         let primary = dem[0];
-        let free = res_free.get(&primary.resource).copied().unwrap_or(0.0);
+        let free = self.res_free.get(&primary.resource).copied().unwrap_or(0.0);
         let issue = ready.max(free);
-        let cap = machine.capacity(primary.resource);
-        res_free.insert(primary.resource, issue + primary.units / cap);
-        *res_units.entry(primary.resource).or_insert(0.0) += primary.units;
+        let cap = self.machine.capacity(primary.resource);
+        self.res_free.insert(primary.resource, issue + primary.units / cap);
+        *self.res_units.entry(primary.resource).or_insert(0.0) += primary.units;
         let mut done = issue + primary.latency;
 
         // secondary demands occupy their resources and may delay completion
         for d in &dem[1..] {
-            let free = res_free.get(&d.resource).copied().unwrap_or(0.0);
+            let free = self.res_free.get(&d.resource).copied().unwrap_or(0.0);
             let s_issue = issue.max(free);
-            let cap = machine.capacity(d.resource);
-            res_free.insert(d.resource, s_issue + d.units / cap);
-            *res_units.entry(d.resource).or_insert(0.0) += d.units;
+            let cap = self.machine.capacity(d.resource);
+            self.res_free.insert(d.resource, s_issue + d.units / cap);
+            *self.res_units.entry(d.resource).or_insert(0.0) += d.units;
             done = done.max(s_issue + d.latency);
         }
 

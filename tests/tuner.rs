@@ -2,8 +2,10 @@
 //! optimum of its space, deterministically, on every paper app.
 
 use proptest::prelude::*;
-use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy};
+use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy, Target, VariantSpec};
 use slingen_ir::Program;
+use slingen_perf::pressure_lower_bound;
+use slingen_synth::Policy;
 
 fn paper_apps() -> Vec<(&'static str, Program)> {
     vec![
@@ -35,6 +37,32 @@ fn tuned_winner_bounds_every_point_on_all_apps() {
                 spec,
                 point.report.cycles
             );
+        }
+    }
+}
+
+/// The static [`pressure_lower_bound`] behind the tuner's incumbent-aware
+/// cutoff never exceeds the measured makespan, on every paper app ×
+/// target × ν × policy — so skipping the VM for `lb > budget` variants
+/// can only drop losers.
+#[test]
+fn pressure_lower_bound_holds_on_every_point() {
+    for (name, program) in paper_apps() {
+        for target in Target::ALL {
+            let opts = Options::for_target(target);
+            for &nu in target.widths() {
+                for policy in Policy::ALL {
+                    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+                    let g = generate_with_spec(&program, spec, &opts).unwrap();
+                    let lb = pressure_lower_bound(&g.function, &opts.machine);
+                    assert!(
+                        lb <= g.report.cycles + 1e-9,
+                        "{name}/{target}/nu{nu}/{policy}: pressure bound {lb} exceeds measured \
+                         makespan {}",
+                        g.report.cycles
+                    );
+                }
+            }
         }
     }
 }
