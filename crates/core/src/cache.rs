@@ -718,3 +718,164 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
         ));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Barrier, OnceLock};
+    use std::time::Duration;
+
+    /// A cached win whose C is `/* tag */`, so tests can tell wins apart.
+    fn win(tag: &str) -> CachedWin {
+        static BASE: OnceLock<Generated> = OnceLock::new();
+        let g = BASE.get_or_init(|| {
+            crate::generate(&crate::apps::potrf(3), &crate::Options::default()).unwrap()
+        });
+        CachedWin {
+            spec: g.spec,
+            function: g.function.clone(),
+            c_code: format!("/* {tag} */"),
+            report: g.report.clone(),
+            db_stats: g.db_stats,
+            stats: g.tuning,
+        }
+    }
+
+    fn owner(cache: &TuneCache, key: &str) -> Ticket {
+        match cache.claim(key) {
+            Claim::Owner(t) => t,
+            _ => panic!("`{key}`: expected to own the search"),
+        }
+    }
+
+    fn hit(claim: Claim) -> Generated {
+        match claim {
+            Claim::Hit(g) => *g,
+            Claim::Owner(_) => panic!("expected a hit, got ownership"),
+            Claim::Failed(e) => panic!("expected a hit, got {e}"),
+        }
+    }
+
+    fn failure(claim: Claim) -> String {
+        match claim {
+            Claim::Failed(e) => e.to_string(),
+            _ => panic!("expected the owner's error"),
+        }
+    }
+
+    /// Spin until `n` requests are blocked on an in-flight search.
+    fn await_coalesced(cache: &TuneCache, n: u64) {
+        while cache.totals().coalesced < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn racing_claims_elect_one_owner_and_share_its_win() {
+        const K: usize = 8;
+        let cache = TuneCache::new();
+        let barrier = Barrier::new(K);
+        let outcomes: Vec<Option<String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..K)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        match cache.claim("k") {
+                            Claim::Owner(t) => {
+                                t.fulfill(win("owner"));
+                                None
+                            }
+                            other => Some(hit(other).c_code),
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|o| o.is_none()).count(), 1, "one owner");
+        for c in outcomes.into_iter().flatten() {
+            assert_eq!(c, "/* owner */", "every other claim carries the owner's win");
+        }
+        let t = cache.totals();
+        assert_eq!(t.hits + t.coalesced, (K - 1) as u64);
+        assert_eq!((t.entries, t.inserts), (1, 1));
+    }
+
+    #[test]
+    fn failed_search_reaches_every_waiter_and_frees_the_key() {
+        let cache = TuneCache::new();
+        let ticket = owner(&cache, "k");
+        let errors: Vec<String> = std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..3).map(|_| s.spawn(|| failure(cache.claim("k")))).collect();
+            await_coalesced(&cache, 3);
+            ticket.fail(Error::Synth(slingen_synth::SynthError::Unsupported("boom".into())));
+            waiters.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(errors.len(), 3);
+        assert!(errors.iter().all(|e| e.contains("boom")), "{errors:?}");
+        assert!(cache.is_empty(), "a failed search leaves no entry");
+        owner(&cache, "k").fulfill(win("retry"));
+        assert_eq!(hit(cache.claim("k")).c_code, "/* retry */");
+    }
+
+    #[test]
+    fn dropped_ticket_wakes_waiters_and_vacates_the_slot() {
+        let cache = TuneCache::new();
+        let ticket = owner(&cache, "k");
+        let error = std::thread::scope(|s| {
+            let waiter = s.spawn(|| failure(cache.claim("k")));
+            await_coalesced(&cache, 1);
+            drop(ticket);
+            waiter.join().unwrap()
+        });
+        assert!(error.contains("abandoned"), "{error}");
+        assert!(cache.is_empty(), "an abandoned search leaves no entry");
+        drop(owner(&cache, "k"));
+    }
+
+    #[test]
+    fn loaded_entry_is_owned_once_and_coalesces_concurrent_claims() {
+        let cache = TuneCache::new();
+        let w = win("disk");
+        let persisted = PersistedWin {
+            spec: w.spec,
+            c_code: w.c_code.clone(),
+            report_wire: w.report.to_wire(),
+            db_stats: w.db_stats,
+            stats: TuneStats { persisted: true, ..w.stats },
+        };
+        cache.insert_persisted("k".into(), persisted);
+        let mut ticket = owner(&cache, "k");
+        let payload = ticket.take_persisted().expect("the owner receives the payload");
+        assert_eq!(payload.c_code, "/* disk */");
+        let waited = std::thread::scope(|s| {
+            let waiter = s.spawn(|| hit(cache.claim("k")));
+            await_coalesced(&cache, 1);
+            ticket.fulfill(CachedWin { stats: payload.stats, ..w });
+            waiter.join().unwrap()
+        });
+        assert_eq!(waited.c_code, "/* disk */");
+        assert!(waited.tuning.coalesced && waited.tuning.persisted);
+        assert!(!hit(cache.claim("k")).tuning.coalesced, "later claims are plain hits");
+    }
+
+    #[test]
+    fn save_capped_never_evicts_or_writes_in_flight_entries() {
+        let cache = TuneCache::new();
+        for key in ["a", "b", "c"] {
+            owner(&cache, key).fulfill(win(key));
+        }
+        let ticket = owner(&cache, "pending");
+        let path = std::env::temp_dir()
+            .join(format!("slingen-cache-unit-{}-inflight", std::process::id()));
+        assert_eq!(cache.save_capped(&path, Some(0)).unwrap(), 0);
+        let file = std::fs::read_to_string(&path).unwrap();
+        assert!(!file.contains("pending"), "in-flight entries are never written");
+        assert_eq!(cache.len(), 1, "every settled entry is evicted, the in-flight one kept");
+        ticket.fulfill(win("pending"));
+        assert_eq!(hit(cache.claim("pending")).c_code, "/* pending */");
+        assert_eq!(cache.save_capped(&path, Some(0)).unwrap(), 0);
+        assert!(cache.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+}
