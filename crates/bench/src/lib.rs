@@ -10,10 +10,8 @@
 use slingen::{apps, Options};
 use slingen_baselines::{baseline_codegen, Flavor};
 use slingen_ir::Program;
-use slingen_lgen::BufferMap;
 use slingen_perf::{Machine, Report};
 use slingen_synth::Policy;
-use slingen_vm::BufferSet;
 
 /// A single measurement.
 #[derive(Debug, Clone)]
@@ -37,12 +35,7 @@ fn run_function(
     machine: &Machine,
     seed: u64,
 ) -> Report {
-    let mut fb = slingen_cir::FunctionBuilder::new("probe", function.width.max(1));
-    let map = BufferMap::build(program, &mut fb);
-    let mut bufs = BufferSet::for_function(function);
-    for (op, data) in slingen::workload::inputs(program, seed) {
-        bufs.set(map.buf(op), &data);
-    }
+    let mut bufs = slingen::workload::buffers(program, function, seed);
     slingen_perf::measure(function, &mut bufs, kernels, machine).expect("measurement")
 }
 

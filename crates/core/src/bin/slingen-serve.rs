@@ -2,7 +2,7 @@
 //!
 //! Reads line-delimited JSON requests (see `slingen::serve`) from stdin
 //! (default) or a Unix socket, answers each with one JSON response line,
-//! and keeps every tuning result in one shared sharded cache so repeated
+//! and keeps every tuning result in one shared cache so repeated
 //! and concurrent requests replay instead of re-searching.
 //!
 //! ```text

@@ -1,29 +1,29 @@
-//! The persistent, sharded, concurrently served tuning cache.
+//! The persistent, concurrently served tuning cache.
 //!
 //! [`TuneCache`] is the amortization layer that turns the generator into
 //! a service (ROADMAP item 1): one cold autotuning search per canonical
 //! key, every later request a replay. Three properties make it scale:
 //!
-//! * **Lock striping** — entries are spread over [`SHARD_COUNT`]
-//!   independently locked shards (FxHash of the canonical key picks the
-//!   shard), so threads generating *distinct* kernels never contend on a
-//!   global lock. Per-shard hit/miss/insert/coalesced counters are
-//!   surfaced through [`TuneCache::shard_stats`] and `Debug`.
+//! * **One short lock** — one `Mutex` guards one map whose entries are
+//!   shared handles (`Arc`s). The lock covers a lookup, an `Arc` clone
+//!   and the counters; every copy of a kernel (the `Generated` a hit
+//!   returns) and every file write happen after it is released.
 //! * **In-flight dedupe** — the first request for a key installs an
 //!   in-flight *flight* record; concurrent requests for the same key
 //!   block on its condvar and receive the owner's result (or its error)
 //!   instead of redundantly tuning. Exactly one search runs per unique
 //!   key, counted by [`TuneCache::searches`].
 //! * **Persistence** — [`TuneCache::save`] writes a versioned,
-//!   length-prefixed text format atomically (write-temp + rename);
-//!   [`TuneCache::load`] warm-loads it. A missing, truncated,
-//!   wrong-version, or garbage file yields an *empty* cache with a
-//!   logged reason — a corrupt file is never trusted and never panics.
-//!   Loaded entries store the winning spec, emitted C, and the exact
-//!   measurement report; the C-IR function is *re-materialized* (Stage
-//!   1–3 for the one winning spec, no search, no measurement) on first
-//!   hit and verified byte-identical against the persisted C — a stale
-//!   file silently falls back to a fresh search.
+//!   length-prefixed text format atomically (write-temp + rename), one
+//!   record per entry in key order; [`TuneCache::load`] warm-loads it.
+//!   A missing, truncated, wrong-version, or garbage file yields an
+//!   *empty* cache with a logged reason — a corrupt file is never trusted
+//!   and never panics. Loaded entries store the winning spec, emitted C,
+//!   and the exact measurement report; the C-IR function is
+//!   *re-materialized* (Stage 1–3 for the one winning spec, no search, no
+//!   measurement) on first hit and verified byte-identical against the
+//!   persisted C — a stale file silently falls back to a fresh search,
+//!   counted as a miss.
 //!
 //! The on-disk format is hand-rolled (this workspace is offline — no
 //! serde): a magic/version header, one length-prefixed record per entry,
@@ -56,13 +56,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// Number of lock stripes. A power of two so the shard index is a mask;
-/// 16 stripes keep contention negligible far beyond the worker counts
-/// the serve front-end uses.
-pub const SHARD_COUNT: usize = 16;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 const MAGIC: &str = "slingen-tunecache";
 /// Version written by [`TuneCache::save`].
@@ -72,7 +66,7 @@ const VERSION: u32 = 2;
 const ACCEPTED_VERSIONS: [u32; 2] = [1, 2];
 
 /// The cached outcome of one tuned generation, fully materialized.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CachedWin {
     pub(crate) spec: VariantSpec,
     pub(crate) function: Function,
@@ -83,7 +77,8 @@ pub(crate) struct CachedWin {
 }
 
 impl CachedWin {
-    /// Build the public result of a cache hit. `coalesced` marks waiters
+    /// Build the public result of a cache hit — the one copy a hit
+    /// makes, taken outside the cache lock. `coalesced` marks waiters
     /// that received this win from an in-flight search.
     pub(crate) fn to_generated(&self, coalesced: bool) -> Generated {
         Generated {
@@ -104,7 +99,7 @@ impl CachedWin {
 /// the C-IR function (which Stage 1–3 reproduces deterministically from
 /// the spec). The report is kept in wire form because parsing it needs
 /// the requesting machine model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PersistedWin {
     pub(crate) spec: VariantSpec,
     pub(crate) c_code: String,
@@ -116,7 +111,7 @@ pub(crate) struct PersistedWin {
 /// One in-flight search: the owner publishes exactly once, waiters block
 /// on the condvar.
 struct Flight {
-    result: Mutex<Option<Result<Box<CachedWin>, Error>>>,
+    result: Mutex<Option<Result<Arc<CachedWin>, Error>>>,
     cv: Condvar,
 }
 
@@ -125,7 +120,7 @@ impl Flight {
         Arc::new(Flight { result: Mutex::new(None), cv: Condvar::new() })
     }
 
-    fn publish(&self, r: Result<Box<CachedWin>, Error>) {
+    fn publish(&self, r: Result<Arc<CachedWin>, Error>) {
         let mut slot = self.result.lock().unwrap();
         if slot.is_none() {
             *slot = Some(r);
@@ -133,7 +128,7 @@ impl Flight {
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<Box<CachedWin>, Error> {
+    fn wait(&self) -> Result<Arc<CachedWin>, Error> {
         let mut slot = self.result.lock().unwrap();
         while slot.is_none() {
             slot = self.cv.wait(slot).unwrap();
@@ -142,52 +137,30 @@ impl Flight {
     }
 }
 
+#[derive(Clone)]
 enum Entry {
-    Ready(Box<CachedWin>),
-    Persisted(Box<PersistedWin>),
+    Ready(Arc<CachedWin>),
+    Persisted(Arc<PersistedWin>),
     InFlight(Arc<Flight>),
 }
 
-/// One stored entry plus its recency stamp: the value of the global hit
-/// clock the last time this key was looked up or (re)inserted. Save-time
+/// One stored entry plus its recency stamp: the value of the hit clock
+/// the last time this key was looked up or (re)inserted. Save-time
 /// eviction ([`TuneCache::save_capped`]) drops the smallest stamps first.
 struct Slot {
     entry: Entry,
     last_hit: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<String, Slot>,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    coalesced: u64,
-}
-
-/// Counters of one cache shard (see [`TuneCache::shard_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Entries currently stored in this shard.
-    pub entries: usize,
-    /// Lookups answered from a stored entry (in-memory or persisted).
-    pub hits: u64,
-    /// Lookups that found nothing and started a search.
-    pub misses: u64,
-    /// Completed searches/materializations stored.
-    pub inserts: u64,
-    /// Requests that piggybacked on an in-flight search for their key.
-    pub coalesced: u64,
-}
-
-/// Aggregated counters across all shards (see [`TuneCache::totals`]).
+/// Counters of a [`TuneCache`] (see [`TuneCache::totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheTotals {
     /// Entries currently stored.
     pub entries: usize,
-    /// Lookups answered from a stored entry.
+    /// Lookups answered from a stored entry (in memory, or a loaded
+    /// entry that re-materialized).
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing usable and started a search.
     pub misses: u64,
     /// Completed searches/materializations stored.
     pub inserts: u64,
@@ -198,37 +171,48 @@ pub struct CacheTotals {
     pub searches: u64,
 }
 
-struct CacheShared {
-    shards: [Mutex<Shard>; SHARD_COUNT],
-    searches: AtomicU64,
+/// Everything behind the cache lock.
+#[derive(Default)]
+struct Store {
+    map: HashMap<String, Slot>,
+    /// Every counter but `entries`, which `totals()` reads off `map`.
+    totals: CacheTotals,
     /// Monotone lookup clock driving the per-slot recency stamps.
-    hit_clock: AtomicU64,
+    clock: u64,
+}
+
+impl Store {
+    /// Advance the hit clock and return the new stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Drop least-recently-hit settled entries until at most `cap`
+    /// remain. Stamps are unique, so the cutoff is exact.
+    fn evict_least_recently_hit(&mut self, cap: usize) {
+        let mut stamps: Vec<u64> = self
+            .map
+            .values()
+            .filter(|s| !matches!(s.entry, Entry::InFlight(_)))
+            .map(|s| s.last_hit)
+            .collect();
+        if stamps.len() <= cap {
+            return;
+        }
+        let excess = stamps.len() - cap;
+        let (_, &mut cutoff, _) = stamps.select_nth_unstable(excess - 1);
+        self.map.retain(|_, s| matches!(s.entry, Entry::InFlight(_)) || s.last_hit > cutoff);
+    }
 }
 
 /// A shareable autotuning cache keyed by (program, machine, search space,
 /// options, target). Cloning the handle shares the underlying store, so
 /// one cache can serve many threads; `Options::default()` creates a
-/// fresh one. See the module docs for sharding, in-flight dedupe, and
-/// the persistent format.
-#[derive(Clone)]
-pub struct TuneCache(Arc<CacheShared>);
-
-impl Default for TuneCache {
-    fn default() -> Self {
-        TuneCache(Arc::new(CacheShared {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            searches: AtomicU64::new(0),
-            hit_clock: AtomicU64::new(0),
-        }))
-    }
-}
-
-fn shard_index(key: &str) -> usize {
-    use std::hash::Hasher as _;
-    let mut h = slingen_cir::fxhash::FxHasher::default();
-    h.write(key.as_bytes());
-    (h.finish() as usize) & (SHARD_COUNT - 1)
-}
+/// fresh one. See the module docs for the locking rule, in-flight
+/// dedupe, and the persistent format.
+#[derive(Clone, Default)]
+pub struct TuneCache(Arc<Mutex<Store>>);
 
 impl TuneCache {
     /// An empty cache.
@@ -236,48 +220,26 @@ impl TuneCache {
         TuneCache::default()
     }
 
-    /// (hits, misses) so far, summed over all shards.
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.0.lock().expect("no code panics while holding the tune cache lock")
+    }
+
+    /// (hits, misses) so far.
     pub fn stats(&self) -> (usize, usize) {
         let t = self.totals();
         (t.hits as usize, t.misses as usize)
     }
 
-    /// Per-shard counters, indexed by shard.
-    pub fn shard_stats(&self) -> [ShardStats; SHARD_COUNT] {
-        std::array::from_fn(|i| {
-            let s = self.0.shards[i].lock().unwrap();
-            ShardStats {
-                entries: s.map.len(),
-                hits: s.hits,
-                misses: s.misses,
-                inserts: s.inserts,
-                coalesced: s.coalesced,
-            }
-        })
-    }
-
-    /// Aggregated counters across all shards.
+    /// All counters, read under one lock.
     pub fn totals(&self) -> CacheTotals {
-        let mut t = CacheTotals { searches: self.searches(), ..CacheTotals::default() };
-        for s in self.shard_stats() {
-            t.entries += s.entries;
-            t.hits += s.hits;
-            t.misses += s.misses;
-            t.inserts += s.inserts;
-            t.coalesced += s.coalesced;
-        }
-        t
+        let s = self.store();
+        CacheTotals { entries: s.map.len(), ..s.totals }
     }
 
     /// Full autotuning searches run through this cache (one per unique
     /// key, regardless of how many requests raced on it).
     pub fn searches(&self) -> u64 {
-        self.0.searches.load(Ordering::Relaxed)
-    }
-
-    /// Requests that piggybacked on an in-flight search.
-    pub fn coalesced(&self) -> u64 {
-        self.totals().coalesced
+        self.store().totals.searches
     }
 
     /// Number of cached programs.
@@ -290,20 +252,12 @@ impl TuneCache {
         self.len() == 0
     }
 
-    /// Drop all entries (stats are kept).
-    pub fn clear(&self) {
-        for s in &self.0.shards {
-            s.lock().unwrap().map.clear();
-        }
-    }
-
+    /// Count one search; it is also the miss of the lookup that started
+    /// it (a vacant key, or a loaded entry that failed to re-materialize).
     pub(crate) fn note_search(&self) {
-        self.0.searches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Advance the hit clock and return the new stamp.
-    fn touch(&self) -> u64 {
-        self.0.hit_clock.fetch_add(1, Ordering::Relaxed) + 1
+        let mut s = self.store();
+        s.totals.searches += 1;
+        s.totals.misses += 1;
     }
 
     /// Resolve `key`: a stored entry is a [`Claim::Hit`]; an in-flight
@@ -311,73 +265,49 @@ impl TuneCache {
     /// caller the owner ([`Claim::Owner`]) — it must run the search (or
     /// materialize the persisted payload) and settle the [`Ticket`].
     pub(crate) fn claim(&self, key: &str) -> Claim {
-        let si = shard_index(key);
-        let now = self.touch();
-        let flight;
-        {
-            let mut shard = self.0.shards[si].lock().unwrap();
-            let Shard { map, hits, misses, coalesced, .. } = &mut *shard;
-            match map.get_mut(key) {
-                Some(slot) => {
-                    slot.last_hit = now;
-                    match &slot.entry {
-                        Entry::Ready(win) => {
-                            let g = win.to_generated(false);
-                            *hits += 1;
-                            return Claim::Hit(Box::new(g));
-                        }
-                        Entry::Persisted(_) => {
-                            *hits += 1;
-                            let f = Flight::new();
-                            let Entry::Persisted(p) =
-                                std::mem::replace(&mut slot.entry, Entry::InFlight(f.clone()))
-                            else {
-                                unreachable!("entry was just observed as Persisted");
-                            };
-                            return Claim::Owner(Ticket {
-                                cache: self.clone(),
-                                key: key.to_string(),
-                                flight: f,
-                                payload: Some(p),
-                                settled: false,
-                            });
-                        }
-                        Entry::InFlight(f) => {
-                            flight = f.clone();
-                            *coalesced += 1;
-                        }
-                    }
+        let found = {
+            let mut guard = self.store();
+            let s = &mut *guard;
+            let now = s.tick();
+            let Some(slot) = s.map.get_mut(key) else {
+                let flight = Flight::new();
+                let slot = Slot { entry: Entry::InFlight(flight.clone()), last_hit: now };
+                s.map.insert(key.to_string(), slot);
+                return Claim::Owner(Ticket::new(self, key, flight, None));
+            };
+            slot.last_hit = now;
+            match &slot.entry {
+                Entry::Ready(win) => {
+                    s.totals.hits += 1;
+                    Ok(win.clone())
                 }
-                None => {
-                    *misses += 1;
-                    let f = Flight::new();
-                    map.insert(
-                        key.to_string(),
-                        Slot { entry: Entry::InFlight(f.clone()), last_hit: now },
-                    );
-                    return Claim::Owner(Ticket {
-                        cache: self.clone(),
-                        key: key.to_string(),
-                        flight: f,
-                        payload: None,
-                        settled: false,
-                    });
+                Entry::InFlight(flight) => {
+                    s.totals.coalesced += 1;
+                    Err(flight.clone())
+                }
+                Entry::Persisted(p) => {
+                    let (p, flight) = (p.clone(), Flight::new());
+                    slot.entry = Entry::InFlight(flight.clone());
+                    return Claim::Owner(Ticket::new(self, key, flight, Some(p)));
                 }
             }
-        }
-        // Coalesced: block outside the shard lock until the owner
-        // publishes, then share its result (or its error).
-        match flight.wait() {
-            Ok(win) => Claim::Hit(Box::new(win.to_generated(true))),
-            Err(e) => Claim::Failed(e),
-        }
+        };
+        // Copy the win, or wait for the owner to publish, outside the lock.
+        let (win, coalesced) = match found {
+            Ok(win) => (win, false),
+            Err(flight) => match flight.wait() {
+                Ok(win) => (win, true),
+                Err(e) => return Claim::Failed(e),
+            },
+        };
+        Claim::Hit(Box::new(win.to_generated(coalesced)))
     }
 
     /// Store a freshly loaded persisted entry (load path only).
     fn insert_persisted(&self, key: String, win: PersistedWin) {
-        let si = shard_index(&key);
-        let slot = Slot { entry: Entry::Persisted(Box::new(win)), last_hit: self.touch() };
-        self.0.shards[si].lock().unwrap().map.insert(key, slot);
+        let mut s = self.store();
+        let slot = Slot { entry: Entry::Persisted(Arc::new(win)), last_hit: s.tick() };
+        s.map.insert(key, slot);
     }
 
     /// Atomically persist every settled entry: write a temp file next to
@@ -395,76 +325,51 @@ impl TuneCache {
     /// (every lookup or insert stamps its slot), so long-running serve
     /// processes keep their hot working set and shed one-off requests.
     /// In-flight entries are never evicted (their owners hold tickets)
-    /// and, as always, never persisted.
+    /// and, as always, never persisted. Only eviction and the snapshot
+    /// of shared entries hold the lock; the file is written after it.
     pub fn save_capped(&self, path: &Path, max_entries: Option<usize>) -> io::Result<usize> {
-        if let Some(cap) = max_entries {
-            self.evict_least_recently_hit(cap);
-        }
+        let mut entries: Vec<(String, Entry)> = {
+            let mut s = self.store();
+            if let Some(cap) = max_entries {
+                s.evict_least_recently_hit(cap);
+            }
+            s.map
+                .iter()
+                .filter(|(_, slot)| !matches!(slot.entry, Entry::InFlight(_)))
+                .map(|(key, slot)| (key.clone(), slot.entry.clone()))
+                .collect()
+        };
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         use std::fmt::Write as _;
         let mut out = format!("{MAGIC} v{VERSION}\n");
-        let mut count = 0usize;
-        for shard in &self.0.shards {
-            let shard = shard.lock().unwrap();
-            for (key, slot) in &shard.map {
-                let (spec, c_code, wire, db_stats, stats) = match &slot.entry {
-                    Entry::Ready(w) => (w.spec, &w.c_code, w.report.to_wire(), w.db_stats, w.stats),
-                    Entry::Persisted(p) => {
-                        (p.spec, &p.c_code, p.report_wire.clone(), p.db_stats, p.stats)
-                    }
-                    Entry::InFlight(_) => continue,
-                };
-                out.push_str("entry\n");
-                let _ = write!(out, "key {}\n{key}\n", key.len());
-                let _ = writeln!(out, "spec {} {} {}", spec.policy, spec.nu, spec.loop_threshold);
-                let _ = writeln!(out, "db {} {}", db_stats.0, db_stats.1);
-                let _ = writeln!(
-                    out,
-                    "stats {} {} {} {}",
-                    stats.explored, stats.pruned, stats.deduped, stats.predicted
-                );
-                let _ = write!(out, "report {}\n{wire}\n", wire.len());
-                let _ = write!(out, "code {}\n{c_code}\n", c_code.len());
-                count += 1;
-            }
+        for (key, entry) in &entries {
+            let (spec, c_code, wire, db_stats, stats) = match entry {
+                Entry::Ready(w) => (w.spec, &w.c_code, w.report.to_wire(), w.db_stats, w.stats),
+                Entry::Persisted(p) => {
+                    (p.spec, &p.c_code, p.report_wire.clone(), p.db_stats, p.stats)
+                }
+                Entry::InFlight(_) => unreachable!("in-flight entries are not snapshotted"),
+            };
+            out.push_str("entry\n");
+            let _ = write!(out, "key {}\n{key}\n", key.len());
+            let _ = writeln!(out, "spec {} {} {}", spec.policy, spec.nu, spec.loop_threshold);
+            let _ = writeln!(out, "db {} {}", db_stats.0, db_stats.1);
+            let _ = writeln!(
+                out,
+                "stats {} {} {} {}",
+                stats.explored, stats.pruned, stats.deduped, stats.predicted
+            );
+            let _ = write!(out, "report {}\n{wire}\n", wire.len());
+            let _ = write!(out, "code {}\n{c_code}\n", c_code.len());
         }
-        let _ = writeln!(out, "end {count}");
+        let _ = writeln!(out, "end {}", entries.len());
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, &out)?;
         match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(count),
+            Ok(()) => Ok(entries.len()),
             Err(e) => {
                 let _ = std::fs::remove_file(&tmp);
                 Err(e)
-            }
-        }
-    }
-
-    /// Drop least-recently-hit settled entries until at most `cap`
-    /// remain. The snapshot-then-remove shape keeps each shard lock
-    /// short; an entry that is looked up (fresh stamp) or goes in-flight
-    /// between the two steps survives — eviction is best-effort, never
-    /// racing a live request.
-    fn evict_least_recently_hit(&self, cap: usize) {
-        let mut settled: Vec<(u64, usize, String)> = Vec::new();
-        for (si, shard) in self.0.shards.iter().enumerate() {
-            let shard = shard.lock().unwrap();
-            for (key, slot) in &shard.map {
-                if !matches!(slot.entry, Entry::InFlight(_)) {
-                    settled.push((slot.last_hit, si, key.clone()));
-                }
-            }
-        }
-        if settled.len() <= cap {
-            return;
-        }
-        settled.sort();
-        let excess = settled.len() - cap;
-        for (stamp, si, key) in settled.into_iter().take(excess) {
-            let mut shard = self.0.shards[si].lock().unwrap();
-            if let Some(slot) = shard.map.get(&key) {
-                if slot.last_hit == stamp && !matches!(slot.entry, Entry::InFlight(_)) {
-                    shard.map.remove(&key);
-                }
             }
         }
     }
@@ -501,21 +406,7 @@ impl TuneCache {
 
 impl fmt::Debug for TuneCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let t = self.totals();
-        let mut d = f.debug_struct("TuneCache");
-        d.field("entries", &t.entries)
-            .field("hits", &t.hits)
-            .field("misses", &t.misses)
-            .field("inserts", &t.inserts)
-            .field("coalesced", &t.coalesced)
-            .field("searches", &t.searches);
-        // per-shard counters, only for shards that saw traffic
-        for (i, s) in self.shard_stats().iter().enumerate() {
-            if s.entries > 0 || s.hits > 0 || s.misses > 0 {
-                d.field(&format!("shard{i}"), s);
-            }
-        }
-        d.finish()
+        f.debug_tuple("TuneCache").field(&self.totals()).finish()
     }
 }
 
@@ -541,33 +432,41 @@ pub(crate) struct Ticket {
     cache: TuneCache,
     key: String,
     flight: Arc<Flight>,
-    payload: Option<Box<PersistedWin>>,
+    payload: Option<Arc<PersistedWin>>,
     settled: bool,
 }
 
 impl Ticket {
+    fn new(
+        cache: &TuneCache,
+        key: &str,
+        flight: Arc<Flight>,
+        payload: Option<Arc<PersistedWin>>,
+    ) -> Ticket {
+        Ticket { cache: cache.clone(), key: key.to_string(), flight, payload, settled: false }
+    }
+
     /// The persisted payload to re-materialize, if this slot was loaded
     /// from disk.
-    pub(crate) fn take_persisted(&mut self) -> Option<Box<PersistedWin>> {
+    pub(crate) fn take_persisted(&mut self) -> Option<Arc<PersistedWin>> {
         self.payload.take()
     }
 
-    /// Publish the finished win: waiters wake with it, the slot becomes
-    /// [`Entry::Ready`].
+    /// Publish the finished win: the slot becomes [`Entry::Ready`] and
+    /// waiters wake sharing it. A re-materialized loaded entry
+    /// (`stats.persisted`) counts as the hit of the claim that owned it.
     pub(crate) fn fulfill(mut self, win: CachedWin) {
         self.settled = true;
-        let boxed = Box::new(win);
-        let si = shard_index(&self.key);
+        let win = Arc::new(win);
+        let key = std::mem::take(&mut self.key);
         {
-            let now = self.cache.touch();
-            let mut shard = self.cache.0.shards[si].lock().unwrap();
-            shard.inserts += 1;
-            shard.map.insert(
-                self.key.clone(),
-                Slot { entry: Entry::Ready(boxed.clone()), last_hit: now },
-            );
+            let mut s = self.cache.store();
+            s.totals.inserts += 1;
+            s.totals.hits += u64::from(win.stats.persisted);
+            let slot = Slot { entry: Entry::Ready(win.clone()), last_hit: s.tick() };
+            s.map.insert(key, slot);
         }
-        self.flight.publish(Ok(boxed));
+        self.flight.publish(Ok(win));
     }
 
     /// Publish a failure: waiters wake with the (cloned) error, the slot
@@ -578,12 +477,11 @@ impl Ticket {
     }
 
     fn vacate(&self, e: Error) {
-        let si = shard_index(&self.key);
         {
-            let mut shard = self.cache.0.shards[si].lock().unwrap();
-            if let Some(Slot { entry: Entry::InFlight(f), .. }) = shard.map.get(&self.key) {
+            let mut s = self.cache.store();
+            if let Some(Slot { entry: Entry::InFlight(f), .. }) = s.map.get(&self.key) {
                 if Arc::ptr_eq(f, &self.flight) {
-                    shard.map.remove(&self.key);
+                    s.map.remove(&self.key);
                 }
             }
         }

@@ -38,10 +38,9 @@ pub mod tuner;
 pub mod verify;
 pub mod workload;
 
-pub use cache::{CacheTotals, ShardStats, TuneCache, SHARD_COUNT};
+pub use cache::{CacheTotals, TuneCache};
 pub use measure::{
-    calibrate, Calibration, HardwareMeasurer, HwError, MeasureConfig, MeasureMode, Measurer,
-    ModelMeasurer, OpCost,
+    calibrate, Calibration, HardwareMeasurer, HwError, MeasureConfig, MeasureMode, OpCost,
 };
 pub use pipeline::{generate, generate_with_policy, generate_with_spec, Generated, Options};
 pub use slingen_cir::Target;

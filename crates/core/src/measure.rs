@@ -2,17 +2,14 @@
 //!
 //! Every ranking signal elsewhere in the crate comes from the modeled
 //! scheduler in `slingen-perf`; the paper's numbers are wall-clock on a
-//! real Sandy Bridge. This module closes that loop with a pluggable
-//! [`Measurer`]:
-//!
-//! * [`ModelMeasurer`] wraps today's modeled-cycle scheduler, so model
-//!   ranking goes through the same interface;
-//! * [`HardwareMeasurer`] compiles the emitted C into a standalone
-//!   timing harness (`slingen_cir::unparse::to_c_harness`) with a C
-//!   compiler shelled out per target, runs it, and parses a
-//!   median-of-min cycle estimate back. Compiled artifacts are cached
-//!   on disk by a digest of the full harness source, so identical
-//!   variants never recompile — within a search *and* across runs.
+//! real Sandy Bridge. This module closes that loop: [`HardwareMeasurer`]
+//! compiles the emitted C into a standalone timing harness
+//! (`slingen_cir::unparse::to_c_harness`) with a C compiler shelled out
+//! per target, runs it, and parses a median-of-min cycle estimate back.
+//! It times the same workload as the model (`workload::buffers`).
+//! Compiled artifacts are cached on disk by a digest of the full harness
+//! source, so identical variants never recompile — within a search *and*
+//! across runs.
 //!
 //! The tuner uses these in a two-stage flow (model pruning, hardware
 //! re-ranking of the top-K survivors; see `tuner::tune`), and
@@ -29,7 +26,6 @@ use crate::workload;
 use slingen_cir::unparse::{digest_str, to_c_harness, HarnessOpts};
 use slingen_cir::{BufKind, Function, Target};
 use slingen_ir::Program;
-use slingen_lgen::BufferMap;
 use slingen_perf::{Machine, MeasuredTime};
 use slingen_vm::{BufferSet, NullMonitor};
 use std::fmt;
@@ -127,57 +123,6 @@ impl fmt::Display for HwError {
 }
 
 impl std::error::Error for HwError {}
-
-/// A pluggable source of per-kernel timing for the autotuner.
-pub trait Measurer {
-    /// `"model"` or `"measured"` — the tag surfaced in serve responses
-    /// and stats.
-    fn source(&self) -> &'static str;
-
-    /// Time one lowered function on the program's canonical workload
-    /// (deterministic per `seed`).
-    ///
-    /// # Errors
-    ///
-    /// [`HwError`] when no timing could be produced; callers fall back
-    /// to the model.
-    fn measure(
-        &self,
-        program: &Program,
-        function: &Function,
-        seed: u64,
-    ) -> Result<MeasuredTime, HwError>;
-}
-
-/// The modeled-cycle scheduler behind the [`Measurer`] interface.
-/// `ns` is reported as 0 (the model has no time base), `reps` as 1.
-pub struct ModelMeasurer {
-    machine: Machine,
-}
-
-impl ModelMeasurer {
-    pub fn new(machine: Machine) -> ModelMeasurer {
-        ModelMeasurer { machine }
-    }
-}
-
-impl Measurer for ModelMeasurer {
-    fn source(&self) -> &'static str {
-        "model"
-    }
-
-    fn measure(
-        &self,
-        program: &Program,
-        function: &Function,
-        seed: u64,
-    ) -> Result<MeasuredTime, HwError> {
-        let mut bufs = workload_buffers(program, function, seed);
-        let report = slingen_perf::measure(function, &mut bufs, None, &self.machine)
-            .map_err(|e| HwError(format!("model measurement failed: {e}")))?;
-        Ok(MeasuredTime { cycles: report.cycles, ns: 0.0, reps: 1 })
-    }
-}
 
 /// Compiles emitted C into a timing harness and runs it on this host.
 ///
@@ -310,41 +255,28 @@ impl HardwareMeasurer {
         let bin = self.compile(&source)?;
         self.run(&bin, vm_checksum(function, inits)?)
     }
-}
 
-impl Measurer for HardwareMeasurer {
-    fn source(&self) -> &'static str {
-        "measured"
-    }
-
-    fn measure(
+    /// Time one lowered function on the program's canonical workload
+    /// (deterministic per `seed`).
+    ///
+    /// # Errors
+    ///
+    /// [`HwError`] when no timing could be produced; callers fall back
+    /// to the model.
+    pub fn measure(
         &self,
         program: &Program,
         function: &Function,
         seed: u64,
     ) -> Result<MeasuredTime, HwError> {
-        let inits = param_inits(program, function, seed);
-        self.measure_c(function, &inits)
+        self.measure_c(function, &param_inits(program, function, seed))
     }
-}
-
-/// The canonical workload mapped onto a function's buffer set — the same
-/// mapping the model measurement uses (`pipeline::measure`), so both
-/// signals time identical inputs.
-fn workload_buffers(program: &Program, function: &Function, seed: u64) -> BufferSet {
-    let mut fb = slingen_cir::FunctionBuilder::new("probe", function.width);
-    let map = BufferMap::build(program, &mut fb);
-    let mut bufs = BufferSet::for_function(function);
-    for (op, data) in workload::inputs(program, seed) {
-        bufs.set(map.buf(op), &data);
-    }
-    bufs
 }
 
 /// Initial contents for each *parameter* buffer, in `Function::params`
 /// order — what the timing harness bakes into its pristine copies.
 pub(crate) fn param_inits(program: &Program, function: &Function, seed: u64) -> Vec<Vec<f64>> {
-    let bufs = workload_buffers(program, function, seed);
+    let bufs = workload::buffers(program, function, seed);
     function.params().map(|(id, _)| bufs.get(id).to_vec()).collect()
 }
 

@@ -14,10 +14,8 @@ use crate::Error;
 use slingen_cir::passes::PassConfig;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
-use slingen_lgen::BufferMap;
 use slingen_perf::{Machine, Report};
 use slingen_synth::Policy;
-use slingen_vm::BufferSet;
 
 /// Generation options.
 #[derive(Debug, Clone)]
@@ -218,12 +216,7 @@ pub(crate) fn measure(
     options: &Options,
     budget: Option<f64>,
 ) -> Result<Option<Report>, Error> {
-    let mut fb = slingen_cir::FunctionBuilder::new("probe", function.width);
-    let map = BufferMap::build(program, &mut fb);
-    let mut bufs = BufferSet::for_function(function);
-    for (op, data) in workload::inputs(program, options.seed) {
-        bufs.set(map.buf(op), &data);
-    }
+    let mut bufs = workload::buffers(program, function, options.seed);
     Ok(slingen_perf::measure_budgeted(function, &mut bufs, None, &options.machine, budget)?)
 }
 

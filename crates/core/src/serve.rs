@@ -1,6 +1,6 @@
 //! Kernel-generation as a service: the front-end behind `slingen-serve`.
 //!
-//! The [`Engine`] turns one shared, sharded [`TuneCache`] into a
+//! The [`Engine`] turns one shared [`TuneCache`] into a
 //! concurrent request handler: clients submit line-delimited JSON
 //! requests naming a paper app, a size, and a target, and receive one
 //! JSON response line each — the emitted C (or a summary) plus a cache
@@ -29,7 +29,8 @@
 //! requests off a channel and write completed responses (in completion
 //! order — correlate by `id`) through a shared writer. Workers share the
 //! engine's cache, so identical concurrent requests coalesce onto one
-//! search and distinct requests land on distinct cache shards.
+//! search; the cache lock covers only a lookup, so hits copy their
+//! kernel without blocking other workers.
 
 use crate::cache::TuneCache;
 use crate::measure::MeasureConfig;
@@ -411,7 +412,7 @@ impl Engine {
         Ok(resp)
     }
 
-    /// One-line JSON cache/shard statistics (written to stderr by the
+    /// One-line JSON cache statistics (written to stderr by the
     /// binary on shutdown; `searches` is the cold-search count).
     pub fn stats_json(&self) -> String {
         let t = self.cache.totals();

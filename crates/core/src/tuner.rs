@@ -42,8 +42,8 @@
 //! lowering, optimization, digest, and measurement end-to-end in one
 //! thread per variant — no cross-stage barrier.
 
+pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
-pub use crate::cache::{ShardStats, TuneCache};
 use crate::pipeline::{measure, Generated, Options, DEFAULT_LOOP_THRESHOLD};
 use crate::Error;
 use slingen_cir::passes::optimize;
@@ -820,8 +820,7 @@ impl<'p> Search<'p> {
         let mut trials: Vec<HwTrial> = Vec::with_capacity(candidates.len());
         for &(model_cycles, _, key, spec) in &candidates {
             let function = self.body_fns.get(&key).expect("measured bodies are retained");
-            match crate::measure::Measurer::measure(&hw, self.program, function, self.options.seed)
-            {
+            match hw.measure(self.program, function, self.options.seed) {
                 Ok(m) if m.cycles.is_finite() && m.cycles >= 0.0 => {
                     trials.push(HwTrial { spec, model_cycles, measured: m });
                 }

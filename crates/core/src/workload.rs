@@ -6,8 +6,11 @@
 //! ("repeated on different random inputs").
 
 use slingen_blas::{testgen, Uplo};
+use slingen_cir::{Function, FunctionBuilder};
 use slingen_ir::structure::StorageHalf;
 use slingen_ir::{OpId, Program, Structure};
+use slingen_lgen::BufferMap;
+use slingen_vm::BufferSet;
 
 fn storage_uplo(half: StorageHalf) -> Uplo {
     match half {
@@ -56,6 +59,18 @@ pub fn inputs(program: &Program, seed: u64) -> Vec<(OpId, Vec<f64>)> {
         out.push((OpId(i), data));
     }
     out
+}
+
+/// The inputs of [`inputs`] mapped onto `function`'s buffers: the one
+/// workload that model measurement, hardware timing and the benchmark
+/// harness all run, so every signal times identical data.
+pub fn buffers(program: &Program, function: &Function, seed: u64) -> BufferSet {
+    let map = BufferMap::build(program, &mut FunctionBuilder::new("probe", function.width));
+    let mut bufs = BufferSet::for_function(function);
+    for (op, data) in inputs(program, seed) {
+        bufs.set(map.buf(op), &data);
+    }
+    bufs
 }
 
 #[cfg(test)]

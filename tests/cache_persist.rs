@@ -50,6 +50,24 @@ fn save_load_round_trip_replays_every_entry() {
     let _ = fs::remove_file(&path2);
 }
 
+/// The file lists entries in key order, so re-saving a loaded cache
+/// reproduces the file byte for byte however its keys hash.
+#[test]
+fn resaving_a_loaded_cache_is_byte_identical() {
+    let opts = Options::default();
+    for n in 3..=12 {
+        slingen::generate(&apps::potrf(n), &opts).unwrap();
+        slingen::generate(&apps::trtri(n), &opts).unwrap();
+    }
+    let (first, second) = (tmp("order-1"), tmp("order-2"));
+    assert_eq!(opts.cache.save(&first).unwrap(), 20);
+    let loaded = TuneCache::load_checked(&first).unwrap();
+    assert_eq!(loaded.save(&second).unwrap(), 20);
+    assert!(fs::read(&first).unwrap() == fs::read(&second).unwrap(), "re-save must not reorder");
+    let _ = fs::remove_file(&first);
+    let _ = fs::remove_file(&second);
+}
+
 /// A missing file is not an error for `load` (cold start), but is for
 /// `load_checked`.
 #[test]
@@ -127,9 +145,12 @@ fn stale_persisted_code_falls_back_to_a_fresh_search() {
     assert!(!g.tuning.cache_hit, "a stale entry must not be replayed");
     assert_eq!(g.c_code, cold.c_code, "the fresh search must reproduce the true artifact");
     assert_eq!(loaded.searches(), 1, "the fallback runs exactly one search");
+    let t = loaded.totals();
+    assert_eq!((t.hits, t.misses), (0, 1), "a rejected entry counts as a miss, not a hit");
     // and the repaired entry replays normally from now on
     let again = slingen::generate(&apps::potrf(4), &replay).unwrap();
     assert!(again.tuning.cache_hit);
+    assert_eq!(loaded.totals().hits, 1);
     let _ = fs::remove_file(&path);
 }
 

@@ -5,7 +5,7 @@
 //! Tests that need a real compiler detect one at runtime and trivially
 //! pass without it, so the suite stays green on compiler-less CI.
 
-use slingen::{apps, HardwareMeasurer, MeasureConfig, Measurer, Options};
+use slingen::{apps, HardwareMeasurer, MeasureConfig, Options};
 use slingen_ir::Program;
 use std::path::PathBuf;
 

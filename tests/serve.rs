@@ -69,9 +69,6 @@ fn concurrent_distinct_requests_search_once_each() {
         let solo = slingen::generate(&apps::potrf(3 + i), &Options::default()).unwrap();
         assert_eq!(g.c_code, solo.c_code, "potrf({}) must match its solo run", 3 + i);
     }
-    // per-shard counters reconcile with the totals
-    let by_shard: u64 = cache.shard_stats().iter().map(|s| s.misses).sum();
-    assert_eq!(by_shard, cache.totals().misses);
 }
 
 /// A save/load cycle of a concurrently built cache replays every entry.
