@@ -580,6 +580,12 @@ mod tests {
     }
 
     #[test]
+    fn hardware_cache_key_suffix_is_pinned() {
+        // persisted hardware-mode cache keys embed this text verbatim
+        assert_eq!(MeasureConfig::hardware().cache_key_suffix(), "|measure:hw,k3,w20,r9,i30,cc=cc");
+    }
+
+    #[test]
     fn bogus_compiler_fails_fast() {
         let cfg = MeasureConfig {
             compiler: Some(PathBuf::from("/nonexistent/slingen-no-such-cc")),
