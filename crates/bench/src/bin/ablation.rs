@@ -9,7 +9,7 @@
 //! Usage: `ablation [--full]`
 
 use slingen::apps::{self, nominal_flops};
-use slingen::{generate, generate_with_policy, Options};
+use slingen::{generate, generate_with_spec, Options, VariantSpec};
 use slingen_synth::Policy;
 use std::time::Instant;
 
@@ -99,7 +99,9 @@ fn main() {
             let fl = nominal_flops(kernel, n, 0);
             print!("{kernel:<6} n={n:<4}");
             for policy in Policy::ALL {
-                let g = generate_with_policy(&p, policy, &Options::default()).unwrap();
+                let opts = Options::default();
+                let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+                let g = generate_with_spec(&p, spec, &opts).unwrap();
                 print!("  {policy}: {:4.2} f/c", fl / g.report.cycles);
             }
             println!();

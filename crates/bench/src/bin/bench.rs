@@ -23,10 +23,10 @@
 //! against the committed numbers (see ROADMAP.md).
 
 use slingen::serve::Engine;
-use slingen::{apps, Options, Target, TuneCache};
+use slingen::{apps, Options, Target, TuneCache, VariantSpec};
 use slingen_cir::passes::{optimize_with_stats, PassConfig, PipelineStats};
 use slingen_ir::Program;
-use slingen_lgen::{lower_program, LowerOptions};
+use slingen_lgen::lower_program;
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 use std::time::Instant;
 
@@ -58,14 +58,14 @@ struct Record {
 }
 
 fn measure(name: &str, program: &Program, passes_breakdown: bool) -> Record {
-    let opts = Options::default();
+    let spec = VariantSpec { policy: Policy::Lazy, nu: Options::default().nu, loop_threshold: 64 };
     let stage1_ms = time_ms(|| {
         let mut db = AlgorithmDb::new();
-        synthesize_program(program, Policy::Lazy, opts.nu, &mut db).unwrap();
+        synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
     });
     let mut db = AlgorithmDb::new();
-    let basic = synthesize_program(program, Policy::Lazy, opts.nu, &mut db).unwrap();
-    let lopts = LowerOptions { nu: opts.nu, loop_threshold: opts.loop_threshold };
+    let basic = synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
+    let lopts = spec.lower_options();
     let stage2_ms = time_ms(|| {
         lower_program(program, &basic, program.name(), &lopts).unwrap();
     });
@@ -349,6 +349,15 @@ fn extract_top_level(src: &str, key: &str) -> Option<String> {
     }
 }
 
+/// Keep the top-level section `key` of the previous output `prev` on a
+/// refresh that did not regenerate it: append `,\n  "key": <value>`.
+fn carry_forward(json: &mut String, prev: Option<&str>, key: &str) {
+    if let Some(section) = prev.and_then(|p| extract_top_level(p, key)) {
+        json.push_str(",\n  ");
+        json.push_str(&section);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let passes_breakdown = args.iter().any(|a| a == "--passes");
@@ -485,53 +494,6 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n  \"benchmark\": \"slingen-generator-throughput\",\n");
-    json.push_str("  \"unit\": \"wall-clock milliseconds (median)\",\n");
-    // hand-maintained sections of an existing file (regeneration notes,
-    // PR-over-PR before/after history) survive the rewrite
-    for key in ["regenerate", "criterion_before_after"] {
-        if let Some(section) = std::fs::read_to_string(&out_path)
-            .ok()
-            .as_deref()
-            .and_then(|prev| extract_top_level(prev, key))
-        {
-            json.push_str("  ");
-            json.push_str(&section);
-            json.push_str(",\n");
-        }
-    }
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let rekeyed: usize = r.fixpoint.rounds.iter().map(|rd| rd.cse_rekeyed).sum();
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"stage1_ms\": {:.3}, \"stage2_ms\": {:.3}, \
-             \"stage3_ms\": {:.3}, \"autotune_ms\": {:.3}, \"static_instrs\": {}, \
-             \"fixpoint\": {{\"rounds\": {}, \"cse_rekeyed\": {}, \"converged\": {}}}}}{}\n",
-            r.app,
-            r.stage1_ms,
-            r.stage2_ms,
-            r.stage3_ms,
-            r.autotune_ms,
-            r.static_instrs,
-            r.fixpoint.rounds.len(),
-            rekeyed,
-            r.fixpoint.converged,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]");
-    if tune_records.is_empty() {
-        // a refresh without --tune keeps the previously committed
-        // autotuner report instead of silently dropping it
-        if let Some(section) = std::fs::read_to_string(&out_path)
-            .ok()
-            .as_deref()
-            .and_then(|prev| extract_top_level(prev, "tune"))
-        {
-            json.push_str(",\n  ");
-            json.push_str(&section);
-        }
-    }
     let serve_records = if serve {
         eprintln!("serving (hot_distinct + mixed_hot_cold at workers 1/4/16) ...");
         let records = measure_serve();
@@ -553,7 +515,39 @@ fn main() {
     } else {
         Vec::new()
     };
-    if !tune_records.is_empty() {
+
+    // Sections of an existing file survive the rewrite: the hand-maintained
+    // ones (regeneration notes, before/after history) always, the
+    // measured ones when this run skipped the flag that produces them.
+    let prev = std::fs::read_to_string(&out_path).ok();
+    let prev = prev.as_deref();
+    let mut json = String::from("{\n  \"benchmark\": \"slingen-generator-throughput\",\n");
+    json.push_str("  \"unit\": \"wall-clock milliseconds (median)\"");
+    carry_forward(&mut json, prev, "regenerate");
+    carry_forward(&mut json, prev, "criterion_before_after");
+    json.push_str(",\n  \"results\": [\n");
+    for (i, r) in records.iter().enumerate() {
+        let rekeyed: usize = r.fixpoint.rounds.iter().map(|rd| rd.cse_rekeyed).sum();
+        json.push_str(&format!(
+            "    {{\"app\": \"{}\", \"stage1_ms\": {:.3}, \"stage2_ms\": {:.3}, \
+             \"stage3_ms\": {:.3}, \"autotune_ms\": {:.3}, \"static_instrs\": {}, \
+             \"fixpoint\": {{\"rounds\": {}, \"cse_rekeyed\": {}, \"converged\": {}}}}}{}\n",
+            r.app,
+            r.stage1_ms,
+            r.stage2_ms,
+            r.stage3_ms,
+            r.autotune_ms,
+            r.static_instrs,
+            r.fixpoint.rounds.len(),
+            rekeyed,
+            r.fixpoint.converged,
+            if i + 1 < records.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]");
+    if tune_records.is_empty() {
+        carry_forward(&mut json, prev, "tune");
+    } else {
         json.push_str(",\n  \"tune\": [\n");
         for (i, t) in tune_records.iter().enumerate() {
             let reps: Vec<String> = t
@@ -592,16 +586,7 @@ fn main() {
         json.push_str("  ]");
     }
     if measure_records.is_empty() {
-        // keep a previously committed model-drift report on refreshes
-        // that skip --measure
-        if let Some(section) = std::fs::read_to_string(&out_path)
-            .ok()
-            .as_deref()
-            .and_then(|prev| extract_top_level(prev, "model_vs_measured"))
-        {
-            json.push_str(",\n  ");
-            json.push_str(&section);
-        }
+        carry_forward(&mut json, prev, "model_vs_measured");
     } else {
         json.push_str(",\n  \"model_vs_measured\": [\n");
         for (i, r) in measure_records.iter().enumerate() {
@@ -638,16 +623,7 @@ fn main() {
         json.push_str("  ]");
     }
     if cal_records.is_empty() {
-        // and a previously committed calibration on refreshes that skip
-        // --calibrate
-        if let Some(section) = std::fs::read_to_string(&out_path)
-            .ok()
-            .as_deref()
-            .and_then(|prev| extract_top_level(prev, "calibration"))
-        {
-            json.push_str(",\n  ");
-            json.push_str(&section);
-        }
+        carry_forward(&mut json, prev, "calibration");
     } else {
         json.push_str(",\n  \"calibration\": [\n");
         for (i, r) in cal_records.iter().enumerate() {
@@ -677,16 +653,7 @@ fn main() {
         json.push_str("  ]");
     }
     if serve_records.is_empty() {
-        // likewise keep a previously committed serve report on refreshes
-        // that skip --serve
-        if let Some(section) = std::fs::read_to_string(&out_path)
-            .ok()
-            .as_deref()
-            .and_then(|prev| extract_top_level(prev, "serve"))
-        {
-            json.push_str(",\n  ");
-            json.push_str(&section);
-        }
+        carry_forward(&mut json, prev, "serve");
     } else {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         json.push_str(&format!(",\n  \"serve\": {{\"cores\": {cores}, \"scenarios\": [\n"));

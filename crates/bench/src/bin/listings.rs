@@ -17,7 +17,7 @@ fn main() {
     println!("(algorithm DB: {} entries, {} hits, {} misses)\n", db.len(), db.hits(), db.misses());
 
     let g = slingen::generate(&program, &Options::default()).unwrap();
-    println!("== Stage 3 output: generated C ({} variant) ==", g.policy);
+    println!("== Stage 3 output: generated C ({} variant) ==", g.spec.policy);
     println!("{}", g.c_code);
     println!("== modeled performance ==\n{}", g.report);
 }

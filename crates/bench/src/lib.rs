@@ -7,7 +7,7 @@
 //! *nominal* operation counts (e.g. n³/3 for Cholesky), exactly like the
 //! paper's plots.
 
-use slingen::{apps, Options};
+use slingen::{apps, Options, VariantSpec};
 use slingen_baselines::{baseline_codegen, Flavor};
 use slingen_ir::Program;
 use slingen_perf::{Machine, Report};
@@ -59,8 +59,9 @@ pub fn measure_slingen_variant(
     n: usize,
     nominal_flops: f64,
 ) -> Measurement {
-    let opts = Options { policy: Some(policy), ..Options::default() };
-    let g = slingen::generate(program, &opts).expect("slingen variant");
+    let opts = Options::default();
+    let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+    let g = slingen::generate_with_spec(program, spec, &opts).expect("slingen variant");
     let report = run_function(program, &g.function, None, &Machine::sandy_bridge(), 7);
     Measurement {
         label: format!("SLinGen ({policy})"),
@@ -111,16 +112,7 @@ pub fn app_sizes(full: bool) -> Vec<usize> {
 
 /// Build the benchmark program by name.
 pub fn program_for(name: &str, n: usize) -> Program {
-    match name {
-        "potrf" => apps::potrf(n),
-        "trsyl" => apps::trsyl(n),
-        "trlya" => apps::trlya(n),
-        "trtri" => apps::trtri(n),
-        "kf" => apps::kf(n),
-        "gpr" => apps::gpr(n),
-        "l1a" => apps::l1a(n),
-        other => panic!("unknown benchmark `{other}`"),
-    }
+    apps::by_name(name, n, None).unwrap_or_else(|| panic!("unknown benchmark `{name}`"))
 }
 
 /// Render one plot row.

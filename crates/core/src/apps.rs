@@ -244,6 +244,22 @@ pub fn l1a(n: usize) -> Program {
     b.build().expect("l1a program")
 }
 
+/// Build a benchmark program by its short name at size `n`; `k` is the
+/// Kalman filter's observation size (defaults to `n`). `None` for an
+/// unknown name.
+pub fn by_name(app: &str, n: usize, k: Option<usize>) -> Option<Program> {
+    Some(match app {
+        "potrf" => potrf(n),
+        "trsyl" => trsyl(n),
+        "trlya" => trlya(n),
+        "trtri" => trtri(n),
+        "kf" => kf_sized(n, k.unwrap_or(n)),
+        "gpr" => gpr(n),
+        "l1a" => l1a(n),
+        _ => return None,
+    })
+}
+
 /// Nominal flop counts used for the paper's performance plots.
 pub fn nominal_flops(name: &str, n: usize, k: usize) -> f64 {
     let nf = n as f64;
@@ -277,6 +293,9 @@ mod tests {
             assert_eq!(l1a(n).statements().len(), 8);
         }
         assert_eq!(kf_sized(28, 4).name(), "kf");
+        assert_eq!(by_name("kf", 8, None).unwrap().to_string(), kf(8).to_string());
+        assert_eq!(by_name("potrf", 8, None).unwrap().to_string(), potrf(8).to_string());
+        assert!(by_name("gemm", 8, None).is_none());
     }
 
     #[test]

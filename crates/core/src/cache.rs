@@ -84,7 +84,6 @@ impl CachedWin {
         Generated {
             function: self.function.clone(),
             c_code: self.c_code.clone(),
-            policy: self.spec.policy,
             spec: self.spec,
             report: self.report.clone(),
             db_stats: self.db_stats,

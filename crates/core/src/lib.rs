@@ -42,7 +42,7 @@ pub use cache::{CacheTotals, TuneCache};
 pub use measure::{
     calibrate, Calibration, HardwareMeasurer, HwError, MeasureConfig, MeasureMode, OpCost,
 };
-pub use pipeline::{generate, generate_with_policy, generate_with_spec, Generated, Options};
+pub use pipeline::{generate, generate_with_spec, Generated, Options};
 pub use slingen_cir::Target;
 pub use tuner::{HwTrial, RepCost, SearchSpace, Strategy, TuneStats, VariantSpec};
 pub use verify::verify;

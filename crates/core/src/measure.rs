@@ -45,22 +45,23 @@ pub enum MeasureMode {
     Hardware,
 }
 
+/// How many top distinct kernels (by modeled cycles) get hardware
+/// timing in stage two.
+pub(crate) const TOP_K: usize = 3;
+/// Untimed warm-up calls per harness run.
+const WARMUP: u32 = 20;
+/// Timing repetitions per harness run (median over these).
+const REPS: u32 = 9;
+/// Calls per repetition (minimum over these).
+const INNER: u32 = 30;
+
 /// Configuration for the measured-autotuning path, carried on
 /// `Options::measure`. The default is pure model mode, which
 /// contributes nothing to cache keys and changes no behavior.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MeasureConfig {
     /// Ranking mode; see [`MeasureMode`].
     pub mode: MeasureMode,
-    /// How many top distinct kernels (by modeled cycles) get hardware
-    /// timing in stage two.
-    pub top_k: usize,
-    /// Untimed warm-up calls per harness run.
-    pub warmup: u32,
-    /// Timing repetitions per harness run (median over these).
-    pub reps: u32,
-    /// Calls per repetition (minimum over these).
-    pub inner: u32,
     /// C compiler to shell out to; `None` uses `cc` from `PATH`.
     pub compiler: Option<PathBuf>,
     /// Directory for cached compiled harnesses; `None` uses
@@ -68,22 +69,8 @@ pub struct MeasureConfig {
     pub artifact_dir: Option<PathBuf>,
 }
 
-impl Default for MeasureConfig {
-    fn default() -> Self {
-        MeasureConfig {
-            mode: MeasureMode::Model,
-            top_k: 3,
-            warmup: 20,
-            reps: 9,
-            inner: 30,
-            compiler: None,
-            artifact_dir: None,
-        }
-    }
-}
-
 impl MeasureConfig {
-    /// The hardware two-stage configuration with default loop shape.
+    /// The hardware two-stage configuration.
     pub fn hardware() -> MeasureConfig {
         MeasureConfig { mode: MeasureMode::Hardware, ..MeasureConfig::default() }
     }
@@ -100,11 +87,7 @@ impl MeasureConfig {
         match self.mode {
             MeasureMode::Model => String::new(),
             MeasureMode::Hardware => format!(
-                "|measure:hw,k{},w{},r{},i{},cc={}",
-                self.top_k,
-                self.warmup,
-                self.reps,
-                self.inner,
+                "|measure:hw,k{TOP_K},w{WARMUP},r{REPS},i{INNER},cc={}",
                 self.compiler.as_deref().unwrap_or(Path::new("cc")).display()
             ),
         }
@@ -131,7 +114,6 @@ impl std::error::Error for HwError {}
 /// instead of per candidate.
 pub struct HardwareMeasurer {
     target: Target,
-    cfg: MeasureConfig,
     compiler: PathBuf,
     artifact_dir: PathBuf,
 }
@@ -162,7 +144,7 @@ impl HardwareMeasurer {
         std::fs::create_dir_all(&artifact_dir).map_err(|e| {
             HwError(format!("artifact dir {} not creatable: {e}", artifact_dir.display()))
         })?;
-        Ok(HardwareMeasurer { target, cfg: cfg.clone(), compiler, artifact_dir })
+        Ok(HardwareMeasurer { target, compiler, artifact_dir })
     }
 
     /// The ISA flags the harness needs for this target's intrinsics.
@@ -245,12 +227,7 @@ impl HardwareMeasurer {
         function: &Function,
         inits: &[Vec<f64>],
     ) -> Result<MeasuredTime, HwError> {
-        let opts = HarnessOpts {
-            inits,
-            warmup: self.cfg.warmup,
-            reps: self.cfg.reps,
-            inner: self.cfg.inner,
-        };
+        let opts = HarnessOpts { inits, warmup: WARMUP, reps: REPS, inner: INNER };
         let source = to_c_harness(function, self.target, &opts);
         let bin = self.compile(&source)?;
         self.run(&bin, vm_checksum(function, inits)?)

@@ -2,20 +2,19 @@
 //!
 //! `generate()` drives the variant-space autotuner in [`crate::tuner`]:
 //! the search space (policy × ν × loop-threshold), strategy, and cache
-//! live in [`Options`]; this module owns the option/result types and the
-//! single-variant path used when the policy is pinned.
+//! live in [`Options`]; this module owns the option/result types.
+//! [`generate_with_spec`] evaluates one fixed point of the space through
+//! the same search code.
 
 use crate::measure::MeasureConfig;
 use crate::tuner::{
-    self, HwTrial, RepCost, SearchSpace, TuneCache, TuneStats, Variant, VariantSpec,
+    self, HwTrial, RepCost, Search, SearchSpace, TuneCache, TuneStats, Variant, VariantSpec,
 };
-use crate::workload;
 use crate::Error;
 use slingen_cir::passes::PassConfig;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
 use slingen_perf::{Machine, Report};
-use slingen_synth::Policy;
 
 /// Generation options.
 #[derive(Debug, Clone)]
@@ -29,19 +28,11 @@ pub struct Options {
     pub target: Target,
     /// Vector width ν of the target machine (4 = AVX double, 2 = SSE2,
     /// 1 = scalar). Acts as an upper bound on the ν axis of the search
-    /// space, and as the pinned width when `policy` is fixed.
+    /// space.
     pub nu: usize,
-    /// Fix the algorithmic variant instead of autotuning over the space.
-    pub policy: Option<Policy>,
     /// Stage-3 pass configuration (specialized per target at use: FMA
     /// contraction turns on when [`Options::target`] has FMA).
     pub passes: PassConfig,
-    /// Stage-2 loop threshold (see [`slingen_lgen::LowerOptions`]) used
-    /// when `policy` is pinned. The tuned path deliberately does *not*
-    /// seed from it: the greedy search seeds at canonical coordinates
-    /// derived from the space alone, so every equivalent request shares
-    /// one [`TuneCache`] entry (see `tuner::cache_key`).
-    pub loop_threshold: usize,
     /// Machine model used for autotuning.
     pub machine: Machine,
     /// Workload seed for the autotuning measurement.
@@ -56,11 +47,6 @@ pub struct Options {
     /// compiling and timing their emitted C (see [`crate::measure`]).
     pub measure: MeasureConfig,
 }
-
-/// The default Stage-2 loop threshold — also the canonical greedy seed
-/// threshold: the tuned search always seeds at the axis member nearest
-/// this value, independent of the caller's raw `loop_threshold`.
-pub(crate) const DEFAULT_LOOP_THRESHOLD: usize = 64;
 
 impl Default for Options {
     /// The historical default: the AVX2 (Sandy Bridge model) target at
@@ -77,9 +63,7 @@ impl Options {
         Options {
             target,
             nu: target.max_width(),
-            policy: None,
             passes: PassConfig::default(),
-            loop_threshold: DEFAULT_LOOP_THRESHOLD,
             machine: Machine::from_target(target),
             seed: 0x51,
             search: SearchSpace::default(),
@@ -101,9 +85,6 @@ pub struct Generated {
     pub function: Function,
     /// The emitted single-source C code.
     pub c_code: String,
-    /// The algorithmic variant that won the autotuning (the policy axis
-    /// of [`Generated::spec`], kept for convenience).
-    pub policy: Policy,
     /// The full variant that won: policy, ν, loop threshold.
     pub spec: VariantSpec,
     /// The performance report of the winning variant (on the autotuning
@@ -114,8 +95,7 @@ pub struct Generated {
     /// How the winner was found: variants explored/pruned, cache hit.
     pub tuning: TuneStats,
     /// Per-representative cold-time breakdown (lower/opt/measure, ms),
-    /// in the order the search ran them. Empty on cache hits and on
-    /// fixed-spec generation — only a real search pays these costs.
+    /// in the order the search ran them. Empty on cache hits.
     pub rep_costs: Vec<RepCost>,
     /// Stage-two hardware timings in model-ranking order (the first
     /// entry is the model-ranked winner), when the measured flow ran.
@@ -158,7 +138,6 @@ pub(crate) fn emit(
     Generated {
         function: variant.function,
         c_code,
-        policy: variant.spec.policy,
         spec: variant.spec,
         report: variant.report,
         db_stats,
@@ -168,56 +147,29 @@ pub(crate) fn emit(
     }
 }
 
-/// Generate code for one fixed variant (no search).
+/// Generate code for one fixed variant: the autotuner's search run on a
+/// single point of the space, so pinned and tuned generation share
+/// Stage 1, Stages 2–3, the modeled measurement and emission. Never
+/// consults or fills `options.cache`.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] if any stage rejects the program.
+/// Returns [`Error`] if the target lacks the width `spec.nu`, or if any
+/// stage rejects the program.
 pub fn generate_with_spec(
     program: &Program,
     spec: VariantSpec,
     options: &Options,
 ) -> Result<Generated, Error> {
-    let mut db = slingen_synth::AlgorithmDb::new();
-    let basic = slingen_synth::synthesize_program(program, spec.policy, spec.nu, &mut db)?;
-    let function = tuner::lower_variant(program, spec, &basic, options)?.function;
-    let report = measure(program, &function, options, None)?.expect("no budget, no cutoff");
-    let variant = Variant { function, spec, report };
-    Ok(emit(
-        variant,
-        options.target,
-        (db.hits(), db.misses()),
-        TuneStats { explored: 1, ..TuneStats::default() },
-        Vec::new(),
-        Vec::new(),
-    ))
-}
-
-/// Generate code for one fixed policy (no autotuning), at the options'
-/// ν and loop threshold.
-///
-/// # Errors
-///
-/// Returns [`Error`] if any stage rejects the program.
-pub fn generate_with_policy(
-    program: &Program,
-    policy: Policy,
-    options: &Options,
-) -> Result<Generated, Error> {
-    let spec = VariantSpec { policy, nu: options.nu, loop_threshold: options.loop_threshold };
-    generate_with_spec(program, spec, options)
-}
-
-/// Measure a generated function on a valid random workload, under an
-/// optional cycle budget (`None` if the budget was exceeded).
-pub(crate) fn measure(
-    program: &Program,
-    function: &Function,
-    options: &Options,
-    budget: Option<f64>,
-) -> Result<Option<Report>, Error> {
-    let mut bufs = workload::buffers(program, function, options.seed);
-    Ok(slingen_perf::measure_budgeted(function, &mut bufs, None, &options.machine, budget)?)
+    if !options.target.supports_width(spec.nu) {
+        return Err(Error::Synth(slingen_synth::SynthError::Unsupported(format!(
+            "target {} has no vector width nu={}",
+            options.target, spec.nu
+        ))));
+    }
+    let mut search = Search::new(program, options);
+    search.evaluate(&[spec], None);
+    search.into_generated()
 }
 
 /// Full generation with variant-space autotuning: search the configured
@@ -245,9 +197,6 @@ pub(crate) fn measure(
 /// Returns [`Error`] if every variant fails; individual variant failures
 /// are tolerated as long as one succeeds.
 pub fn generate(program: &Program, options: &Options) -> Result<Generated, Error> {
-    if let Some(p) = options.policy {
-        return generate_with_policy(program, p, options);
-    }
     tuner::tune(program, options)
 }
 
@@ -256,6 +205,7 @@ mod tests {
     use super::*;
     use crate::apps;
     use crate::tuner::Strategy;
+    use slingen_synth::Policy;
 
     #[test]
     fn generates_potrf_with_autotuning() {
@@ -266,7 +216,6 @@ mod tests {
         assert!(g.flops_per_cycle() > 0.0);
         // the default search explores all three dimensions
         assert!(g.tuning.explored >= 3, "explored {}", g.tuning.explored);
-        assert_eq!(g.policy, g.spec.policy);
         // the winner's width is reflected in the emitted C
         if g.spec.nu == 4 {
             assert!(g.c_code.contains("_mm256"), "nu=4 winner must emit AVX");
@@ -276,18 +225,17 @@ mod tests {
     #[test]
     fn pinned_width_emits_avx() {
         let p = apps::potrf(8);
-        let opts = Options { policy: Some(Policy::Lazy), ..Options::default() };
-        let g = generate(&p, &opts).unwrap();
+        let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+        let g = generate_with_spec(&p, spec, &Options::default()).unwrap();
         assert!(g.c_code.contains("_mm256"), "vectorized output expected");
     }
 
     #[test]
     fn policy_pinning_respected() {
         let p = apps::potrf(8);
-        let opts = Options { policy: Some(Policy::Eager), ..Options::default() };
-        let g = generate(&p, &opts).unwrap();
-        assert_eq!(g.policy, Policy::Eager);
-        assert_eq!(g.spec.nu, 4);
+        let spec = VariantSpec { policy: Policy::Eager, nu: 4, loop_threshold: 64 };
+        let g = generate_with_spec(&p, spec, &Options::default()).unwrap();
+        assert_eq!(g.spec, spec);
     }
 
     #[test]
@@ -314,7 +262,7 @@ mod tests {
         // pipeline too, not only the tuned path
         let p = apps::kf(4);
         let opts = Options::for_target(slingen_cir::Target::Avx2Fma);
-        let spec = crate::tuner::VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+        let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
         let g = generate_with_spec(&p, spec, &opts).unwrap();
         let mut fmas = 0;
         g.function.for_each_instr(&mut |i| {
@@ -334,8 +282,9 @@ mod tests {
         let p = apps::trsyl(8);
         let opts = Options::default();
         let auto = generate(&p, &opts).unwrap();
-        for policy in slingen_synth::Policy::ALL {
-            let fixed = generate_with_policy(&p, policy, &opts).unwrap();
+        for policy in Policy::ALL {
+            let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+            let fixed = generate_with_spec(&p, spec, &opts).unwrap();
             assert!(
                 auto.report.cycles <= fixed.report.cycles + 1e-9,
                 "autotuned {} must not lose to {policy} ({})",

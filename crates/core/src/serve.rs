@@ -287,16 +287,8 @@ impl Request {
     }
 
     fn program(&self) -> Result<slingen_ir::Program, String> {
-        Ok(match self.app.as_str() {
-            "potrf" => apps::potrf(self.n),
-            "trsyl" => apps::trsyl(self.n),
-            "trlya" => apps::trlya(self.n),
-            "trtri" => apps::trtri(self.n),
-            "kf" => apps::kf_sized(self.n, self.k.unwrap_or(self.n)),
-            "gpr" => apps::gpr(self.n),
-            "l1a" => apps::l1a(self.n),
-            other => return Err(format!("unknown app `{other}`")),
-        })
+        apps::by_name(&self.app, self.n, self.k)
+            .ok_or_else(|| format!("unknown app `{}`", self.app))
     }
 }
 

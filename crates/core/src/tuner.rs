@@ -44,8 +44,8 @@
 
 pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
-use crate::pipeline::{measure, Generated, Options, DEFAULT_LOOP_THRESHOLD};
-use crate::Error;
+use crate::pipeline::{Generated, Options};
+use crate::{workload, Error};
 use slingen_cir::passes::optimize;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
@@ -286,6 +286,10 @@ pub struct RepCost {
     pub measure_ms: f64,
 }
 
+/// The canonical greedy seed threshold: the tuned search always seeds at
+/// the loop-threshold axis member nearest this value.
+const SEED_LOOP_THRESHOLD: usize = 64;
+
 /// The member of `values` nearest to `target` (ties toward the smaller
 /// value). Used by the greedy seed selection to snap the canonical seed
 /// threshold into an arbitrary axis.
@@ -294,16 +298,9 @@ fn nearest(values: &[usize], target: usize) -> usize {
 }
 
 /// Everything that determines the tuned output, flattened into a string.
-///
-/// The raw `nu`/`loop_threshold` options are canonicalized *uniformly*
-/// before keying: the search consumes the options only through the
-/// effective ν axis ([`SearchSpace::nus_for`]) — the greedy seed point is
-/// a pure function of the space itself (widest axis ν, canonical
-/// threshold; see [`run_greedy`]) — so any two requests with the same
-/// axes provably run the identical search and share one entry. In
-/// particular every `loop_threshold`, axis member or not (100, 64, 256,
-/// ...), hits the same cached result; historically an axis-member seed
-/// like 256 still missed.
+/// The raw `nu` option is keyed only through the effective ν axis
+/// ([`SearchSpace::nus_for`]), so requests with the same axes share one
+/// entry.
 fn cache_key(program: &Program, options: &Options) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(256);
@@ -365,22 +362,34 @@ impl<'p> Synthesizer<'p> {
     }
 }
 
+/// Measure a generated function on a valid random workload, under an
+/// optional cycle budget (`None` if the budget was exceeded).
+fn measure(
+    program: &Program,
+    function: &Function,
+    options: &Options,
+    budget: Option<f64>,
+) -> Result<Option<Report>, Error> {
+    let mut bufs = workload::buffers(program, function, options.seed);
+    Ok(slingen_perf::measure_budgeted(function, &mut bufs, None, &options.machine, budget)?)
+}
+
 /// One variant after Stages 2–3: the optimized function, the
 /// [`LowerProfile`] recorded while Stage 2 ran (the basis of the tuner's
 /// predictive threshold dedupe), and how long lowering and the
 /// optimization pipeline took, in milliseconds (the [`RepCost`]
 /// breakdown).
-pub(crate) struct Lowered {
-    pub(crate) function: Function,
-    pub(crate) profile: LowerProfile,
-    pub(crate) lower_ms: f64,
-    pub(crate) opt_ms: f64,
+struct Lowered {
+    function: Function,
+    profile: LowerProfile,
+    lower_ms: f64,
+    opt_ms: f64,
 }
 
 /// Stages 2–3 for one already-synthesized variant: lowering plus the
 /// optimization pipeline specialized for the options' target (FMA
 /// contraction on FMA targets).
-pub(crate) fn lower_variant(
+fn lower_variant(
     program: &Program,
     spec: VariantSpec,
     basic: &BasicProgram,
@@ -463,7 +472,7 @@ struct Best {
 
 /// The search state: the visited set, the incumbent, and exploration
 /// statistics.
-struct Search<'p> {
+pub(crate) struct Search<'p> {
     program: &'p Program,
     options: &'p Options,
     synth: Synthesizer<'p>,
@@ -502,7 +511,7 @@ struct Search<'p> {
 }
 
 impl<'p> Search<'p> {
-    fn new(program: &'p Program, options: &'p Options) -> Self {
+    pub(crate) fn new(program: &'p Program, options: &'p Options) -> Self {
         let order = options
             .search
             .enumerate(options.target, options.nu)
@@ -540,7 +549,7 @@ impl<'p> Search<'p> {
     /// barrier. Updates the incumbent deterministically (strict min
     /// cycles, ties broken by canonical enumeration order): accounting
     /// runs in batch order regardless of wave scheduling.
-    fn evaluate(&mut self, specs: &[VariantSpec], budget: Option<f64>) {
+    pub(crate) fn evaluate(&mut self, specs: &[VariantSpec], budget: Option<f64>) {
         let fresh: Vec<VariantSpec> =
             specs.iter().copied().filter(|s| self.visited.insert(*s)).collect();
         let todo: Vec<(VariantSpec, Result<Arc<BasicProgram>, Error>)> =
@@ -786,7 +795,6 @@ impl<'p> Search<'p> {
     /// attaches the winner's [`slingen_perf::MeasuredTime`] to its
     /// report and records every trial for drift tracking.
     fn rerank_hardware(&mut self) {
-        let cfg = &self.options.measure;
         // Distinct measured bodies by model ranking (cycles, then ord).
         let mut candidates: Vec<(f64, usize, BodyKey, VariantSpec)> = self
             .measured
@@ -802,21 +810,23 @@ impl<'p> Search<'p> {
         candidates.sort_by(|a, b| {
             a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
         });
-        candidates.truncate(cfg.top_k.max(1));
+        candidates.truncate(crate::measure::TOP_K);
         if candidates.is_empty() {
             return;
         }
-        let hw = match crate::measure::HardwareMeasurer::new(self.options.target, cfg) {
-            Ok(hw) => hw,
-            Err(e) => {
-                eprintln!(
-                    "slingen: hardware measurement unavailable for `{}` ({e}); \
+        let hw =
+            match crate::measure::HardwareMeasurer::new(self.options.target, &self.options.measure)
+            {
+                Ok(hw) => hw,
+                Err(e) => {
+                    eprintln!(
+                        "slingen: hardware measurement unavailable for `{}` ({e}); \
                      keeping model ranking",
-                    self.program.name()
-                );
-                return;
-            }
-        };
+                        self.program.name()
+                    );
+                    return;
+                }
+            };
         let mut trials: Vec<HwTrial> = Vec::with_capacity(candidates.len());
         for &(model_cycles, _, key, spec) in &candidates {
             let function = self.body_fns.get(&key).expect("measured bodies are retained");
@@ -864,7 +874,7 @@ impl<'p> Search<'p> {
         self.hw_trials = trials;
     }
 
-    fn into_generated(mut self) -> Result<Generated, Error> {
+    pub(crate) fn into_generated(mut self) -> Result<Generated, Error> {
         let db_stats = self.synth.stats();
         let stats = self.stats;
         let target = self.options.target;
@@ -903,15 +913,10 @@ fn run_greedy(search: &mut Search<'_>) {
     let thresholds = space.loop_thresholds.clone();
 
     // Canonical seed coordinates, a pure function of the space: the
-    // widest ν the axis offers, and the axis member nearest the default
-    // threshold. Seeding from the *caller's* raw `loop_threshold` here
-    // would make semantically identical requests run distinct searches —
-    // the cache-miss gap [`cache_key`] closes. The descent sweeps every
-    // threshold anyway, so seeding canonically costs no search quality;
-    // a pinned `loop_threshold` still honors the caller exactly
-    // (`generate_with_policy`).
+    // widest ν the axis offers, and the axis member nearest the canonical
+    // seed threshold.
     let seed_nu = nearest(&nus, search.options.nu);
-    let seed_thr = nearest(&thresholds, DEFAULT_LOOP_THRESHOLD);
+    let seed_thr = nearest(&thresholds, SEED_LOOP_THRESHOLD);
 
     // Round 0: full policy sweep at the seed point — exactly the
     // historical two-policy fan-out, so the greedy winner can never lose

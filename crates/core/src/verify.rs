@@ -126,7 +126,8 @@ pub fn verify(
 mod tests {
     use super::*;
     use crate::apps;
-    use crate::pipeline::{generate_with_policy, Options};
+    use crate::pipeline::{generate_with_spec, Options};
+    use crate::tuner::VariantSpec;
 
     #[test]
     fn all_benchmarks_verify() {
@@ -140,7 +141,8 @@ mod tests {
             ("l1a", apps::l1a(8)),
         ] {
             for policy in Policy::ALL {
-                let g = generate_with_policy(&program, policy, &Options::default())
+                let spec = VariantSpec { policy, nu: 4, loop_threshold: 64 };
+                let g = generate_with_spec(&program, spec, &Options::default())
                     .unwrap_or_else(|e| panic!("{name} {policy}: {e}"));
                 let diff = verify(&program, &g.function, policy, 4, 1234)
                     .unwrap_or_else(|e| panic!("{name} {policy}: {e}"));

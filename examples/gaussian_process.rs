@@ -10,13 +10,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 16;
     let program = apps::gpr(n);
     let generated = slingen::generate(&program, &Options::default())?;
-    let diff =
-        slingen::verify(&program, &generated.function, generated.policy, generated.spec.nu, 5)?;
+    let spec = generated.spec;
+    let diff = slingen::verify(&program, &generated.function, spec.policy, spec.nu, 5)?;
     println!("gpr n={n}: verified (max diff {diff:.2e})");
     assert!(diff < 1e-8);
     println!(
         "variant {}, {:.0} cycles, {:.2} f/c nominal",
-        generated.policy,
+        spec.policy,
         generated.report.cycles,
         apps::nominal_flops("gpr", n, 0) / generated.report.cycles
     );

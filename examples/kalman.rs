@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let generated = slingen::generate(&program, &Options::default())?;
-    let diff =
-        slingen::verify(&program, &generated.function, generated.policy, generated.spec.nu, 9)?;
+    let spec = generated.spec;
+    let diff = slingen::verify(&program, &generated.function, spec.policy, spec.nu, 9)?;
     println!("verification vs reference semantics: max diff {diff:.2e}");
     assert!(diff < 1e-8);
 
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flops = apps::nominal_flops("kf", n, 0);
     println!(
         "SLinGen ({}): {:.0} cycles, {:.2} f/c",
-        generated.policy,
+        spec.policy,
         generated.report.cycles,
         flops / generated.report.cycles
     );

@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("parsed:\n{program}");
 
     let generated = slingen::generate(&program, &slingen::Options::default())?;
-    let diff =
-        slingen::verify(&program, &generated.function, generated.policy, generated.spec.nu, 11)?;
+    let spec = generated.spec;
+    let diff = slingen::verify(&program, &generated.function, spec.policy, spec.nu, 11)?;
     println!(
         "4 unrolled steps: {:.0} cycles, verified (max diff {diff:.2e})",
         generated.report.cycles
@@ -32,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the state-update statement appears once per iteration in the
     // synthesized basic program
     let mut db = slingen_synth::AlgorithmDb::new();
-    let basic =
-        slingen_synth::synthesize_program(&program, generated.policy, generated.spec.nu, &mut db)?;
+    let basic = slingen_synth::synthesize_program(&program, spec.policy, spec.nu, &mut db)?;
     assert_eq!(basic.stmts.len(), 4, "one statement per unrolled iteration");
     Ok(())
 }

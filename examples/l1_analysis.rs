@@ -9,8 +9,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 24;
     let program = apps::l1a(n);
     let generated = slingen::generate(&program, &Options::default())?;
-    let diff =
-        slingen::verify(&program, &generated.function, generated.policy, generated.spec.nu, 3)?;
+    let spec = generated.spec;
+    let diff = slingen::verify(&program, &generated.function, spec.policy, spec.nu, 3)?;
     println!("l1a n={n}: verified (max diff {diff:.2e})");
     assert!(diff < 1e-8);
     println!(

@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ngenerated C:\n{}", generated.c_code);
 
     // verify the generated code against the reference semantics
-    let diff =
-        slingen::verify(&program, &generated.function, generated.policy, generated.spec.nu, 42)?;
+    let spec = generated.spec;
+    let diff = slingen::verify(&program, &generated.function, spec.policy, spec.nu, 42)?;
     println!("max |generated - reference| = {diff:.2e}");
     assert!(diff < 1e-9);
     Ok(())

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full SLinGen pipeline on every benchmark,
 //! validated against the BLAS/LAPACK substrate, across widths and sizes.
 
-use slingen::{apps, generate_with_policy, Options};
+use slingen::{apps, generate_with_spec, Options, VariantSpec};
 use slingen_blas::{testgen, Uplo};
 use slingen_ir::OpId;
 use slingen_lgen::BufferMap;
@@ -15,8 +15,8 @@ fn execute(
     policy: Policy,
     inputs: &[(OpId, Vec<f64>)],
 ) -> Vec<Vec<f64>> {
-    let opts = Options { nu, policy: Some(policy), ..Options::default() };
-    let g = generate_with_policy(program, policy, &opts).expect("generate");
+    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+    let g = generate_with_spec(program, spec, &Options::default()).expect("generate");
     let mut fb = slingen_cir::FunctionBuilder::new("probe", nu);
     let map = BufferMap::build(program, &mut fb);
     let mut bufs = BufferSet::for_function(&g.function);

@@ -69,14 +69,15 @@ fn pressure_lower_bound_holds_on_every_point() {
 
 /// The acceptance bound of the search refactor: the default tuner can
 /// never lose to the historical 2-policy autotuner (both policies at the
-/// options' ν and loop threshold).
+/// options' ν and loop threshold 64).
 #[test]
 fn tuned_winner_never_loses_to_the_two_policy_fanout() {
     for (name, program) in paper_apps() {
         let opts = Options::default();
         let tuned = slingen::generate(&program, &opts).unwrap();
-        for policy in slingen_synth::Policy::ALL {
-            let old = slingen::generate_with_policy(&program, policy, &opts).unwrap();
+        for policy in Policy::ALL {
+            let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+            let old = generate_with_spec(&program, spec, &opts).unwrap();
             assert!(
                 tuned.report.cycles <= old.report.cycles + 1e-9,
                 "{name}: tuned {} loses to 2-policy winner {policy}",
@@ -152,13 +153,6 @@ fn cache_replays_identical_artifacts() {
     let other = slingen::generate(&apps::trtri(6), &opts).unwrap();
     assert!(!other.tuning.cache_hit);
     assert_eq!(opts.cache.len(), 2);
-    // the search is a pure function of the space, so a request seeded at
-    // another axis member (threshold 256) replays the canonical entry
-    let wider = Options { loop_threshold: 256, cache: opts.cache.clone(), ..Options::default() };
-    let g = slingen::generate(&program, &wider).unwrap();
-    assert!(g.tuning.cache_hit, "an axis-member seed threshold must hit the canonical entry");
-    assert_eq!(g.c_code, cold.c_code);
-    assert_eq!(opts.cache.len(), 2);
     // options that genuinely change the searched space still miss
     let narrowed = Options {
         search: SearchSpace::default().with_loop_thresholds(vec![16, 64]),
@@ -171,24 +165,20 @@ fn cache_replays_identical_artifacts() {
 }
 
 /// The cache key canonicalizes the seed coordinates: requests whose raw
-/// `nu`/`loop_threshold` snap to the same axis members provably run the
-/// same search, so they share one entry instead of missing.
+/// `nu` snaps to the same ν axis provably run the same search, so they
+/// share one entry instead of missing.
 #[test]
 fn cache_canonicalizes_equivalent_seed_options() {
     let program = apps::trtri(8);
-    let opts = Options::default(); // nu 4, threshold 64
+    let opts = Options::default(); // nu 4
     let cold = slingen::generate(&program, &opts).unwrap();
     assert!(!cold.tuning.cache_hit);
-    // Every member of the default threshold axis {16, 64, 256} — and
-    // off-axis values such as 100 and 63 — shares the canonical entry:
-    // the greedy seed is derived from the space, not from the request.
-    // ν = 8 snaps to 4 (the widest member of the AVX2 ν axis). All are
-    // the same canonical search as the cold run.
-    for (nu, thr) in [(4, 16), (4, 64), (4, 256), (4, 100), (4, 63), (8, 64)] {
-        let equiv =
-            Options { nu, loop_threshold: thr, cache: opts.cache.clone(), ..Options::default() };
+    // ν = 8 snaps to 4 (the widest member of the AVX2 ν axis): the same
+    // canonical search as the cold run.
+    for nu in [4, 8] {
+        let equiv = Options { nu, cache: opts.cache.clone(), ..Options::default() };
         let warm = slingen::generate(&program, &equiv).unwrap();
-        assert!(warm.tuning.cache_hit, "(ν={nu}, thr={thr}) must hit the canonical entry");
+        assert!(warm.tuning.cache_hit, "ν={nu} must hit the canonical entry");
         assert_eq!(warm.c_code, cold.c_code);
         assert_eq!(warm.spec, cold.spec);
     }
@@ -222,15 +212,39 @@ fn exhaustive_stats_reconcile_with_the_space() {
     }
 }
 
-/// A pinned policy bypasses the search but still reports its spec.
+/// A pinned spec evaluates exactly that one point, bypasses the cache,
+/// and reports its one representative's cost.
 #[test]
 fn pinned_policy_skips_search() {
     let program = apps::potrf(6);
-    let opts = Options { policy: Some(slingen_synth::Policy::Lazy), ..Options::default() };
-    let g = slingen::generate(&program, &opts).unwrap();
-    assert_eq!(g.policy, slingen_synth::Policy::Lazy);
+    let opts = Options::default();
+    let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+    let g = generate_with_spec(&program, spec, &opts).unwrap();
+    assert_eq!(g.spec, spec);
     assert_eq!(g.tuning.explored, 1);
     assert_eq!(opts.cache.stats(), (0, 0), "pinned generation must not consult the cache");
+    assert_eq!(g.rep_costs.len(), 1);
+    assert_eq!(g.rep_costs[0].spec, spec);
+}
+
+/// A pinned ν the target lacks is an error before any stage runs — never
+/// code typed for another vector unit, and never a panic.
+#[test]
+fn pinned_width_must_be_a_target_width() {
+    let program = apps::potrf(8);
+    let mut wrong = Vec::new();
+    for (target, nu) in
+        [(Target::Sse2, 4), (Target::Scalar, 4), (Target::Avx2, 8), (Target::Avx2, 3)]
+    {
+        let spec = VariantSpec { policy: Policy::Lazy, nu, loop_threshold: 64 };
+        let opts = Options::for_target(target);
+        match std::panic::catch_unwind(|| generate_with_spec(&program, spec, &opts).is_ok()) {
+            Ok(false) => {}
+            Ok(true) => wrong.push(format!("{target} accepted ν={nu}")),
+            Err(_) => wrong.push(format!("{target} panicked on ν={nu}")),
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:?}");
 }
 
 /// An empty search space is a graceful error under every strategy, not a
