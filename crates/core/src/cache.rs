@@ -6,8 +6,11 @@
 //!
 //! * **One short lock** — one `Mutex` guards one map whose entries are
 //!   shared handles (`Arc`s). The lock covers a lookup, an `Arc` clone
-//!   and the counters; every copy of a kernel (the `Generated` a hit
-//!   returns) and every file write happen after it is released.
+//!   and the counters; a hit hands out the stored `Arc<CachedWin>`
+//!   itself, so the serve engine renders straight from the shared entry
+//!   (its JSON-escaped C is built once, on first use). Only the library's
+//!   `generate()` copies the kernel into an owned `Generated`, and it
+//!   does so, like every file write, after the lock is released.
 //! * **In-flight dedupe** — the first request for a key installs an
 //!   in-flight *flight* record; concurrent requests for the same key
 //!   block on its condvar and receive the owner's result (or its error)
@@ -47,7 +50,6 @@
 //! accepts both versions, so existing v1 files keep warm-loading
 //! unchanged.
 
-use crate::pipeline::Generated;
 use crate::tuner::{TuneStats, VariantSpec};
 use crate::Error;
 use slingen_cir::Function;
@@ -56,7 +58,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 const MAGIC: &str = "slingen-tunecache";
 /// Version written by [`TuneCache::save`].
@@ -65,7 +67,8 @@ const VERSION: u32 = 2;
 /// a strict subset of v2, so they parse unchanged.
 const ACCEPTED_VERSIONS: [u32; 2] = [1, 2];
 
-/// The cached outcome of one tuned generation, fully materialized.
+/// The cached outcome of one tuned generation, fully materialized and
+/// shared (behind an `Arc`) by every request that hits it.
 #[derive(Debug)]
 pub(crate) struct CachedWin {
     pub(crate) spec: VariantSpec,
@@ -74,23 +77,28 @@ pub(crate) struct CachedWin {
     pub(crate) report: Report,
     pub(crate) db_stats: (usize, usize),
     pub(crate) stats: TuneStats,
+    /// `c_code` escaped for a JSON string literal, filled by the first
+    /// `emit:"c"` response rendered from this entry (see
+    /// [`CachedWin::c_json`]), so cold searches never pay for it.
+    c_json: OnceLock<String>,
 }
 
 impl CachedWin {
-    /// Build the public result of a cache hit — the one copy a hit
-    /// makes, taken outside the cache lock. `coalesced` marks waiters
-    /// that received this win from an in-flight search.
-    pub(crate) fn to_generated(&self, coalesced: bool) -> Generated {
-        Generated {
-            function: self.function.clone(),
-            c_code: self.c_code.clone(),
-            spec: self.spec,
-            report: self.report.clone(),
-            db_stats: self.db_stats,
-            tuning: TuneStats { cache_hit: true, coalesced, ..self.stats },
-            rep_costs: Vec::new(),
-            hw_trials: Vec::new(),
-        }
+    pub(crate) fn new(
+        spec: VariantSpec,
+        function: Function,
+        c_code: String,
+        report: Report,
+        db_stats: (usize, usize),
+        stats: TuneStats,
+    ) -> CachedWin {
+        CachedWin { spec, function, c_code, report, db_stats, stats, c_json: OnceLock::new() }
+    }
+
+    /// The emitted C escaped for a JSON string literal, built once per
+    /// entry and shared by every later response.
+    pub(crate) fn c_json(&self) -> &str {
+        self.c_json.get_or_init(|| crate::serve::escape_json(&self.c_code))
     }
 }
 
@@ -291,15 +299,14 @@ impl TuneCache {
                 }
             }
         };
-        // Copy the win, or wait for the owner to publish, outside the lock.
-        let (win, coalesced) = match found {
-            Ok(win) => (win, false),
+        // Wait for an in-flight owner to publish outside the lock.
+        match found {
+            Ok(win) => Claim::Hit { win, coalesced: false },
             Err(flight) => match flight.wait() {
-                Ok(win) => (win, true),
-                Err(e) => return Claim::Failed(e),
+                Ok(win) => Claim::Hit { win, coalesced: true },
+                Err(e) => Claim::Failed(e),
             },
-        };
-        Claim::Hit(Box::new(win.to_generated(coalesced)))
+        }
     }
 
     /// Store a freshly loaded persisted entry (load path only).
@@ -412,9 +419,9 @@ impl fmt::Debug for TuneCache {
 /// How a [`TuneCache::claim`] resolved.
 pub(crate) enum Claim {
     /// The key was cached (or an in-flight search finished): here is the
-    /// replayed result (boxed — a `Generated` carries the whole C-IR
-    /// function).
-    Hit(Box<Generated>),
+    /// stored win itself, shared, not copied. `coalesced` marks a request
+    /// that waited on that in-flight search.
+    Hit { win: Arc<CachedWin>, coalesced: bool },
     /// Nothing cached: the caller owns the search for this key and must
     /// settle the ticket.
     Owner(Ticket),
@@ -452,9 +459,10 @@ impl Ticket {
     }
 
     /// Publish the finished win: the slot becomes [`Entry::Ready`] and
-    /// waiters wake sharing it. A re-materialized loaded entry
-    /// (`stats.persisted`) counts as the hit of the claim that owned it.
-    pub(crate) fn fulfill(mut self, win: CachedWin) {
+    /// waiters wake sharing it; returns the published handle. A
+    /// re-materialized loaded entry (`stats.persisted`) counts as the hit
+    /// of the claim that owned it.
+    pub(crate) fn fulfill(mut self, win: CachedWin) -> Arc<CachedWin> {
         self.settled = true;
         let win = Arc::new(win);
         let key = std::mem::take(&mut self.key);
@@ -465,7 +473,8 @@ impl Ticket {
             let slot = Slot { entry: Entry::Ready(win.clone()), last_hit: s.tick() };
             s.map.insert(key, slot);
         }
-        self.flight.publish(Ok(win));
+        self.flight.publish(Ok(win.clone()));
+        win
     }
 
     /// Publish a failure: waiters wake with the (cloned) error, the slot
@@ -619,7 +628,8 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Barrier, OnceLock};
+    use crate::pipeline::Generated;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     /// A cached win whose C is `/* tag */`, so tests can tell wins apart.
@@ -628,14 +638,8 @@ mod tests {
         let g = BASE.get_or_init(|| {
             crate::generate(&crate::apps::potrf(3), &crate::Options::default()).unwrap()
         });
-        CachedWin {
-            spec: g.spec,
-            function: g.function.clone(),
-            c_code: format!("/* {tag} */"),
-            report: g.report.clone(),
-            db_stats: g.db_stats,
-            stats: g.tuning,
-        }
+        let c_code = format!("/* {tag} */");
+        CachedWin::new(g.spec, g.function.clone(), c_code, g.report.clone(), g.db_stats, g.tuning)
     }
 
     fn owner(cache: &TuneCache, key: &str) -> Ticket {
@@ -645,9 +649,10 @@ mod tests {
         }
     }
 
-    fn hit(claim: Claim) -> Generated {
+    /// The shared win of a hit, and whether it coalesced.
+    fn hit(claim: Claim) -> (Arc<CachedWin>, bool) {
         match claim {
-            Claim::Hit(g) => *g,
+            Claim::Hit { win, coalesced } => (win, coalesced),
             Claim::Owner(_) => panic!("expected a hit, got ownership"),
             Claim::Failed(e) => panic!("expected a hit, got {e}"),
         }
@@ -682,7 +687,7 @@ mod tests {
                                 t.fulfill(win("owner"));
                                 None
                             }
-                            other => Some(hit(other).c_code),
+                            other => Some(hit(other).0.c_code.clone()),
                         }
                     })
                 })
@@ -712,7 +717,7 @@ mod tests {
         assert!(errors.iter().all(|e| e.contains("boom")), "{errors:?}");
         assert!(cache.is_empty(), "a failed search leaves no entry");
         owner(&cache, "k").fulfill(win("retry"));
-        assert_eq!(hit(cache.claim("k")).c_code, "/* retry */");
+        assert_eq!(hit(cache.claim("k")).0.c_code, "/* retry */");
     }
 
     #[test]
@@ -745,15 +750,28 @@ mod tests {
         let mut ticket = owner(&cache, "k");
         let payload = ticket.take_persisted().expect("the owner receives the payload");
         assert_eq!(payload.c_code, "/* disk */");
-        let waited = std::thread::scope(|s| {
+        let (waited, coalesced) = std::thread::scope(|s| {
             let waiter = s.spawn(|| hit(cache.claim("k")));
             await_coalesced(&cache, 1);
             ticket.fulfill(CachedWin { stats: payload.stats, ..w });
             waiter.join().unwrap()
         });
         assert_eq!(waited.c_code, "/* disk */");
-        assert!(waited.tuning.coalesced && waited.tuning.persisted);
-        assert!(!hit(cache.claim("k")).tuning.coalesced, "later claims are plain hits");
+        assert!(coalesced && waited.stats.persisted);
+        assert!(!hit(cache.claim("k")).1, "later claims are plain hits");
+    }
+
+    #[test]
+    fn hits_share_the_stored_win_and_escape_its_c_once() {
+        let cache = TuneCache::new();
+        let published = owner(&cache, "k").fulfill(win("say \"hi\"\n"));
+        let (first, _) = hit(cache.claim("k"));
+        let (second, _) = hit(cache.claim("k"));
+        assert!(Arc::ptr_eq(&first, &published), "a hit returns the published win");
+        assert!(Arc::ptr_eq(&first, &second), "every hit shares one win");
+        let rendered = first.c_json();
+        assert_eq!(rendered, crate::serve::escape_json(&first.c_code));
+        assert_eq!(rendered.as_ptr(), second.c_json().as_ptr(), "the C is escaped once per entry");
     }
 
     #[test]
@@ -770,7 +788,7 @@ mod tests {
         assert!(!file.contains("pending"), "in-flight entries are never written");
         assert_eq!(cache.len(), 1, "every settled entry is evicted, the in-flight one kept");
         ticket.fulfill(win("pending"));
-        assert_eq!(hit(cache.claim("pending")).c_code, "/* pending */");
+        assert_eq!(hit(cache.claim("pending")).0.c_code, "/* pending */");
         assert_eq!(cache.save_capped(&path, Some(0)).unwrap(), 0);
         assert!(cache.is_empty());
         let _ = std::fs::remove_file(&path);

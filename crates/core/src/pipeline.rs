@@ -116,11 +116,16 @@ impl Generated {
     /// timing produced it, `"model"` otherwise (including hardware-mode
     /// fallbacks).
     pub fn cycles_source(&self) -> &'static str {
-        if self.report.measured.is_some() {
-            "measured"
-        } else {
-            "model"
-        }
+        cycles_source(&self.report)
+    }
+}
+
+/// [`Generated::cycles_source`] of a winner's report.
+pub(crate) fn cycles_source(report: &Report) -> &'static str {
+    if report.measured.is_some() {
+        "measured"
+    } else {
+        "model"
     }
 }
 
@@ -197,7 +202,7 @@ pub fn generate_with_spec(
 /// Returns [`Error`] if every variant fails; individual variant failures
 /// are tolerated as long as one succeeds.
 pub fn generate(program: &Program, options: &Options) -> Result<Generated, Error> {
-    tuner::tune(program, options)
+    tuner::tune(program, options).map(tuner::Tuned::into_generated)
 }
 
 #[cfg(test)]

@@ -27,22 +27,32 @@
 //!
 //! [`serve_lines`] runs a worker pool over a line stream: N workers pull
 //! requests off a channel and write completed responses (in completion
-//! order — correlate by `id`) through a shared writer. Workers share the
-//! engine's cache, so identical concurrent requests coalesce onto one
-//! search; the cache lock covers only a lookup, so hits copy their
-//! kernel without blocking other workers.
+//! order — correlate by `id`) through a shared writer. A line longer than
+//! [`MAX_LINE`] bytes is answered with an error and skipped without being
+//! buffered. Workers share the engine's cache, so identical concurrent
+//! requests coalesce onto one search. The cache lock covers only a
+//! lookup, and a hit copies no kernel: the response is rendered straight
+//! from the cache's shared entry, whose JSON-escaped C is built once, by
+//! the first `emit:"c"` response for that entry.
 
 use crate::cache::TuneCache;
 use crate::measure::MeasureConfig;
-use crate::pipeline::{Generated, Options};
+use crate::pipeline::{cycles_source, Options};
+use crate::tuner::TuneStats;
 use crate::{apps, Target};
-use std::io::{BufRead, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Largest accepted operand size: the generator is fully unrolled, so
 /// cold searches beyond this are minutes, not milliseconds.
 pub const MAX_N: usize = 64;
+
+/// Longest accepted request line in bytes, newline excluded. Requests are
+/// a few dozen bytes; [`serve_lines`] answers a longer line with an error
+/// and skips it without buffering it.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// A scalar JSON value (requests are flat objects of scalars).
 #[derive(Debug, Clone, PartialEq)]
@@ -78,20 +88,36 @@ impl Scalar {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
+/// Escape a string for embedding in a JSON string literal: `"`, `\\`,
+/// `\n`, `\r` and `\t` get their short escapes, other bytes below 0x20
+/// become `\u00XX`, and everything else is copied unchanged.
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(s.len() + s.len() / 16 + 8);
+    let mut clean = 0;
+    // Every byte that needs escaping is ASCII, so each clean run ends on
+    // a char boundary and is copied with one `push_str`.
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(short);
         }
     }
+    out.push_str(&s[clean..]);
     out
 }
 
@@ -293,12 +319,12 @@ impl Request {
 }
 
 /// How a response was served, from its tuning stats.
-fn cache_marker(g: &Generated) -> &'static str {
-    if g.tuning.coalesced {
+fn cache_marker(stats: &TuneStats) -> &'static str {
+    if stats.coalesced {
         "coalesced"
-    } else if g.tuning.cache_hit && g.tuning.persisted {
+    } else if stats.cache_hit && stats.persisted {
         "persisted"
-    } else if g.tuning.cache_hit {
+    } else if stats.cache_hit {
         "hit"
     } else {
         "miss"
@@ -370,7 +396,9 @@ impl Engine {
     }
 
     /// Generate (or replay) the kernel for one parsed request and render
-    /// its response line.
+    /// its response line. The response is read straight from the cache's
+    /// shared entry (spec, report, escaped C) into one allocation; no
+    /// kernel is copied.
     pub fn handle(&self, req: &Request) -> Result<String, String> {
         let program = req.program()?;
         let options = Options {
@@ -378,13 +406,20 @@ impl Engine {
             measure: self.measure.clone(),
             ..Options::for_target(req.target)
         };
-        let g = crate::generate(&program, &options).map_err(|e| e.to_string())?;
-        let source = g.cycles_source();
+        let tuned = crate::tuner::tune(&program, &options).map_err(|e| e.to_string())?;
+        let win = &*tuned.win;
+        let source = cycles_source(&win.report);
         match source {
             "measured" => self.served_measured.fetch_add(1, Ordering::Relaxed),
             _ => self.served_model.fetch_add(1, Ordering::Relaxed),
         };
-        let mut resp = format!(
+        let c = (req.emit == Emit::Code).then(|| win.c_json());
+        // The fixed fields, the winner spec and two numbers take well
+        // under 256 bytes; only the echoed id and app and the C vary.
+        let len = 256 + req.id.len() + req.app.len() + c.map_or(0, str::len);
+        let mut resp = String::with_capacity(len);
+        let _ = write!(
+            resp,
             "{{\"id\":{},\"ok\":true,\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"cache\":\"{}\",\
              \"cycles_source\":\"{source}\",\
              \"winner\":\"{}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
@@ -392,13 +427,15 @@ impl Engine {
             req.app,
             req.n,
             req.target,
-            cache_marker(&g),
-            g.spec,
-            g.report.cycles,
-            g.flops_per_cycle(),
+            cache_marker(&tuned.stats),
+            win.spec,
+            win.report.cycles,
+            win.report.flops_per_cycle(),
         );
-        if req.emit == Emit::Code {
-            resp.push_str(&format!(",\"c\":\"{}\"", escape_json(&g.c_code)));
+        if let Some(c) = c {
+            resp.push_str(",\"c\":\"");
+            resp.push_str(c);
+            resp.push('"');
         }
         resp.push('}');
         Ok(resp)
@@ -429,16 +466,20 @@ impl Engine {
 pub struct ServeSummary {
     /// Request lines handled (blank lines are skipped).
     pub requests: usize,
-    /// Requests that produced an error response.
+    /// Requests that produced an error response, over-long and non-UTF-8
+    /// lines included.
     pub errors: usize,
 }
 
 /// Pump line-delimited requests from `input` through a pool of `workers`
 /// threads sharing `engine`, writing one response line per request to
-/// `output` *in completion order* (correlate by `id`). Returns totals.
+/// `output` *in completion order* (correlate by `id`). A line longer than
+/// [`MAX_LINE`] bytes, or one that is not UTF-8, gets an error response
+/// from the reader itself and is never handed to a worker. Returns
+/// totals.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     engine: &Engine,
-    input: R,
+    mut input: R,
     output: W,
     workers: usize,
 ) -> std::io::Result<ServeSummary> {
@@ -447,6 +488,19 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
     let out = Mutex::new(output);
     let requests = AtomicUsize::new(0);
     let errors = AtomicUsize::new(0);
+    let respond = |resp: &str, ok: bool| {
+        requests.fetch_add(1, Ordering::Relaxed);
+        if !ok {
+            errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut out = out.lock().expect("no thread panics while writing a response");
+        let _ = writeln!(out, "{resp}");
+        let _ = out.flush();
+    };
+    // Lines the reader rejects before any parse: no id to echo.
+    let reject = |error: &str| {
+        respond(&format!("{{\"id\":null,\"ok\":false,\"error\":\"{error}\"}}"), false)
+    };
     let mut read_err = None;
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
@@ -456,26 +510,42 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
                     Err(_) => break,
                 };
                 let (resp, ok) = engine.handle_line_tagged(&line);
-                requests.fetch_add(1, Ordering::Relaxed);
-                if !ok {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut out = out.lock().unwrap();
-                let _ = writeln!(out, "{resp}");
-                let _ = out.flush();
+                respond(&resp, ok);
             });
         }
-        for line in input.lines() {
-            match line {
-                Ok(l) => {
-                    if !l.trim().is_empty() && tx.send(l).is_err() {
-                        break;
-                    }
-                }
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells an over-long line from one that
+            // is exactly `MAX_LINE` bytes plus its newline.
+            let read = (&mut input).take(MAX_LINE as u64 + 1).read_until(b'\n', &mut buf);
+            match read {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(e) => {
                     read_err = Some(e);
                     break;
                 }
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_LINE {
+                if let Err(e) = input.skip_until(b'\n') {
+                    read_err = Some(e);
+                    break;
+                }
+                reject(&format!("request line exceeds {MAX_LINE} bytes"));
+                continue;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                reject("request line is not UTF-8");
+                continue;
+            };
+            if !line.trim().is_empty() && tx.send(line.to_string()).is_err() {
+                break;
             }
         }
         drop(tx);
@@ -545,5 +615,40 @@ mod tests {
     fn escape_round_trips_controls() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    /// The char-by-char escaper `escape_json` replaced, kept as its oracle.
+    fn escape_json_charwise(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 8);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_matches_the_charwise_oracle() {
+        let mut cases: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        cases.extend([
+            String::new(),
+            "\u{7f}".into(),
+            "\"\"quoted\"\"".into(),
+            "back\\slash\\\\".into(),
+            "é ü ∑ 𝄞 — multi-byte \u{80}\u{7ff}\u{800}\u{ffff}\u{10ffff}".into(),
+            format!("x{controls}\u{7f}\"\\é\n𝄞y"),
+            crate::generate(&apps::potrf(16), &crate::Options::default()).unwrap().c_code,
+        ]);
+        for case in &cases {
+            assert_eq!(escape_json(case), escape_json_charwise(case), "{case:?}");
+        }
     }
 }

@@ -996,7 +996,44 @@ fn materialize_persisted(
     }
     let report = Report::from_wire(options.machine.clone(), &p.report_wire)
         .ok_or("persisted report line is unparsable")?;
-    Ok(CachedWin { spec, function, c_code, report, db_stats: p.db_stats, stats: p.stats })
+    Ok(CachedWin::new(spec, function, c_code, report, p.db_stats, p.stats))
+}
+
+/// What [`tune`] hands back: the cache's shared win plus this request's
+/// own view of how it was served. Hits copy nothing; the serve engine
+/// renders straight from `win`, and [`Tuned::into_generated`] makes the
+/// one owned copy library callers get.
+pub(crate) struct Tuned {
+    pub(crate) win: Arc<CachedWin>,
+    /// `win.stats` with this request's hit, persisted and coalesced flags.
+    pub(crate) stats: TuneStats,
+    /// Per-representative costs of the search; empty on hits.
+    pub(crate) rep_costs: Vec<RepCost>,
+    /// Stage-two hardware timings of the search; empty on hits.
+    pub(crate) hw_trials: Vec<HwTrial>,
+}
+
+impl Tuned {
+    /// A request served from a stored (or just re-materialized) win.
+    fn replay(win: Arc<CachedWin>, coalesced: bool) -> Tuned {
+        let stats = TuneStats { cache_hit: true, coalesced, ..win.stats };
+        Tuned { win, stats, rep_costs: Vec::new(), hw_trials: Vec::new() }
+    }
+
+    /// Copy the shared win into the owned public result.
+    pub(crate) fn into_generated(self) -> Generated {
+        let win = &*self.win;
+        Generated {
+            function: win.function.clone(),
+            c_code: win.c_code.clone(),
+            spec: win.spec,
+            report: win.report.clone(),
+            db_stats: win.db_stats,
+            tuning: self.stats,
+            rep_costs: self.rep_costs,
+            hw_trials: self.hw_trials,
+        }
+    }
 }
 
 /// Run the autotuning search for `program` under `options`, consulting
@@ -1010,7 +1047,11 @@ fn materialize_persisted(
 /// from a cache file replay without searching: the winning spec is
 /// re-lowered deterministically and checked byte-identical against the
 /// persisted C before being served ([`TuneStats::persisted`]).
-pub(crate) fn tune(program: &Program, options: &Options) -> Result<Generated, Error> {
+///
+/// Every outcome (miss, hit, persisted, coalesced) returns the win the
+/// cache stores, shared: a miss moves its artifacts into the cache, and
+/// no path copies a kernel here.
+pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error> {
     if options.search.is_empty() {
         return Err(Error::Synth(slingen_synth::SynthError::Unsupported(
             "empty autotuning search space".into(),
@@ -1018,17 +1059,13 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Generated, Er
     }
     let key = cache_key(program, options);
     let mut ticket = match options.cache.claim(&key) {
-        Claim::Hit(g) => return Ok(*g),
+        Claim::Hit { win, coalesced } => return Ok(Tuned::replay(win, coalesced)),
         Claim::Failed(e) => return Err(e),
         Claim::Owner(t) => t,
     };
     if let Some(p) = ticket.take_persisted() {
         match materialize_persisted(program, options, &p) {
-            Ok(win) => {
-                let g = win.to_generated(false);
-                ticket.fulfill(win);
-                return Ok(g);
-            }
+            Ok(win) => return Ok(Tuned::replay(ticket.fulfill(win), false)),
             Err(reason) => {
                 eprintln!(
                     "slingen: persisted entry for `{}` unusable ({reason}); re-searching",
@@ -1048,15 +1085,9 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Generated, Er
     }
     match search.into_generated() {
         Ok(g) => {
-            ticket.fulfill(CachedWin {
-                spec: g.spec,
-                function: g.function.clone(),
-                c_code: g.c_code.clone(),
-                report: g.report.clone(),
-                db_stats: g.db_stats,
-                stats: g.tuning,
-            });
-            Ok(g)
+            let win = CachedWin::new(g.spec, g.function, g.c_code, g.report, g.db_stats, g.tuning);
+            let win = ticket.fulfill(win);
+            Ok(Tuned { win, stats: g.tuning, rep_costs: g.rep_costs, hw_trials: g.hw_trials })
         }
         Err(e) => {
             ticket.fail(e.clone());

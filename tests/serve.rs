@@ -3,8 +3,8 @@
 //! receive byte-identical artifacts, and the line protocol must answer
 //! every request with exactly one well-formed response.
 
-use slingen::serve::{serve_lines, Engine};
-use slingen::{apps, Options, Target, TuneCache};
+use slingen::serve::{escape_json, serve_lines, Engine, ServeSummary, MAX_LINE};
+use slingen::{apps, Generated, Options, Target, TuneCache};
 use std::sync::Barrier;
 
 /// K threads racing on the *same* kernel: exactly one search runs; the
@@ -162,4 +162,162 @@ fn serve_lines_answers_every_request() {
     }
     // the three potrf(4) requests ran exactly one search among them
     assert_eq!(engine.cache().searches(), 2, "potrf(4) and trtri(4)");
+}
+
+/// The response line for `g`, rendered the way the engine rendered an
+/// owned `Generated` before it served hits from the cache's shared entry:
+/// the oracle the engine's output must match byte for byte.
+fn render_generated(id: u64, req: &ReqSpec, code: bool, g: &Generated) -> String {
+    let t = &g.tuning;
+    let marker = if t.coalesced {
+        "coalesced"
+    } else if t.cache_hit && t.persisted {
+        "persisted"
+    } else if t.cache_hit {
+        "hit"
+    } else {
+        "miss"
+    };
+    let mut resp = format!(
+        "{{\"id\":{id},\"ok\":true,\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"cache\":\"{marker}\",\
+         \"cycles_source\":\"{}\",\
+         \"winner\":\"{}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
+        req.app,
+        req.n,
+        req.target,
+        g.cycles_source(),
+        g.spec,
+        g.report.cycles,
+        g.flops_per_cycle(),
+    );
+    if code {
+        resp.push_str(&format!(",\"c\":\"{}\"", escape_json(&g.c_code)));
+    }
+    resp.push('}');
+    resp
+}
+
+/// The kernel the rendering test asks for.
+struct ReqSpec {
+    app: &'static str,
+    n: usize,
+    target: Target,
+}
+
+impl ReqSpec {
+    fn line(&self, id: u64, code: bool) -> String {
+        let emit = if code { "c" } else { "summary" };
+        format!(
+            "{{\"id\":{id},\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"emit\":\"{emit}\"}}",
+            self.app, self.n, self.target
+        )
+    }
+
+    fn generate(&self, cache: &TuneCache) -> Generated {
+        let opts = Options { cache: cache.clone(), ..Options::for_target(self.target) };
+        slingen::generate(&apps::by_name(self.app, self.n, None).unwrap(), &opts).unwrap()
+    }
+}
+
+fn marker(resp: &str) -> &str {
+    let rest = &resp[resp.find("\"cache\":\"").expect("a cache marker") + 9..];
+    &rest[..rest.find('"').unwrap()]
+}
+
+/// Responses rendered from the cache's shared entry are byte-identical to
+/// responses rendered from `generate()`'s owned `Generated`, for every
+/// cache marker and both payloads.
+#[test]
+fn responses_match_generate_for_every_cache_marker() {
+    let req = ReqSpec { app: "potrf", n: 5, target: Target::Avx2Fma };
+    let path =
+        std::env::temp_dir().join(format!("slingen-serve-test-{}-render", std::process::id()));
+    for code in [true, false] {
+        // miss, then an in-memory hit
+        let engine = Engine::new(TuneCache::new(), Target::Avx2);
+        let reference = TuneCache::new();
+        for expected in ["miss", "hit"] {
+            let resp = engine.handle_line(&req.line(1, code));
+            assert_eq!(marker(&resp), expected);
+            assert_eq!(resp, render_generated(1, &req, code, &req.generate(&reference)));
+        }
+
+        // the first request after a reload replays the persisted entry
+        engine.cache().save(&path).unwrap();
+        let engine = Engine::new(TuneCache::load_checked(&path).unwrap(), Target::Avx2);
+        let resp = engine.handle_line(&req.line(2, code));
+        let g = req.generate(&TuneCache::load_checked(&path).unwrap());
+        assert_eq!(marker(&resp), "persisted");
+        assert_eq!(resp, render_generated(2, &req, code, &g));
+
+        // requests racing on one search coalesce onto it; retry until both
+        // an engine response and a `generate()` caller were among them
+        let coalesced = (0..20).find_map(|_| {
+            let engine = Engine::new(TuneCache::new(), Target::Avx2);
+            let barrier = Barrier::new(4);
+            let (resps, gens) = std::thread::scope(|s| {
+                let resps: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            engine.handle_line(&req.line(3, code))
+                        })
+                    })
+                    .collect();
+                let gens: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            req.generate(engine.cache())
+                        })
+                    })
+                    .collect();
+                let resps: Vec<String> = resps.into_iter().map(|h| h.join().unwrap()).collect();
+                let gens: Vec<Generated> = gens.into_iter().map(|h| h.join().unwrap()).collect();
+                (resps, gens)
+            });
+            let resp = resps.into_iter().find(|r| marker(r) == "coalesced")?;
+            let g = gens.into_iter().find(|g| g.tuning.coalesced)?;
+            Some((resp, g))
+        });
+        let (resp, g) = coalesced.expect("no race coalesced in 20 attempts");
+        assert_eq!(resp, render_generated(3, &req, code, &g));
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `serve_lines` caps request lines at `MAX_LINE` bytes: a longer line
+/// (here 1 MiB) gets one error response and is skipped, non-UTF-8 input
+/// is an error response too, and the requests after them are answered.
+#[test]
+fn serve_lines_rejects_over_long_lines_and_keeps_serving() {
+    let engine = Engine::new(TuneCache::new(), Target::Avx2);
+    // A summary request padded with an ignored key to exactly `len` bytes.
+    let padded = |id: u64, len: usize| {
+        let head =
+            format!("{{\"id\":{id},\"app\":\"potrf\",\"n\":3,\"emit\":\"summary\",\"pad\":\"");
+        format!("{head}{}\"}}", "x".repeat(len - head.len() - 2))
+    };
+    let mut input = Vec::new();
+    for line in [padded(20, 1 << 20), padded(21, MAX_LINE + 1), padded(22, MAX_LINE)] {
+        input.extend_from_slice(line.as_bytes());
+        input.push(b'\n');
+    }
+    input.extend_from_slice(b"\xff\xfe\n");
+    input.extend_from_slice(br#"{"id":23,"app":"potrf","n":3,"emit":"summary"}"#);
+    input.push(b'\n');
+    let mut out = Vec::new();
+    let summary = serve_lines(&engine, input.as_slice(), &mut out, 2).unwrap();
+    assert_eq!(summary, ServeSummary { requests: 5, errors: 3 });
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<_> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "one response line per request:\n{text}");
+    let too_long = format!("\"error\":\"request line exceeds {MAX_LINE} bytes\"");
+    assert_eq!(lines.iter().filter(|l| l.contains(&too_long)).count(), 2, "{text}");
+    assert!(text.contains("not UTF-8"), "{text}");
+    for id in [22, 23] {
+        let answered = format!("{{\"id\":{id},\"ok\":true");
+        assert!(lines.iter().any(|l| l.starts_with(&answered)), "id {id} unanswered:\n{text}");
+    }
+    assert!(!text.contains("\"id\":20") && !text.contains("\"id\":21"), "{text}");
 }
