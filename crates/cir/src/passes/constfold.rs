@@ -2,11 +2,15 @@
 //!
 //! After full unrolling, `If` conditions on induction variables become
 //! constant; this pass splices in the taken branch. It also removes loops
-//! whose range is statically empty.
+//! whose range is statically empty. Straight-line statement lists have
+//! nothing to fold and are left in place.
 
 use crate::func::{CStmt, Function};
 
 fn fold_stmts(stmts: Vec<CStmt>) -> Vec<CStmt> {
+    if super::is_straight_line(&stmts) {
+        return stmts;
+    }
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {

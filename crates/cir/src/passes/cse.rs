@@ -7,6 +7,15 @@
 //! per-buffer epoch that is bumped by any store to the buffer (distinct
 //! buffers never alias, by C-IR construction).
 //!
+//! Keys see through moves. A `SMov`/`VMov`, including one this pass has
+//! just written, gives its destination's new version the canonical key
+//! of its source, and operand keys resolve through that alias. So once
+//! `p2 = a*b` has become `p2 = p1`, a later `p2 + c` keys like `p1 + c`
+//! and folds in the same walk: a chain of redundancies collapses in one
+//! call instead of one cleanup round per level. The alias is a versioned
+//! key, so it can never join values across a redefinition: after
+//! `r2 = r1; r1 = …`, `r2` still keys as the *old* `r1`.
+//!
 //! Throughput notes: the pass streams over the body and rewrites repeated
 //! computations *in place* (no rebuilt instruction vectors, no clones);
 //! register versions and buffer epochs live in dense tables indexed by
@@ -74,15 +83,50 @@ impl Hash for HashedKey {
     }
 }
 
-/// Pass state: dense version/epoch tables plus the availability maps.
+/// One register's state in the current generation: its version, and,
+/// when that version was written by a move, the canonical key of the
+/// moved value. Slots from an older generation read as version 0 with no
+/// alias.
+#[derive(Debug, Clone, Copy)]
+struct Slot<K> {
+    gen: u32,
+    ver: u32,
+    alias: Option<K>,
+}
+
+impl<K> Default for Slot<K> {
+    fn default() -> Self {
+        Slot { gen: 0, ver: 0, alias: None }
+    }
+}
+
+impl<K: Copy> Slot<K> {
+    /// `(version, alias)` as seen from generation `gen`.
+    fn read(slots: &[Self], i: usize, gen: u32) -> (u32, Option<K>) {
+        match slots.get(i) {
+            Some(s) if s.gen == gen => (s.ver, s.alias),
+            _ => (0, None),
+        }
+    }
+
+    /// Record a write of register `i` in generation `gen`.
+    fn define(slots: &mut Vec<Self>, i: usize, gen: u32, alias: Option<K>) {
+        super::grow_update(slots, i, |s| {
+            let ver = if s.gen == gen { s.ver + 1 } else { 1 };
+            *s = Slot { gen, ver, alias };
+        });
+    }
+}
+
+/// Pass state: dense register/epoch tables plus the availability maps.
 ///
-/// Table slots are `(generation, value)` pairs; a slot from an older
-/// generation reads as the default, which makes [`Cse::reset`] O(1)
-/// regardless of table size (no per-boundary refills).
+/// Table slots carry a generation tag; a slot from an older generation
+/// reads as the default, which makes [`Cse::reset`] O(1) regardless of
+/// table size (no per-boundary refills).
 struct Cse {
     gen: u32,
-    svers: Vec<(u32, u32)>,
-    vvers: Vec<(u32, u32)>,
+    sregs: Vec<Slot<SKey>>,
+    vregs: Vec<Slot<VKey>>,
     epochs: Vec<(u32, u64)>,
     avail_s: FxHashMap<HashedKey, (SReg, u32)>,
     avail_v: FxHashMap<HashedKey, (VReg, u32)>,
@@ -94,8 +138,8 @@ impl Cse {
     fn for_function(f: &Function) -> Self {
         Cse {
             gen: 0,
-            svers: vec![(0, 0); f.n_sregs],
-            vvers: vec![(0, 0); f.n_vregs],
+            sregs: vec![Slot::default(); f.n_sregs],
+            vregs: vec![Slot::default(); f.n_vregs],
             epochs: vec![(0, 0); f.buffers.len()],
             avail_s: FxHashMap::default(),
             avail_v: FxHashMap::default(),
@@ -111,16 +155,10 @@ impl Cse {
     }
 
     fn sver(&self, r: SReg) -> u32 {
-        match self.svers.get(r.0) {
-            Some((g, v)) if *g == self.gen => *v,
-            _ => 0,
-        }
+        Slot::read(&self.sregs, r.0, self.gen).0
     }
     fn vver(&self, r: VReg) -> u32 {
-        match self.vvers.get(r.0) {
-            Some((g, v)) if *g == self.gen => *v,
-            _ => 0,
-        }
+        Slot::read(&self.vregs, r.0, self.gen).0
     }
     fn epoch(&self, b: usize) -> u64 {
         match self.epochs.get(b) {
@@ -128,32 +166,27 @@ impl Cse {
             _ => 0,
         }
     }
-    fn bump_s(&mut self, r: SReg) {
-        let gen = self.gen;
-        super::grow_update(&mut self.svers, r.0, |s| {
-            *s = if s.0 == gen { (gen, s.1 + 1) } else { (gen, 1) }
-        });
-    }
-    fn bump_v(&mut self, r: VReg) {
-        let gen = self.gen;
-        super::grow_update(&mut self.vvers, r.0, |s| {
-            *s = if s.0 == gen { (gen, s.1 + 1) } else { (gen, 1) }
-        });
-    }
     fn bump_epoch(&mut self, b: usize) {
         let gen = self.gen;
         super::grow_update(&mut self.epochs, b, |s| {
             *s = if s.0 == gen { (gen, s.1 + 1) } else { (gen, 1) }
         });
     }
+    /// The canonical key of a scalar operand: the key of the value a move
+    /// copied into the register, else the register at its version.
     fn skey(&self, o: &SOperand) -> SKey {
         match o {
-            SOperand::Reg(r) => SKey::Reg(*r, self.sver(*r)),
+            SOperand::Reg(r) => {
+                let (ver, alias) = Slot::read(&self.sregs, r.0, self.gen);
+                alias.unwrap_or(SKey::Reg(*r, ver))
+            }
             SOperand::Imm(v) => SKey::Imm(v.to_bits()),
         }
     }
+    /// The canonical key of a vector register (see [`Cse::skey`]).
     fn vkey(&self, r: VReg) -> VKey {
-        (r, self.vver(r))
+        let (ver, alias) = Slot::read(&self.vregs, r.0, self.gen);
+        alias.unwrap_or((r, ver))
     }
 }
 
@@ -246,11 +279,22 @@ fn process(st: &mut Cse, ins: &mut Instr) -> bool {
         }
         _ => {}
     }
+    // a move's destination takes the canonical key of its source, read
+    // before the write bumps versions (the source may be the destination)
+    let gen = st.gen;
     if let Some(r) = ins.sreg_write() {
-        st.bump_s(r);
+        let alias = match &*ins {
+            Instr::SMov { a, .. } => Some(st.skey(a)),
+            _ => None,
+        };
+        Slot::define(&mut st.sregs, r.0, gen, alias);
     }
     if let Some(r) = ins.vreg_write() {
-        st.bump_v(r);
+        let alias = match &*ins {
+            Instr::VMov { src, .. } => Some(st.vkey(*src)),
+            _ => None,
+        };
+        Slot::define(&mut st.vregs, r.0, gen, alias);
     }
     if let Some(k) = key {
         if let Some(r) = ins.sreg_write() {
@@ -449,6 +493,75 @@ mod tests {
         });
         assert_eq!(vmuls, 1);
         assert_eq!(vmovs, 1);
+    }
+
+    /// Count the instructions of `f` that `pred` selects.
+    fn count(f: &Function, pred: impl Fn(&Instr) -> bool) -> usize {
+        let mut n = 0;
+        f.for_each_instr(&mut |i| n += usize::from(pred(i)));
+        n
+    }
+
+    /// A two-level cascade: the second `a*b` becomes a move, and keys see
+    /// through that move, so the second `(a*b) + c` folds in the same call.
+    #[test]
+    fn scalar_cascade_collapses_in_one_call() {
+        let mut b = FunctionBuilder::new("f", 1);
+        let x = b.buffer("x", 3, BufKind::ParamIn);
+        let t = b.buffer("t", 2, BufKind::ParamOut);
+        let (a, bb, c) =
+            (b.sload(MemRef::new(x, 0)), b.sload(MemRef::new(x, 1)), b.sload(MemRef::new(x, 2)));
+        let p1 = b.sbin(BinOp::Mul, a, bb);
+        let p2 = b.sbin(BinOp::Mul, a, bb);
+        let s1 = b.sbin(BinOp::Add, p1, c);
+        let s2 = b.sbin(BinOp::Add, p2, c);
+        b.sstore(s1, MemRef::new(t, 0));
+        b.sstore(s2, MemRef::new(t, 1));
+        let mut f = b.finish();
+        assert!(cse(&mut f));
+        assert_eq!(count(&f, |i| matches!(i, Instr::SBin { op: BinOp::Mul, .. })), 1);
+        assert_eq!(count(&f, |i| matches!(i, Instr::SBin { op: BinOp::Add, .. })), 1);
+        assert_eq!(count(&f, |i| matches!(i, Instr::SMov { .. })), 2);
+    }
+
+    /// The vector cascade resolves through the `VMov` CSE writes.
+    #[test]
+    fn vector_cascade_collapses_in_one_call() {
+        let mut b = FunctionBuilder::new("f", 4);
+        let t = b.buffer("t", 12, BufKind::ParamInOut);
+        let v = b.vload_contig(MemRef::new(t, 0));
+        let p1 = b.vbin(BinOp::Mul, v, v);
+        let p2 = b.vbin(BinOp::Mul, v, v);
+        let s1 = b.vbin(BinOp::Add, p1, v);
+        let s2 = b.vbin(BinOp::Add, p2, v);
+        b.vstore_contig(s1, MemRef::new(t, 4));
+        b.vstore_contig(s2, MemRef::new(t, 8));
+        let mut f = b.finish();
+        assert!(cse(&mut f));
+        assert_eq!(count(&f, |i| matches!(i, Instr::VBin { op: BinOp::Mul, .. })), 1);
+        assert_eq!(count(&f, |i| matches!(i, Instr::VBin { op: BinOp::Add, .. })), 1);
+        assert_eq!(count(&f, |i| matches!(i, Instr::VMov { .. })), 2);
+    }
+
+    /// `r2 = r1` gives `r2` the key of `r1`'s value at that point; after
+    /// `r1` is redefined, `r2 + c` and the new `r1 + c` are different
+    /// values and must both stay.
+    #[test]
+    fn move_alias_does_not_follow_a_redefined_source() {
+        let mut b = FunctionBuilder::new("f", 1);
+        let x = b.buffer("x", 3, BufKind::ParamIn);
+        let t = b.buffer("t", 2, BufKind::ParamOut);
+        let c = b.sload(MemRef::new(x, 2));
+        let r1 = b.sload(MemRef::new(x, 0));
+        let r2 = b.smov(r1);
+        b.instr(Instr::SLoad { dst: r1, src: MemRef::new(x, 1) });
+        let old = b.sbin(BinOp::Add, r2, c);
+        let new = b.sbin(BinOp::Add, r1, c);
+        b.sstore(old, MemRef::new(t, 0));
+        b.sstore(new, MemRef::new(t, 1));
+        let mut f = b.finish();
+        assert!(!cse(&mut f), "nothing is redundant");
+        assert_eq!(count(&f, |i| matches!(i, Instr::SBin { op: BinOp::Add, .. })), 2);
     }
 
     #[test]

@@ -15,9 +15,20 @@
 //!    [`contract`], fusing multiply–add chains into FMA instructions
 //!    (the dead multiplies are collected by DCE).
 //!
+//! Each cleanup round runs, in order: forward → contract → CSE →
+//! copyprop → DCE. Contraction goes before CSE because it fuses only
+//! products with a single reader; were CSE first, it could share a
+//! product between two readers and so block a fusion. CSE keys see
+//! through register moves, including the moves CSE itself writes, so a
+//! chain of redundancies collapses in one walk rather than one round per
+//! level. One productive round plus the confirming round is the common
+//! case, and no tracked body needs more than three.
+//!
 //! Every cleanup round runs each enabled pass over the whole function,
 //! from scratch: no pass keeps state across rounds, so a round's output
-//! depends only on its input.
+//! depends only on its input. The structural passes (unroll, constfold,
+//! rename) leave straight-line statement lists where they are and only
+//! rebuild lists that hold a loop or a conditional.
 //!
 //! An important C-IR invariant exploited here: *distinct [`crate::BufId`]s
 //! never alias*. Operands related by `ow(..)` are mapped to the same buffer
@@ -31,7 +42,7 @@ pub mod forward;
 pub mod rename;
 pub mod unroll;
 
-use crate::func::Function;
+use crate::func::{CStmt, Function};
 use std::time::{Duration, Instant};
 
 /// Dense grow-on-demand tables used by the passes (versions, epochs, read
@@ -47,6 +58,13 @@ pub(crate) fn grow_update<T: Clone + Default>(
         v.resize(i + 1, T::default());
     }
     update(&mut v[i]);
+}
+
+/// Whether `stmts` is one straight-line run (no `For`, no `If`): the
+/// structural passes leave such lists where they are instead of
+/// rebuilding them.
+pub(crate) fn is_straight_line(stmts: &[CStmt]) -> bool {
+    stmts.iter().all(|s| matches!(s, CStmt::I(_)))
 }
 
 /// Toggles for the optimization pipeline (ablation switches).
@@ -67,11 +85,10 @@ pub struct PassConfig {
     pub fma_contraction: bool,
     /// Maximum number of cleanup iterations; the loop exits early once a
     /// full round reaches a fixpoint (changes nothing). The cap is a
-    /// safety net, not the expected exit: [`PipelineStats::converged`]
-    /// records whether the loop actually reached its fixpoint. The default
-    /// is set high enough that large FMA-contracted bodies (which
-    /// need more than three rounds of contract→DCE→copy cleanup) converge
-    /// instead of silently stopping mid-cleanup.
+    /// safety net, not the expected exit: at most 3 rounds are observed
+    /// (the Stage-3 counter test in `tests/target_snapshots.rs` asserts it
+    /// for every golden-grid body), and [`PipelineStats::converged`]
+    /// records whether the loop actually reached its fixpoint.
     pub iterations: usize,
 }
 
@@ -170,17 +187,17 @@ pub fn optimize_with_stats(
             changed |= forward::forward(f, config.load_store_analysis, config.scalar_replacement);
             observe("forward", t.elapsed());
         }
+        if config.fma_contraction {
+            let t = Instant::now();
+            changed |= contract::contract(f);
+            observe("contract", t.elapsed());
+        }
         if config.cse {
             let t = Instant::now();
             let (cse_changed, keyed) = cse::cse_counted(f);
             changed |= cse_changed;
             round.cse_rekeyed = keyed;
             observe("cse", t.elapsed());
-        }
-        if config.fma_contraction {
-            let t = Instant::now();
-            changed |= contract::contract(f);
-            observe("contract", t.elapsed());
         }
         let t = Instant::now();
         changed |= forward::copyprop(f);
@@ -245,6 +262,35 @@ mod tests {
             "dead temp stores should be eliminated:\n{}",
             crate::pretty::function_to_string(&f)
         );
+    }
+
+    /// Contraction runs before CSE within a round: a repeated
+    /// multiply–add pair still contracts (each product has one reader when
+    /// contraction sees it), and CSE then shares the fused result.
+    #[test]
+    fn repeated_multiply_add_pair_is_contracted() {
+        let mut b = FunctionBuilder::new("p", 1);
+        let x = b.buffer("x", 3, BufKind::ParamIn);
+        let y = b.buffer("y", 2, BufKind::ParamOut);
+        let (a, m, c) =
+            (b.sload(MemRef::new(x, 0)), b.sload(MemRef::new(x, 1)), b.sload(MemRef::new(x, 2)));
+        for i in 0..2 {
+            let p = b.sbin(BinOp::Mul, a, m);
+            let s = b.sbin(BinOp::Add, p, c);
+            b.sstore(s, MemRef::new(y, i));
+        }
+        let mut f = b.finish();
+        let fma = PassConfig { fma_contraction: true, ..PassConfig::default() };
+        let stats = optimize_with_stats(&mut f, &fma, &mut |_, _| {});
+        assert!(stats.converged);
+        assert_eq!(stats.rounds.len(), 2, "one productive round, one confirming round");
+        let (mut fmas, mut bins) = (0, 0);
+        f.for_each_instr(&mut |i| match i {
+            crate::instr::Instr::SFma { .. } => fmas += 1,
+            crate::instr::Instr::SBin { .. } => bins += 1,
+            _ => {}
+        });
+        assert_eq!((fmas, bins), (1, 0), "{}", crate::pretty::function_to_string(&f));
     }
 
     /// The default pipeline must reach its fixpoint (not the iteration

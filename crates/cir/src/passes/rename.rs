@@ -12,10 +12,12 @@
 //! observes the same values as before. Copy propagation and DCE dissolve
 //! the copies that turn out to be unnecessary.
 //!
-//! Throughput/determinism notes: reads are rewritten in place (no
-//! per-instruction clones of lane maps and selectors), rename maps are
-//! dense tables indexed by register id, and copy-backs are emitted in
-//! ascending original-register order so the pass output is deterministic.
+//! Throughput/determinism notes: each run is renamed where it stands in
+//! its statement list, and only the copy-backs are spliced in after it;
+//! reads are rewritten in place (no per-instruction clones of lane maps
+//! and selectors), rename maps are dense tables indexed by register id,
+//! and copy-backs are emitted in ascending original-register order so the
+//! pass output is deterministic.
 
 use crate::func::{CStmt, Function};
 use crate::instr::{Instr, SOperand, SReg, VReg};
@@ -142,10 +144,15 @@ fn set_vwrite(ins: &mut Instr, new: VReg) {
     }
 }
 
-fn process_run(run: &mut Vec<Instr>, rn: &mut Renamer) {
+/// Rename the redefinitions of one straight-line run in place; returns
+/// the run's copy-backs.
+fn process_run(run: &mut [CStmt], rn: &mut Renamer) -> Vec<CStmt> {
     let mut smap = RenameMap::<SReg>::default();
     let mut vmap = RenameMap::<VReg>::default();
-    for ins in run.iter_mut() {
+    for ins in run.iter_mut().filter_map(|s| match s {
+        CStmt::I(ins) => Some(ins),
+        _ => None,
+    }) {
         rewrite_reads(ins, &smap, &vmap);
         if let Some(w) = ins.sreg_write() {
             if smap.is_defined(w.0) {
@@ -170,45 +177,49 @@ fn process_run(run: &mut Vec<Instr>, rn: &mut Renamer) {
     }
     // copy renamed registers back to their original names for later
     // blocks, in deterministic (ascending register) order
-    for (orig, cur) in smap.drain_sorted() {
-        run.push(Instr::SMov { dst: SReg(orig), a: cur.into() });
-    }
-    for (orig, cur) in vmap.drain_sorted() {
-        run.push(Instr::VMov { dst: VReg(orig), src: cur });
-    }
+    let scopies =
+        smap.drain_sorted().map(|(orig, cur)| Instr::SMov { dst: SReg(orig), a: cur.into() });
+    let vcopies = vmap.drain_sorted().map(|(orig, cur)| Instr::VMov { dst: VReg(orig), src: cur });
+    scopies.chain(vcopies).map(CStmt::I).collect()
 }
 
-fn walk(stmts: Vec<CStmt>, rn: &mut Renamer) -> Vec<CStmt> {
-    let mut out = Vec::with_capacity(stmts.len());
-    let mut run: Vec<Instr> = Vec::new();
-    let flush = |run: &mut Vec<Instr>, rn: &mut Renamer, out: &mut Vec<CStmt>| {
-        if !run.is_empty() {
-            process_run(run, rn);
-            out.extend(run.drain(..).map(CStmt::I));
+/// Rename every straight-line run of `stmts` in place, in program order
+/// (nested blocks included), then splice each run's copy-backs in right
+/// after it.
+fn walk(stmts: &mut Vec<CStmt>, rn: &mut Renamer) {
+    let mut splices: Vec<(usize, Vec<CStmt>)> = Vec::new();
+    let mut start = 0;
+    for i in 0..=stmts.len() {
+        if matches!(stmts.get(i), Some(CStmt::I(_))) {
+            continue;
         }
-    };
-    for s in stmts {
-        match s {
-            CStmt::I(i) => run.push(i),
-            CStmt::For { var, lo, hi, step, body } => {
-                flush(&mut run, rn, &mut out);
-                out.push(CStmt::For { var, lo, hi, step, body: walk(body, rn) });
-            }
-            CStmt::If { cond, then_, else_ } => {
-                flush(&mut run, rn, &mut out);
-                out.push(CStmt::If { cond, then_: walk(then_, rn), else_: walk(else_, rn) });
+        if start < i {
+            let copies = process_run(&mut stmts[start..i], rn);
+            if !copies.is_empty() {
+                splices.push((i, copies));
             }
         }
+        match stmts.get_mut(i) {
+            Some(CStmt::For { body, .. }) => walk(body, rn),
+            Some(CStmt::If { then_, else_, .. }) => {
+                walk(then_, rn);
+                walk(else_, rn);
+            }
+            _ => {}
+        }
+        start = i + 1;
     }
-    flush(&mut run, rn, &mut out);
-    out
+    // back to front, so earlier splice positions stay valid; a
+    // straight-line list has one splice, at its end
+    for (at, copies) in splices.into_iter().rev() {
+        stmts.splice(at..at, copies);
+    }
 }
 
 /// Split register webs in `f` (see module docs).
 pub fn rename(f: &mut Function) {
     let mut rn = Renamer { next_s: f.n_sregs, next_v: f.n_vregs };
-    let body = std::mem::take(&mut f.body);
-    f.body = walk(body, &mut rn);
+    walk(&mut f.body, &mut rn);
     f.n_sregs = rn.next_s;
     f.n_vregs = rn.next_v;
 }

@@ -3,7 +3,9 @@
 //! Small-scale code profits from complete unrolling: it exposes constant
 //! addresses to the load/store analysis and removes branch overhead. Loops
 //! are unrolled innermost-first while the function's static instruction
-//! count stays within a budget.
+//! count stays within a budget. Statement lists without a loop or a
+//! conditional are left in place; only lists holding control flow are
+//! rebuilt.
 
 use crate::affine::LoopVar;
 use crate::func::{CStmt, Function};
@@ -67,6 +69,9 @@ fn subst_instr_in_place(i: &mut Instr, var: LoopVar, value: i64) {
 }
 
 fn unroll_stmts(stmts: Vec<CStmt>, budget: &mut isize) -> Vec<CStmt> {
+    if super::is_straight_line(&stmts) {
+        return stmts;
+    }
     let mut out = Vec::new();
     for s in stmts {
         match s {
@@ -127,6 +132,9 @@ fn unroll_stmts(stmts: Vec<CStmt>, budget: &mut isize) -> Vec<CStmt> {
 /// Unroll all constant loops in `f` while the static instruction count
 /// stays at or below `max_instrs`.
 pub fn unroll(f: &mut Function, max_instrs: usize) {
+    if super::is_straight_line(&f.body) {
+        return;
+    }
     let mut budget = max_instrs as isize - f.static_instr_count() as isize;
     if budget < 0 {
         budget = 0;

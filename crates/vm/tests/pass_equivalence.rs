@@ -256,7 +256,7 @@ mod apps_equivalence {
 
     const GOLDEN_POTRF8: usize = 246;
     // 3836 → 3831 when the cleanup-iteration cap was raised past 3: kf8
-    // needs 5 rounds to reach its fixpoint, and the old cap silently
+    // needed 5 rounds to reach its fixpoint, and the old cap silently
     // stopped one copyprop/DCE wave short.
     const GOLDEN_KF8: usize = 3831;
 }

@@ -15,8 +15,10 @@
 //!   `Report` pinned in `tests/snapshots/golden_digests.txt`.
 
 use slingen::{apps, generate_with_spec, Options, Target, VariantSpec};
+use slingen_cir::passes::{optimize_with_stats, PipelineStats};
 use slingen_ir::Program;
-use slingen_synth::Policy;
+use slingen_lgen::lower_program;
+use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 
 /// The pinned variant each snapshot was generated from: Lazy policy at
 /// the target's widest ν, loop threshold 64.
@@ -211,5 +213,72 @@ fn golden_digests_are_stable_everywhere() {
         fresh == want,
         "emitted C or Report drifted from tests/snapshots/golden_digests.txt; fresh table \
          (app target nu policy c_hash c_len report_hash):\n{fresh}"
+    );
+}
+
+/// Lower one variant and run the target's Stage-3 pipeline over it,
+/// returning the fixpoint telemetry.
+fn stage3_stats(program: &Program, target: Target, spec: VariantSpec) -> PipelineStats {
+    let mut db = AlgorithmDb::new();
+    let basic = synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
+    let mut f = lower_program(program, &basic, program.name(), &spec.lower_options()).unwrap();
+    let passes = Options::for_target(target).passes.for_target(target);
+    optimize_with_stats(&mut f, &passes, &mut |_, _| {})
+}
+
+/// Deterministic Stage-3 work counters. Every body of the golden grid
+/// (app × target × ν × policy × loop threshold 16/64/256), plus trlya24
+/// lazy/nu1 on AVX2, must reach the cleanup fixpoint within 3 rounds
+/// (one productive round, at most one more, and the confirming round).
+/// The per-app totals of rounds and CSE-keyed instructions must match
+/// `tests/snapshots/stage3_counters.txt`; like the golden digests, a
+/// mismatch prints the fresh table so an intentional change can be
+/// reviewed and committed.
+#[test]
+fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
+    use std::fmt::Write;
+    const MAX_ROUNDS: usize = 3;
+    let mut fresh = String::new();
+    let (mut total_bodies, mut total_rounds, mut total_keyed) = (0, 0, 0);
+    let mut row = |label: &str, program: &Program, runs: &[(Target, VariantSpec)]| {
+        let (mut rounds, mut keyed) = (0, 0);
+        for &(target, spec) in runs {
+            let stats = stage3_stats(program, target, spec);
+            assert!(
+                stats.converged && stats.rounds.len() <= MAX_ROUNDS,
+                "{label}/{target}/{spec}: {} rounds, converged = {}",
+                stats.rounds.len(),
+                stats.converged
+            );
+            rounds += stats.rounds.len();
+            keyed += stats.rounds.iter().map(|r| r.cse_rekeyed).sum::<usize>();
+        }
+        let _ = writeln!(fresh, "{label} {} {rounds} {keyed}", runs.len());
+        total_bodies += runs.len();
+        total_rounds += rounds;
+        total_keyed += keyed;
+    };
+    for (name, program) in paper_apps() {
+        let mut runs = Vec::new();
+        for target in Target::ALL {
+            for &nu in target.widths() {
+                for policy in Policy::ALL {
+                    for loop_threshold in [16, 64, 256] {
+                        runs.push((target, VariantSpec { policy, nu, loop_threshold }));
+                    }
+                }
+            }
+        }
+        row(name, &program, &runs);
+    }
+    let spec = VariantSpec { policy: Policy::Lazy, nu: 1, loop_threshold: 64 };
+    row("trlya24", &apps::trlya(24), &[(Target::Avx2, spec)]);
+    let _ = writeln!(fresh, "total {total_bodies} {total_rounds} {total_keyed}");
+    let path = format!("{}/../../tests/snapshots/stage3_counters.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        fresh == want,
+        "Stage-3 work drifted from tests/snapshots/stage3_counters.txt; fresh table \
+         (label bodies rounds cse_rekeyed):\n{fresh}"
     );
 }
