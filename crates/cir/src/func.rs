@@ -1,8 +1,10 @@
 //! C-IR functions: buffers, structured statements, and a builder.
 
 use crate::affine::{Affine, Cond, LoopVar};
+use crate::fxhash::FxHasher;
 use crate::instr::Instr;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A memory buffer (one per operand, plus generator temporaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,7 +42,7 @@ impl BufKind {
 }
 
 /// A buffer declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct BufferDecl {
     /// C-level name.
     pub name: String,
@@ -51,7 +53,7 @@ pub struct BufferDecl {
 }
 
 /// A structured C-IR statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum CStmt {
     /// A straight-line instruction.
     I(Instr),
@@ -94,7 +96,7 @@ impl CStmt {
 }
 
 /// A complete C-IR function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Function {
     /// Function name (becomes the emitted C function's name).
     pub name: String,
@@ -134,6 +136,17 @@ impl Function {
     /// Static instruction count (loops counted once).
     pub fn static_instr_count(&self) -> usize {
         self.body.iter().map(CStmt::static_instr_count).sum()
+    }
+
+    /// A structural fingerprint: a 64-bit [`FxHasher`] hash of the whole
+    /// function (name, width, buffers, body, register counts) plus its
+    /// static instruction count as a collision guard. Immediates hash by
+    /// their bits. For one target the IR determines the emitted C, so
+    /// equal fingerprints mean equal C without unparsing either body.
+    pub fn fingerprint(&self) -> (u64, usize) {
+        let mut h = FxHasher::default();
+        self.hash(&mut h);
+        (h.finish(), self.static_instr_count())
     }
 
     /// Visit every instruction in the function (structure-blind).
@@ -527,6 +540,68 @@ mod tests {
         assert_eq!(params, vec!["a", "c"]);
         let locals: Vec<_> = f.locals().map(|(_, d)| d.name.clone()).collect();
         assert_eq!(locals, vec!["t"]);
+    }
+
+    /// A small loop nest exercising every field the fingerprint must see:
+    /// buffer kind, width, loop step, a scalar immediate and a lane map.
+    fn fingerprint_sample(
+        width: usize,
+        kind: BufKind,
+        step: i64,
+        imm: f64,
+        lanes: [Option<i64>; 2],
+    ) -> Function {
+        let mut b = FunctionBuilder::new("f", width);
+        let x = b.buffer("x", 16, kind);
+        let i = b.begin_for(0, 8, step);
+        let r = b.sload(MemRef::new(x, Affine::var(i)));
+        let r2 = b.sbin(BinOp::Mul, r, imm);
+        b.sstore(r2, MemRef::new(x, Affine::var(i)));
+        b.end_for();
+        let v = b.fresh_vreg();
+        b.instr(Instr::VLoad { dst: v, base: MemRef::new(x, 0), lanes: lanes.to_vec() });
+        b.finish()
+    }
+
+    fn base_sample() -> Function {
+        fingerprint_sample(2, BufKind::ParamInOut, 1, 0.0, [Some(0), None])
+    }
+
+    #[test]
+    fn fingerprint_is_equal_for_a_clone() {
+        let f = base_sample();
+        assert_eq!(f.clone().fingerprint(), f.fingerprint());
+        assert_eq!(base_sample().fingerprint(), f.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_separates_signed_zero_immediates() {
+        let pos = base_sample();
+        let neg = fingerprint_sample(2, BufKind::ParamInOut, 1, -0.0, [Some(0), None]);
+        // `==` cannot tell them apart, but they print differently in C.
+        assert_eq!(pos, neg);
+        let c = |f: &Function| crate::unparse::to_c_for(f, crate::Target::Sse2);
+        assert_ne!(c(&pos), c(&neg));
+        assert_ne!(pos.fingerprint(), neg.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_separates_permuted_lane_maps() {
+        let a = base_sample();
+        let b = fingerprint_sample(2, BufKind::ParamInOut, 1, 0.0, [None, Some(0)]);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_separates_kind_width_and_step() {
+        let base = base_sample().fingerprint();
+        let kind = fingerprint_sample(2, BufKind::ParamOut, 1, 0.0, [Some(0), None]);
+        let width = fingerprint_sample(4, BufKind::ParamInOut, 1, 0.0, [Some(0), None]);
+        let step = fingerprint_sample(2, BufKind::ParamInOut, 2, 0.0, [Some(0), None]);
+        for (what, f) in [("kind", kind), ("width", width), ("step", step)] {
+            assert_eq!(f.static_instr_count(), 4, "{what}: same instruction count");
+            assert_ne!(f.fingerprint(), base, "{what} must change the fingerprint");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::affine::Affine;
 use crate::func::BufId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A scalar (double-precision) register variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +76,25 @@ pub enum SOperand {
     Reg(SReg),
     /// An immediate double constant.
     Imm(f64),
+}
+
+/// Hashes an immediate by its IEEE-754 bits, so `0.0` and `-0.0` (which
+/// compare equal but print differently) hash apart. `SOperand` is not
+/// `Eq`, so this hash only feeds structural fingerprints
+/// ([`crate::Function::fingerprint`]), never a std map key.
+impl Hash for SOperand {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            SOperand::Reg(r) => {
+                state.write_u8(0);
+                r.hash(state);
+            }
+            SOperand::Imm(v) => {
+                state.write_u8(1);
+                state.write_u64(v.to_bits());
+            }
+        }
+    }
 }
 
 impl From<SReg> for SOperand {
@@ -205,7 +225,7 @@ impl fmt::Display for LaneSel {
 }
 
 /// A C-IR instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Instr {
     // ---- scalar ----
     /// `dst = mem`

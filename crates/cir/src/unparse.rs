@@ -46,9 +46,10 @@ pub fn to_c_for(f: &Function, target: Target) -> String {
 /// Digest of the exact bytes [`to_c_for`] would produce, without
 /// materializing the string: `(hash, byte_len)`.
 ///
-/// The tuner dedupes lowered variants by emitted-C identity; hashing the
-/// unparse stream directly skips building (and growing) a multi-megabyte
-/// `String` per representative. The hash is a function of the byte
+/// The golden-digest tests pin emitted C with it; hashing the unparse
+/// stream directly skips building (and growing) a multi-megabyte
+/// `String`. (The tuner dedupes bodies by the cheaper structural
+/// [`Function::fingerprint`] instead.) The hash is a function of the byte
 /// *stream* alone — the internal word-folding carries partial words
 /// across `write_str` boundaries — so it is insensitive to how the
 /// emitter happens to chunk its writes, exactly like hashing the

@@ -34,13 +34,15 @@
 //! first lowering of each (policy, ν) group records a
 //! [`LowerProfile`], from which the loop-threshold equivalence class of
 //! every other threshold is computed exactly — variants predicted to
-//! produce a byte-identical body skip Stage 2/3 entirely and share the
+//! produce an identical body skip Stage 2/3 entirely and share the
 //! representative's measurement ([`TuneStats::predicted`]; debug builds
-//! re-lower and assert the digests really collide). Unpredicted
-//! byte-collisions (across policies) are still caught after lowering by
-//! the emitted-C digest ([`TuneStats::deduped`]). Representatives run
-//! lowering, optimization, digest, and measurement end-to-end in one
-//! thread per variant — no cross-stage barrier.
+//! re-lower and assert the bodies really are equal). Unpredicted
+//! collisions (across policies) are still caught after lowering by the
+//! body's structural C-IR fingerprint ([`Function::fingerprint`],
+//! [`TuneStats::deduped`]); no body is unparsed to C during the search,
+//! only the winner, once, at emission. Representatives run lowering,
+//! optimization, fingerprint, and measurement end-to-end in one thread
+//! per variant — no cross-stage barrier.
 
 pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
@@ -52,6 +54,7 @@ use slingen_ir::Program;
 use slingen_lgen::{lower_program_profiled, LowerOptions, LowerProfile};
 use slingen_perf::{pressure_lower_bound, Report};
 use slingen_synth::{synthesize_program, AlgorithmDb, BasicProgram, Policy};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -220,10 +223,10 @@ pub struct TuneStats {
     /// Variants abandoned by the cycle-budget early-cutoff.
     pub pruned: usize,
     /// Variants that were lowered and whose Stage-3 output turned out
-    /// byte-identical to an already-measured variant; their measurement
-    /// was reused, not repeated. Disjoint from `predicted`:
-    /// `explored = measured + cut-off representatives + deduped +
-    /// predicted`.
+    /// identical (equal C-IR fingerprint) to an already-measured
+    /// variant's; their measurement was reused, not repeated. Disjoint
+    /// from `predicted`: `explored = measured + cut-off representatives +
+    /// deduped + predicted`.
     pub deduped: usize,
     /// Variants *predicted* byte-identical to an already-lowered variant
     /// from its group's [`LowerProfile`] (equal loop-threshold class at
@@ -269,11 +272,13 @@ pub struct HwTrial {
 
 /// Where one representative's cold time went, in milliseconds: Stage 2
 /// lowering, Stage 3 optimization, and the modeled-cycle measurement
-/// (`measure_ms == 0.0` when the lowered body digested onto an
+/// (`measure_ms == 0.0` when the lowered body fingerprinted onto an
 /// already-measured sibling). Representatives are the only variants that
-/// pay these costs — predicted and deduped variants ride along for free —
-/// so this list is the complete cold-time ledger of one search. Cache
-/// hits carry an empty list.
+/// pay these costs — predicted and deduped variants ride along for free.
+/// The list is not the whole cold time of a search: Stage 1, which runs
+/// serially before the representatives, the body fingerprint, and the
+/// winner's unparse to C after the search are not in it. Cache hits carry
+/// an empty list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepCost {
     /// The representative's variant.
@@ -405,17 +410,13 @@ fn lower_variant(
     Ok(Lowered { function, profile, lower_ms, opt_ms })
 }
 
-/// The dedupe key of one lowered body: a 64-bit digest of the emitted C
-/// plus its length (collision guard). The digest is computed by streaming
-/// the unparse bytes straight into the hasher
-/// ([`slingen_cir::unparse::digest_c_for`]) — the multi-megabyte C string
-/// is never materialized during the search, only when a winner is emitted.
+/// The dedupe key of one lowered body: its structural C-IR fingerprint
+/// ([`Function::fingerprint`]), a 64-bit hash plus the static instruction
+/// count as a collision guard. A search runs on one target, for which the
+/// IR determines the emitted C, so equal keys mean byte-identical C; no
+/// body is unparsed until the winner is emitted. Debug builds assert `==`
+/// on every pair of bodies that share a key.
 type BodyKey = (u64, usize);
-
-/// Digest the lowered Stage-3 output of `function` for `target`.
-fn body_key(function: &Function, target: Target) -> BodyKey {
-    slingen_cir::unparse::digest_c_for(function, target)
-}
 
 /// The remembered measurement of one distinct lowered body.
 #[derive(Debug, Clone)]
@@ -442,8 +443,8 @@ enum Slot {
 }
 
 /// What one representative thread produces: the lowered variant, the
-/// body digest, and the measurement it ran inline (`None` when the body
-/// was already measured).
+/// body fingerprint, and the measurement it ran inline (`None` when the
+/// body was already measured).
 struct RepOut {
     lowered: Lowered,
     key: BodyKey,
@@ -458,7 +459,7 @@ struct RepOut {
 
 type RepResult = Result<RepOut, Error>;
 
-/// The incumbent: the winning spec plus the digest under which its
+/// The incumbent: the winning spec plus the fingerprint under which its
 /// lowered body is retained in [`Search::body_fns`]. The `Function`
 /// itself is *not* cloned per improvement — it is materialized once, at
 /// [`Search::into_generated`].
@@ -481,16 +482,15 @@ pub(crate) struct Search<'p> {
     /// Specs already attempted (measured, cut off, or failed); a spec is
     /// never evaluated twice within one search.
     visited: HashSet<VariantSpec>,
-    /// Measurements by lowered-body digest ([`body_key`]): variants whose
-    /// Stage-3 output is byte-identical are measured once and share the
-    /// outcome (ROADMAP PR-2 lead — equal-threshold variants often
-    /// collapse at small sizes).
+    /// Measurements by lowered-body fingerprint ([`BodyKey`]): variants
+    /// whose Stage-3 output is identical are measured once and share the
+    /// outcome (equal-threshold variants often collapse at small sizes).
     measured: HashMap<BodyKey, MeasureOutcome>,
     /// First recorded Stage-2 profile per (policy, ν) group. The works
     /// values are threshold-independent, so one profile classifies every
     /// loop threshold of its group exactly.
     profiles: HashMap<(Policy, usize), LowerProfile>,
-    /// Lowered-body digest per (policy, ν, loop-threshold class): a
+    /// Lowered-body fingerprint per (policy, ν, loop-threshold class): a
     /// variant landing on a recorded class is a *predicted* collision and
     /// skips Stage 2/3 entirely.
     class_bodies: HashMap<(Policy, usize, usize), BodyKey>,
@@ -544,7 +544,7 @@ impl<'p> Search<'p> {
     /// predicted collisions resolve instantly without Stage 2/3 — and
     /// claims one representative per unresolved (policy, ν) group or
     /// unseen loop-threshold class. Representatives run lowering,
-    /// Stage-3 optimization, digest, and (if the body is new)
+    /// Stage-3 optimization, fingerprint, and (if the body is new)
     /// measurement end-to-end in one thread each, with no cross-stage
     /// barrier. Updates the incumbent deterministically (strict min
     /// cycles, ties broken by canonical enumeration order): accounting
@@ -608,9 +608,13 @@ impl<'p> Search<'p> {
                                 let l = lower_variant(program, spec, basic, options)
                                     .expect("predicted variant must lower like its representative");
                                 debug_assert_eq!(
-                                    body_key(&l.function, options.target),
+                                    l.function.fingerprint(),
                                     key,
                                     "LowerProfile predicted a collision that does not hold for {spec}"
+                                );
+                                debug_assert!(
+                                    self.body_fns.get(&key) == Some(&l.function),
+                                    "predicted body differs from its representative's for {spec}"
                                 );
                                 debug_assert_eq!(
                                     &l.profile, profile,
@@ -633,7 +637,7 @@ impl<'p> Search<'p> {
                     }
                 }
             }
-            // One thread per representative: lower → digest → measure
+            // One thread per representative: lower → fingerprint → measure
             // (measurement is skipped when the body is already known).
             let measured = &self.measured;
             let results: Vec<(usize, RepResult)> = std::thread::scope(|scope| {
@@ -645,7 +649,7 @@ impl<'p> Search<'p> {
                         scope.spawn(move || {
                             let r = lower_variant(program, spec, &basic, options).map(|lowered| {
                                 let f = &lowered.function;
-                                let key = body_key(f, options.target);
+                                let key = f.fingerprint();
                                 let mut lb_pruned = false;
                                 let (m, measure_ms) = if measured.contains_key(&key) {
                                     (None, 0.0)
@@ -706,7 +710,15 @@ impl<'p> Search<'p> {
                         let class = profile.loop_class(spec.loop_threshold);
                         self.profiles.entry((spec.policy, spec.nu)).or_insert(profile);
                         self.class_bodies.entry((spec.policy, spec.nu, class)).or_insert(key);
-                        self.body_fns.entry(key).or_insert(f);
+                        match self.body_fns.entry(key) {
+                            Entry::Occupied(kept) => debug_assert!(
+                                *kept.get() == f,
+                                "two different bodies share the fingerprint {key:?} ({spec})"
+                            ),
+                            Entry::Vacant(slot) => {
+                                slot.insert(f);
+                            }
+                        }
                         if let Some(m) = m {
                             let outcome = match m {
                                 Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),

@@ -12,13 +12,17 @@
 //! * `generate()` on the default target is the AVX2 target — unchanged
 //!   historical behavior;
 //! * every paper app × target × ν × policy emits the C and measures the
-//!   `Report` pinned in `tests/snapshots/golden_digests.txt`.
+//!   `Report` pinned in `tests/snapshots/golden_digests.txt`;
+//! * the tuner's C-IR fingerprint groups the bodies of one search exactly
+//!   as the emitted-C digest does.
 
 use slingen::{apps, generate_with_spec, Options, Target, VariantSpec};
 use slingen_cir::passes::{optimize_with_stats, PipelineStats};
+use slingen_cir::Function;
 use slingen_ir::Program;
 use slingen_lgen::lower_program;
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
+use std::collections::HashMap;
 
 /// The pinned variant each snapshot was generated from: Lazy policy at
 /// the target's widest ν, loop threshold 64.
@@ -217,13 +221,55 @@ fn golden_digests_are_stable_everywhere() {
 }
 
 /// Lower one variant and run the target's Stage-3 pipeline over it,
-/// returning the fixpoint telemetry.
-fn stage3_stats(program: &Program, target: Target, spec: VariantSpec) -> PipelineStats {
+/// returning the optimized body and the fixpoint telemetry.
+fn stage3(program: &Program, target: Target, spec: VariantSpec) -> (Function, PipelineStats) {
     let mut db = AlgorithmDb::new();
     let basic = synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
     let mut f = lower_program(program, &basic, program.name(), &spec.lower_options()).unwrap();
     let passes = Options::for_target(target).passes.for_target(target);
-    optimize_with_stats(&mut f, &passes, &mut |_, _| {})
+    let stats = optimize_with_stats(&mut f, &passes, &mut |_, _| {});
+    (f, stats)
+}
+
+/// Every spec of the golden grid for one target: ν × policy × loop
+/// threshold 16/64/256.
+fn grid_specs(target: Target) -> Vec<VariantSpec> {
+    let mut specs = Vec::new();
+    for &nu in target.widths() {
+        for policy in Policy::ALL {
+            for loop_threshold in [16, 64, 256] {
+                specs.push(VariantSpec { policy, nu, loop_threshold });
+            }
+        }
+    }
+    specs
+}
+
+/// The tuner dedupes bodies by their C-IR fingerprint instead of by the
+/// emitted C. Over every body of the golden grid, grouping the bodies of
+/// one (app, target) search by `Function::fingerprint` must give exactly
+/// the groups that grouping by `digest_c_for` gives: equal fingerprints
+/// mean equal C, and distinct fingerprints mean distinct C.
+#[test]
+fn fingerprint_groups_bodies_exactly_as_the_c_digest_does() {
+    let mut merged = 0;
+    for (name, program) in paper_apps() {
+        for target in Target::ALL {
+            let mut c_of: HashMap<(u64, usize), (u64, usize)> = HashMap::new();
+            let mut fp_of: HashMap<(u64, usize), (u64, usize)> = HashMap::new();
+            let specs = grid_specs(target);
+            for &spec in &specs {
+                let (f, _) = stage3(&program, target, spec);
+                let fp = f.fingerprint();
+                let c = slingen_cir::unparse::digest_c_for(&f, target);
+                let label = format!("{name}/{target}/{spec}");
+                assert_eq!(*c_of.entry(fp).or_insert(c), c, "{label}: one fingerprint, two C");
+                assert_eq!(*fp_of.entry(c).or_insert(fp), fp, "{label}: one C, two fingerprints");
+            }
+            merged += specs.len() - c_of.len();
+        }
+    }
+    assert!(merged > 0, "the grid must contain colliding bodies for the check to bite");
 }
 
 /// Deterministic Stage-3 work counters. Every body of the golden grid
@@ -243,7 +289,7 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
     let mut row = |label: &str, program: &Program, runs: &[(Target, VariantSpec)]| {
         let (mut rounds, mut keyed) = (0, 0);
         for &(target, spec) in runs {
-            let stats = stage3_stats(program, target, spec);
+            let (_, stats) = stage3(program, target, spec);
             assert!(
                 stats.converged && stats.rounds.len() <= MAX_ROUNDS,
                 "{label}/{target}/{spec}: {} rounds, converged = {}",
@@ -259,16 +305,10 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
         total_keyed += keyed;
     };
     for (name, program) in paper_apps() {
-        let mut runs = Vec::new();
-        for target in Target::ALL {
-            for &nu in target.widths() {
-                for policy in Policy::ALL {
-                    for loop_threshold in [16, 64, 256] {
-                        runs.push((target, VariantSpec { policy, nu, loop_threshold }));
-                    }
-                }
-            }
-        }
+        let runs: Vec<(Target, VariantSpec)> = Target::ALL
+            .into_iter()
+            .flat_map(|target| grid_specs(target).into_iter().map(move |spec| (target, spec)))
+            .collect();
         row(name, &program, &runs);
     }
     let spec = VariantSpec { policy: Policy::Lazy, nu: 1, loop_threshold: 64 };

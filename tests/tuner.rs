@@ -265,3 +265,57 @@ fn empty_search_space_errors() {
         assert!(slingen::generate(&program, &opts).is_err(), "{strategy:?} must error");
     }
 }
+
+/// Deterministic tuner counters: for each key of a small grid (every app
+/// at small sizes on the default target, plus potrf8 and l1a8 on the other
+/// targets), the winning spec and the search's `explored`, `pruned`,
+/// `deduped`, `predicted` and `lb_pruned` counts and number of
+/// representatives must match `tests/snapshots/tune_counters.txt`. Like
+/// the golden digests, a mismatch prints the fresh table so an
+/// intentional change can be reviewed and committed.
+#[test]
+fn tune_counters_are_pinned() {
+    use std::fmt::Write;
+    let mut keys: Vec<(String, Program, Target)> = Vec::new();
+    for (app, sizes) in [
+        ("potrf", &[4, 8, 16, 32][..]),
+        ("trsyl", &[4, 8, 12]),
+        ("trlya", &[4, 8, 16]),
+        ("trtri", &[4, 8, 16]),
+        ("kf", &[4, 8]),
+        ("gpr", &[4, 8, 16]),
+        ("l1a", &[4, 8, 16, 32]),
+    ] {
+        for &n in sizes {
+            let program = apps::by_name(app, n, None).expect("known app");
+            keys.push((format!("{app}{n}"), program, Target::Avx2));
+        }
+    }
+    for target in [Target::Scalar, Target::Sse2, Target::Avx2Fma] {
+        keys.push(("potrf8".into(), apps::potrf(8), target));
+        keys.push(("l1a8".into(), apps::l1a(8), target));
+    }
+    let mut fresh = String::new();
+    for (key, program, target) in &keys {
+        let g = slingen::generate(program, &Options::for_target(*target)).unwrap();
+        let t = &g.tuning;
+        let _ = writeln!(
+            fresh,
+            "{key} {target} spec={} explored={} pruned={} deduped={} predicted={} \
+             lb_pruned={} reps={}",
+            g.spec,
+            t.explored,
+            t.pruned,
+            t.deduped,
+            t.predicted,
+            t.lb_pruned,
+            g.rep_costs.len()
+        );
+    }
+    let path = format!("{}/../../tests/snapshots/tune_counters.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        fresh == want,
+        "tuner counters drifted from tests/snapshots/tune_counters.txt; fresh table:\n{fresh}"
+    );
+}
