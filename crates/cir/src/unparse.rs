@@ -13,8 +13,18 @@
 //! `loadu_pd`/`storeu_pd`, contiguous prefixes become masked accesses
 //! (when the target has them), and anything else falls back to
 //! per-element code — exactly the Loader/Storer specialization the paper
-//! describes. General shuffles try `blend_pd` and in-lane `shuffle_pd`
-//! patterns before the generic element path, again capability-gated.
+//! describes. A shuffle whose lanes each stay in place becomes one
+//! `blend_pd` when the target has immediate blends.
+//!
+//! Every other lane movement is a one-line call to a `static inline`
+//! helper: general shuffles (and blends on targets without `blend_pd`)
+//! call `slg_sel{2,4}(a, b, l0, ..)`, lane extracts, scattered stores and
+//! lane reductions call `slg_lane{2,4}(v, l)`. A unit defines each helper
+//! once, ahead of the kernel, and only if it calls it. The helper bodies
+//! spill through a stack array and select elements; with constant
+//! selectors the compiler inlines them and lowers the selection to
+//! permute, unpack and extract instructions, so the kernel body carries
+//! no stack round-trip of its own.
 
 use crate::affine::Affine;
 use crate::func::{BufKind, CStmt, Function};
@@ -337,6 +347,9 @@ fn emit_unit<W: std::fmt::Write>(f: &Function, target: Target, out: &mut W) {
         let _ = writeln!(out, "#include <immintrin.h>");
     }
     let _ = writeln!(out);
+    if f.width > 1 {
+        emit_helpers(f, &isa, out);
+    }
     let _ = write!(out, "void {}(", f.name);
     let mut first = true;
     for (_, b) in f.params() {
@@ -419,6 +432,117 @@ impl VecIsa {
     }
 }
 
+/// Prefix of the unit's lane helpers; [`c_ident`] keeps operand names out
+/// of it.
+const HELPER_PREFIX: &str = "slg_";
+
+/// A lane helper a vector instruction is emitted as a call to.
+enum Helper {
+    /// `slg_sel{w}(a, b, l0, ..)`: lane `i` of the result is element
+    /// `l_i` of `a ++ b ++ [0.0]` (see [`sel_index`]).
+    Sel,
+    /// `slg_lane{w}(v, l)`: lane `l` of `v` as a `double`.
+    Lane,
+}
+
+/// The helper `i` calls, if any. The emitter takes the same decisions
+/// (through [`blend_imm`] and [`mem_form`]), so a unit defines exactly
+/// the helpers its body calls.
+fn helper_for(isa: &VecIsa, i: &Instr) -> Option<Helper> {
+    match i {
+        Instr::VShuffle { sel, .. } if blend_imm(isa, sel).is_none() => Some(Helper::Sel),
+        Instr::VBlend { .. } if !isa.blend => Some(Helper::Sel),
+        Instr::VStore { lanes, .. } if mem_form(isa, lanes) == MemForm::Elements => {
+            Some(Helper::Lane)
+        }
+        Instr::VExtract { .. } | Instr::VReduceAdd { .. } => Some(Helper::Lane),
+        _ => None,
+    }
+}
+
+/// Define the lane helpers the body of `f` calls, each once. Their
+/// bodies are the portable spill-and-select code; inlined with constant
+/// selectors, the compiler lowers them to register shuffles.
+fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
+    let (mut sel, mut lane) = (false, false);
+    f.for_each_instr(&mut |i| match helper_for(isa, i) {
+        Some(Helper::Sel) => sel = true,
+        Some(Helper::Lane) => lane = true,
+        None => {}
+    });
+    let (w, vt, st) = (f.width, isa.vtype, isa.op("storeu"));
+    if sel {
+        let params: Vec<String> = (0..w).map(|l| format!("int l{l}")).collect();
+        let picks: Vec<String> = (0..w).rev().map(|l| format!("t[l{l}]")).collect();
+        let _ = writeln!(
+            out,
+            "static inline {vt} {HELPER_PREFIX}sel{w}({vt} a, {vt} b, {}) {{",
+            params.join(", ")
+        );
+        let _ = writeln!(out, "  double t[{}];", 2 * w + 1);
+        let _ = writeln!(out, "  {st}(t, a);");
+        let _ = writeln!(out, "  {st}(t + {w}, b);");
+        let _ = writeln!(out, "  t[{}] = 0.0;", 2 * w);
+        let _ = writeln!(out, "  return {}({});", isa.op("set"), picks.join(", "));
+        let _ = writeln!(out, "}}");
+    }
+    if lane {
+        let _ = writeln!(out, "static inline double {HELPER_PREFIX}lane{w}({vt} v, int l) {{");
+        let _ = writeln!(out, "  double t[{w}];");
+        let _ = writeln!(out, "  {st}(t, v);");
+        let _ = writeln!(out, "  return t[l];");
+        let _ = writeln!(out, "}}");
+    }
+    if sel || lane {
+        let _ = writeln!(out);
+    }
+}
+
+/// The `slg_sel` selector of one lane at width `w`: `a[j]` is `j`, `b[j]`
+/// is `w + j`, and zero is `2w`.
+fn sel_index(s: LaneSel, w: usize) -> usize {
+    match s {
+        LaneSel::A(j) => j,
+        LaneSel::B(j) => w + j,
+        LaneSel::Zero => 2 * w,
+    }
+}
+
+/// The `blend_pd` immediate of a shuffle in which every lane stays in
+/// place (lane `i` takes lane `i` of `a` or `b`), on a target with
+/// immediate blends.
+fn blend_imm(isa: &VecIsa, sel: &[LaneSel]) -> Option<usize> {
+    if !isa.blend {
+        return None;
+    }
+    sel.iter().enumerate().try_fold(0, |imm, (i, s)| match *s {
+        LaneSel::A(j) if j == i => Some(imm),
+        LaneSel::B(j) if j == i => Some(imm | 1 << i),
+        _ => None,
+    })
+}
+
+/// How a lane-mapped load or store is emitted on the target.
+#[derive(PartialEq, Eq)]
+enum MemForm {
+    /// `loadu_pd`/`storeu_pd`: the full-width contiguous map.
+    Full,
+    /// `maskload_pd`/`maskstore_pd` over the first `k` lanes.
+    Masked(usize),
+    /// One element at a time.
+    Elements,
+}
+
+fn mem_form(isa: &VecIsa, lanes: &[Option<i64>]) -> MemForm {
+    if contiguous_full(lanes) {
+        MemForm::Full
+    } else if let Some(k) = contiguous_prefix(lanes).filter(|_| isa.masked_mem) {
+        MemForm::Masked(k)
+    } else {
+        MemForm::Elements
+    }
+}
+
 fn c_ident(name: &str) -> String {
     let mut s: String =
         name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect();
@@ -426,15 +550,14 @@ fn c_ident(name: &str) -> String {
         s.insert(0, '_');
     }
     // avoid collisions with the register/loop-variable namespaces
-    // (s0.., v0.., i0..) and the emitter's scratch arrays (_t, _ta, _tb)
-    let reserved = {
-        let mut cs = s.chars();
-        match (cs.next(), s.len()) {
-            (Some('s' | 'v' | 'i'), n) if n >= 2 && s[1..].bytes().all(|b| b.is_ascii_digit()) => {
-                true
-            }
-            _ => s.starts_with("_t"),
+    // (s0.., v0.., i0..) and the unit's lane helpers (slg_*)
+    let reserved = match s.as_bytes() {
+        [b's' | b'v' | b'i', digits @ ..]
+            if !digits.is_empty() && digits.iter().all(u8::is_ascii_digit) =>
+        {
+            true
         }
+        _ => s.starts_with(HELPER_PREFIX),
     };
     if reserved {
         s.push_str("_p");
@@ -544,26 +667,33 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
             if w == 1 {
                 let off = lanes[0].unwrap_or(0);
                 let _ = writeln!(out, "{pad}v{} = *{};", dst.0, addr(f, base, off));
-            } else if contiguous_full(lanes) {
-                let _ = writeln!(out, "{pad}{dst} = {}({});", isa.op("loadu"), addr(f, base, 0));
-            } else if let Some(k) = contiguous_prefix(lanes).filter(|_| isa.masked_mem) {
-                let _ = writeln!(
-                    out,
-                    "{pad}{dst} = {}({}, {});",
-                    isa.op("maskload"),
-                    addr(f, base, 0),
-                    isa.mask_literal(w, k)
-                );
-            } else {
-                // general gather: set from highest lane to lowest
-                let elems: Vec<String> = (0..w)
-                    .rev()
-                    .map(|lane| match lanes[lane] {
-                        Some(off) => format!("*{}", addr(f, base, off)),
-                        None => "0.0".to_string(),
-                    })
-                    .collect();
-                let _ = writeln!(out, "{pad}{dst} = {}({});", isa.op("set"), elems.join(", "));
+                return;
+            }
+            match mem_form(isa, lanes) {
+                MemForm::Full => {
+                    let _ =
+                        writeln!(out, "{pad}{dst} = {}({});", isa.op("loadu"), addr(f, base, 0));
+                }
+                MemForm::Masked(k) => {
+                    let _ = writeln!(
+                        out,
+                        "{pad}{dst} = {}({}, {});",
+                        isa.op("maskload"),
+                        addr(f, base, 0),
+                        isa.mask_literal(w, k)
+                    );
+                }
+                MemForm::Elements => {
+                    // general gather: set from highest lane to lowest
+                    let elems: Vec<String> = (0..w)
+                        .rev()
+                        .map(|lane| match lanes[lane] {
+                            Some(off) => format!("*{}", addr(f, base, off)),
+                            None => "0.0".to_string(),
+                        })
+                        .collect();
+                    let _ = writeln!(out, "{pad}{dst} = {}({});", isa.op("set"), elems.join(", "));
+                }
             }
         }
         Instr::VStore { src, base, lanes } => {
@@ -571,25 +701,36 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
                 if let Some(off) = lanes[0] {
                     let _ = writeln!(out, "{pad}*{} = v{};", addr(f, base, off), src.0);
                 }
-            } else if contiguous_full(lanes) {
-                let _ = writeln!(out, "{pad}{}({}, {src});", isa.op("storeu"), addr(f, base, 0));
-            } else if let Some(k) = contiguous_prefix(lanes).filter(|_| isa.masked_mem) {
-                let _ = writeln!(
-                    out,
-                    "{pad}{}({}, {}, {src});",
-                    isa.op("maskstore"),
-                    addr(f, base, 0),
-                    isa.mask_literal(w, k)
-                );
-            } else {
-                // general scatter: spill to a small aligned temp, then copy.
-                let _ = writeln!(out, "{pad}{{ double _t[{w}]; {}(_t, {src});", isa.op("storeu"));
-                for (lane, l) in lanes.iter().enumerate() {
-                    if let Some(off) = l {
-                        let _ = writeln!(out, "{pad}  *{} = _t[{lane}];", addr(f, base, *off));
-                    }
+                return;
+            }
+            match mem_form(isa, lanes) {
+                MemForm::Full => {
+                    let _ =
+                        writeln!(out, "{pad}{}({}, {src});", isa.op("storeu"), addr(f, base, 0));
                 }
-                let _ = writeln!(out, "{pad}}}");
+                MemForm::Masked(k) => {
+                    let _ = writeln!(
+                        out,
+                        "{pad}{}({}, {}, {src});",
+                        isa.op("maskstore"),
+                        addr(f, base, 0),
+                        isa.mask_literal(w, k)
+                    );
+                }
+                MemForm::Elements => {
+                    // general scatter: one lane extract per mapped lane
+                    let _ = write!(out, "{pad}");
+                    let mut sep = "";
+                    for (lane, l) in lanes.iter().enumerate() {
+                        if let Some(off) = l {
+                            let to = addr(f, base, *off);
+                            let _ =
+                                write!(out, "{sep}*{to} = {HELPER_PREFIX}lane{w}({src}, {lane});");
+                            sep = " ";
+                        }
+                    }
+                    let _ = writeln!(out);
+                }
             }
         }
         Instr::VMov { dst, src } => {
@@ -651,38 +792,30 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
                 let imm: usize = mask.iter().enumerate().map(|(i, &m)| usize::from(m) << i).sum();
                 let _ = writeln!(out, "{pad}{dst} = {}({a}, {b}, {imm});", isa.op("blend"));
             } else {
-                // no immediate blend on this target: general element path
+                // no immediate blend on this target: the general shuffle
                 let sel: Vec<LaneSel> = mask
                     .iter()
                     .enumerate()
                     .map(|(i, &m)| if m { LaneSel::B(i) } else { LaneSel::A(i) })
                     .collect();
-                emit_shuffle_elements(isa, *dst, *a, *b, &sel, w, &pad, out);
+                emit_shuffle_elements(*dst, *a, *b, &sel, w, &pad, out);
             }
         }
         Instr::VExtract { dst, src, lane } => {
             if w == 1 {
                 let _ = writeln!(out, "{pad}{dst} = v{};", src.0);
             } else {
-                // portable extract through a spill; compilers turn this into
-                // vextractf128/unpck sequences.
-                let _ = writeln!(
-                    out,
-                    "{pad}{{ double _t[{w}]; {}(_t, {src}); {dst} = _t[{lane}]; }}",
-                    isa.op("storeu")
-                );
+                let _ = writeln!(out, "{pad}{dst} = {HELPER_PREFIX}lane{w}({src}, {lane});");
             }
         }
         Instr::VReduceAdd { dst, src } => {
             if w == 1 {
                 let _ = writeln!(out, "{pad}{dst} = v{};", src.0);
             } else {
-                let sum = (0..w).map(|i| format!("_t[{i}]")).collect::<Vec<_>>().join(" + ");
-                let _ = writeln!(
-                    out,
-                    "{pad}{{ double _t[{w}]; {}(_t, {src}); {dst} = {sum}; }}",
-                    isa.op("storeu")
-                );
+                // lanes summed in lane order: ((l0 + l1) + l2) + l3
+                let sum: Vec<String> =
+                    (0..w).map(|l| format!("{HELPER_PREFIX}lane{w}({src}, {l})")).collect();
+                let _ = writeln!(out, "{pad}{dst} = {};", sum.join(" + "));
             }
         }
         Instr::Call { kernel, bufs, ints } => {
@@ -714,27 +847,17 @@ fn emit_shuffle<W: std::fmt::Write>(
         let _ = writeln!(out, "{pad}v{} = {expr};", dst.0);
         return;
     }
-    // Blend pattern: lane i takes lane i of either source.
-    let is_blend = sel.iter().enumerate().all(|(i, s)| match s {
-        LaneSel::A(j) | LaneSel::B(j) => *j == i,
-        LaneSel::Zero => true,
-    });
-    if isa.blend && is_blend && !sel.iter().any(|s| matches!(s, LaneSel::Zero)) {
-        let imm: usize =
-            sel.iter().enumerate().map(|(i, s)| usize::from(matches!(s, LaneSel::B(_))) << i).sum();
+    if let Some(imm) = blend_imm(isa, sel) {
         let _ = writeln!(out, "{pad}{dst} = {}({a}, {b}, {imm});", isa.op("blend"));
         return;
     }
-    emit_shuffle_elements(isa, dst, a, b, sel, w, pad, out);
+    emit_shuffle_elements(dst, a, b, sel, w, pad, out);
 }
 
-/// General shuffle path: spill both sources, gather elements. Real AVX
-/// needs a permute2f128/shuffle_pd pair here; the element path keeps the
-/// emitted C portable while the cost model still charges one shuffle
-/// issue.
-#[allow(clippy::too_many_arguments)]
+/// General shuffle: one `slg_sel` call with a constant selector per lane.
+/// The cost model charges it one shuffle issue; the compiler picks the
+/// permute/unpack sequence when it inlines the helper.
 fn emit_shuffle_elements<W: std::fmt::Write>(
-    isa: &VecIsa,
     dst: crate::instr::VReg,
     a: crate::instr::VReg,
     b: crate::instr::VReg,
@@ -743,21 +866,11 @@ fn emit_shuffle_elements<W: std::fmt::Write>(
     pad: &str,
     out: &mut W,
 ) {
-    let elems: Vec<String> = (0..w)
-        .rev()
-        .map(|lane| match sel[lane] {
-            LaneSel::A(j) => format!("_ta[{j}]"),
-            LaneSel::B(j) => format!("_tb[{j}]"),
-            LaneSel::Zero => "0.0".to_string(),
-        })
-        .collect();
-    let st = isa.op("storeu");
-    let _ = writeln!(
-        out,
-        "{pad}{{ double _ta[{w}], _tb[{w}]; {st}(_ta, {a}); {st}(_tb, {b}); {dst} = {}({}); }}",
-        isa.op("set"),
-        elems.join(", ")
-    );
+    let _ = write!(out, "{pad}{dst} = {HELPER_PREFIX}sel{w}({a}, {b}");
+    for &s in sel {
+        let _ = write!(out, ", {}", sel_index(s, w));
+    }
+    let _ = writeln!(out, ");");
 }
 
 fn emit_stmts<W: std::fmt::Write>(
@@ -883,6 +996,109 @@ mod tests {
         b.vblend(v0, v1, vec![false, true, true, false]);
         let c = to_c(&b.finish());
         assert!(c.contains("_mm256_blend_pd(v0, v1, 6)"), "{c}");
+    }
+
+    #[test]
+    fn lane_movements_call_helpers_defined_once_and_only_when_used() {
+        let mut b = FunctionBuilder::new("mv", 4);
+        let x = b.buffer("x", 8, BufKind::ParamInOut);
+        let v0 = b.vload_contig(MemRef::new(x, 0));
+        let v1 =
+            b.vshuffle(v0, v0, vec![LaneSel::A(3), LaneSel::B(0), LaneSel::Zero, LaneSel::A(1)]);
+        let v2 =
+            b.vshuffle(v1, v0, vec![LaneSel::B(1), LaneSel::A(0), LaneSel::A(2), LaneSel::A(3)]);
+        b.vstore_contig(v2, MemRef::new(x, 0));
+        let only_sel = b.finish();
+        let c = to_c(&only_sel);
+        assert!(c.contains("v1 = slg_sel4(v0, v0, 3, 4, 8, 1);"), "{c}");
+        assert!(c.contains("v2 = slg_sel4(v1, v0, 5, 0, 2, 3);"), "{c}");
+        assert_eq!(c.matches("static inline").count(), 1, "{c}");
+        assert!(c.contains("static inline __m256d slg_sel4("), "{c}");
+        assert!(!c.contains("slg_lane4"), "{c}");
+
+        let mut b = FunctionBuilder::new("mv", 4);
+        let x = b.buffer("x", 8, BufKind::ParamInOut);
+        let v0 = b.vload_contig(MemRef::new(x, 0));
+        let s = b.vextract(v0, 2);
+        b.sstore(s, MemRef::new(x, 4));
+        let r = b.vreduce_add(v0);
+        b.sstore(r, MemRef::new(x, 5));
+        b.vstore(v0, MemRef::new(x, 4), vec![Some(2), None, Some(0), None]);
+        let c = to_c(&b.finish());
+        assert!(c.contains("s0 = slg_lane4(v0, 2);"), "{c}");
+        assert!(
+            c.contains(
+                "s1 = slg_lane4(v0, 0) + slg_lane4(v0, 1) + slg_lane4(v0, 2) + slg_lane4(v0, 3);"
+            ),
+            "{c}"
+        );
+        assert!(c.contains("*(x + 6) = slg_lane4(v0, 0); *(x + 4) = slg_lane4(v0, 2);"), "{c}");
+        assert_eq!(c.matches("static inline").count(), 1, "{c}");
+        assert!(c.contains("static inline double slg_lane4(__m256d v, int l) {"), "{c}");
+
+        // no stack round-trip is left in the kernel body
+        for c in [to_c(&only_sel), c] {
+            let body = &c[c.find("void mv(").unwrap()..];
+            assert!(!body.contains("double t[") && !body.contains("storeu_pd(t"), "{c}");
+        }
+
+        // only contiguous and blend moves: no helper at all
+        let mut b = FunctionBuilder::new("mv", 4);
+        let x = b.buffer("x", 8, BufKind::ParamInOut);
+        let v0 = b.vload_contig(MemRef::new(x, 0));
+        let v1 =
+            b.vshuffle(v0, v0, vec![LaneSel::A(0), LaneSel::B(1), LaneSel::A(2), LaneSel::B(3)]);
+        b.vstore_contig(v1, MemRef::new(x, 0));
+        let c = to_c(&b.finish());
+        assert!(c.contains("_mm256_blend_pd(v0, v0, 10)"), "{c}");
+        assert!(!c.contains("slg_"), "{c}");
+    }
+
+    #[test]
+    fn sse2_blends_go_through_the_select_helper() {
+        let mut b = FunctionBuilder::new("bl2", 2);
+        let x = b.buffer("x", 4, BufKind::ParamInOut);
+        let v0 = b.vload_contig(MemRef::new(x, 0));
+        let v1 = b.vload_contig(MemRef::new(x, 2));
+        let v2 = b.vblend(v0, v1, vec![true, false]);
+        b.vstore_contig(v2, MemRef::new(x, 0));
+        let c = to_c_for(&b.finish(), Target::Sse2);
+        assert!(c.contains("static inline __m128d slg_sel2(__m128d a, __m128d b, int l0, int l1)"));
+        assert!(c.contains("return _mm_set_pd(t[l1], t[l0]);"), "{c}");
+        assert!(c.contains("v2 = slg_sel2(v0, v1, 2, 1);"), "{c}");
+    }
+
+    #[test]
+    fn c_ident_keeps_operands_out_of_reserved_names() {
+        // registers, loop variables and the lane helpers are renamed
+        for (name, want) in [
+            ("s12", "s12_p"),
+            ("v0", "v0_p"),
+            ("i3", "i3_p"),
+            ("slg_sel4", "slg_sel4_p"),
+            ("slg_lane2", "slg_lane2_p"),
+            ("slg_", "slg__p"),
+        ] {
+            assert_eq!(c_ident(name), want, "{name}");
+        }
+        // everything else is kept (the kernel body has no `_t*` scratch
+        // arrays any more)
+        for name in ["s", "sx", "v1a", "S", "U", "tmp1", "_t", "_ta", "_tb", "slg", "slgx"] {
+            assert_eq!(c_ident(name), name);
+        }
+        assert_eq!(c_ident("x.y"), "x_y");
+        assert_eq!(c_ident("1x"), "_1x");
+
+        // an operand named like a helper cannot shadow it
+        let mut b = FunctionBuilder::new("k", 4);
+        let x = b.buffer("slg_sel4", 4, BufKind::ParamInOut);
+        let v0 = b.vload_contig(MemRef::new(x, 0));
+        let v1 =
+            b.vshuffle(v0, v0, vec![LaneSel::A(1), LaneSel::A(0), LaneSel::A(3), LaneSel::A(2)]);
+        b.vstore_contig(v1, MemRef::new(x, 0));
+        let c = to_c(&b.finish());
+        assert!(c.contains("void k(double* restrict slg_sel4_p)"), "{c}");
+        assert!(c.contains("v1 = slg_sel4(v0, v0, 1, 0, 3, 2);"), "{c}");
     }
 
     #[test]

@@ -188,6 +188,9 @@ fn fnv1a(s: &str) -> u64 {
 /// the machine model that alters a single byte or bit fails here; on a
 /// mismatch the fresh table is printed so an intentional change can be
 /// reviewed and committed.
+///
+/// Every lane movement of the grid's kernels is a call to a lane helper:
+/// no kernel body holds a stack array, only the helpers ahead of it do.
 #[test]
 fn golden_digests_are_stable_everywhere() {
     use std::fmt::Write;
@@ -202,6 +205,11 @@ fn golden_digests_are_stable_everywhere() {
                         .unwrap_or_else(|e| panic!("{name}/{target}/nu{nu}/{policy}: {e}"));
                     let (c_hash, c_len) = slingen_cir::unparse::digest_c_for(&g.function, target);
                     assert_eq!(c_len, g.c_code.len(), "{name}/{target}/nu{nu}/{policy}");
+                    let body = &g.c_code[g.c_code.find("\nvoid ").expect("kernel")..];
+                    assert!(
+                        !["_t[", "_ta[", "_tb[", "double t["].iter().any(|a| body.contains(a)),
+                        "{name}/{target}/nu{nu}/{policy}: stack array in the kernel body"
+                    );
                     let wire = fnv1a(&g.report.to_wire());
                     let _ = writeln!(
                         fresh,
