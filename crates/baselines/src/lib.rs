@@ -1,35 +1,34 @@
 //! # slingen-baselines
 //!
-//! The paper's competitors, reimplemented as *code generation strategies*
-//! that produce C-IR executed by the same VM and costed by the same
-//! machine model as SLinGen's output. Each strategy captures the
-//! mechanism behind the corresponding competitor's performance profile:
+//! The paper's compiler- and template-based competitors, reimplemented as
+//! *code generation strategies* that produce C-IR. Like SLinGen's output,
+//! each baseline's C-IR runs in the VM and is costed by the machine model
+//! (a *modeled* row), or is unparsed to C and timed on the host with
+//! `slingen::HardwareMeasurer` (a *measured* row). Each strategy captures
+//! the mechanism behind the corresponding competitor's performance
+//! profile:
 //!
 //! | Flavor | Mechanism |
 //! |--------|-----------|
 //! | [`Flavor::Icc`] | straightforward scalar C, well optimized (scalar replacement, unrolling) but not vectorized — "icc -O3" on handwritten loop code |
 //! | [`Flavor::ClangPolly`] | scalar C with fewer scalar optimizations — "clang -O3 -polly" on the same code |
 //! | [`Flavor::Eigen`] | vectorized fixed-size templates: per-statement kernels, generic loop code, no cross-statement optimization, no algorithmic specialization |
-//! | [`Flavor::Mkl`] | library calls: one `Call` per LA statement into vectorized but generically-tiled kernels, each paying the fixed-interface overhead |
-//! | [`Flavor::Cl1ckMkl`] | Cl1ck's blocked algorithms (block size `nb`) where every block operation is an MKL-style kernel call |
-//! | [`Flavor::Relapack`] | recursive blocking (halving) over MKL-style kernel calls |
-//! | [`Flavor::Recsy`] | recursive Sylvester-type solver with heavyweight generic machinery (larger per-call overhead) |
+//!
+//! The paper's library competitors (MKL, Cl1ck+MKL, ReLAPACK, RECSY) have
+//! no flavor: none of those libraries is available to link and time, and
+//! a model of one is only a per-call constant.
 //!
 //! Every generator is numerically validated against the same oracle as
 //! SLinGen's own output — baselines must be *correct* competitors.
 
-pub mod library;
 pub mod scalar;
 pub mod template;
 
-pub use library::{library_codegen, LibraryStyle};
 pub use scalar::scalar_codegen;
 pub use template::template_codegen;
 
 use slingen_cir::Function;
 use slingen_ir::Program;
-use slingen_perf::Machine;
-use slingen_vm::KernelLib;
 
 /// Competitor identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,45 +39,15 @@ pub enum Flavor {
     ClangPolly,
     /// Eigen 3.3.4 fixed-size templates.
     Eigen,
-    /// Intel MKL 11.3.2 (sequential).
-    Mkl,
-    /// Cl1ck-generated blocked algorithm implemented with MKL, block size
-    /// `nb`.
-    Cl1ckMkl {
-        /// Block size of the blocked algorithm.
-        nb: usize,
-    },
-    /// ReLAPACK-style recursive blocking over MKL kernels.
-    Relapack,
-    /// RECSY-style recursive Sylvester solvers.
-    Recsy,
 }
 
 impl Flavor {
     /// Display label matching the paper's plot legends.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            Flavor::Icc => "icc".to_string(),
-            Flavor::ClangPolly => "clang/Polly".to_string(),
-            Flavor::Eigen => "Eigen".to_string(),
-            Flavor::Mkl => "MKL".to_string(),
-            Flavor::Cl1ckMkl { nb } => format!("Cl1ck+MKL (nb={nb})"),
-            Flavor::Relapack => "ReLAPACK".to_string(),
-            Flavor::Recsy => "RECSY".to_string(),
-        }
-    }
-
-    /// The machine model this competitor is measured on: identical
-    /// hardware, but the library interface overhead applies only to
-    /// library-based flavors (the paper's "overhead due to fixed
-    /// interfaces").
-    pub fn machine(&self) -> Machine {
-        let base = Machine::sandy_bridge();
-        match self {
-            Flavor::Icc | Flavor::ClangPolly | Flavor::Eigen => base.with_call_overhead(0.0),
-            Flavor::Mkl | Flavor::Cl1ckMkl { .. } => base.with_call_overhead(150.0),
-            Flavor::Relapack => base.with_call_overhead(150.0),
-            Flavor::Recsy => base.with_call_overhead(900.0),
+            Flavor::Icc => "icc",
+            Flavor::ClangPolly => "clang/Polly",
+            Flavor::Eigen => "Eigen",
         }
     }
 }
@@ -88,8 +57,6 @@ impl Flavor {
 pub struct BaselineCode {
     /// The C-IR entry function.
     pub function: Function,
-    /// Kernel library for `Call`-based flavors (empty otherwise).
-    pub kernels: KernelLib,
 }
 
 /// Generate competitor code for `program`.
@@ -106,12 +73,5 @@ pub fn baseline_codegen(
         Flavor::Icc => scalar_codegen(program, true),
         Flavor::ClangPolly => scalar_codegen(program, false),
         Flavor::Eigen => template_codegen(program),
-        Flavor::Mkl => library_codegen(program, LibraryStyle::WholeStatement),
-        Flavor::Cl1ckMkl { nb } => library_codegen(program, LibraryStyle::Blocked { nb }),
-        Flavor::Relapack => library_codegen(program, LibraryStyle::Recursive),
-        // RECSY recurses down to tiny kernels, paying its heavyweight
-        // generic machinery on every one (the paper measures it an order
-        // of magnitude behind on small operands)
-        Flavor::Recsy => library_codegen(program, LibraryStyle::Blocked { nb: 4 }),
     }
 }

@@ -7,7 +7,6 @@ use slingen_cir::passes::{optimize, PassConfig};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program, LowerOptions};
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
-use slingen_vm::KernelLib;
 
 /// Generate scalar code. `good_compiler = true` models icc (scalar
 /// replacement, CSE, aggressive unrolling); `false` models clang/Polly
@@ -45,7 +44,7 @@ pub fn scalar_codegen(
         }
     };
     optimize(&mut f, &passes);
-    Ok(BaselineCode { function: f, kernels: KernelLib::new() })
+    Ok(BaselineCode { function: f })
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use slingen_cir::passes::{optimize, PassConfig};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program, LowerOptions};
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
-use slingen_vm::KernelLib;
 
 /// Generate Eigen-style template code.
 ///
@@ -33,7 +32,7 @@ pub fn template_codegen(program: &Program) -> Result<BaselineCode, Box<dyn std::
         iterations: 2,
     };
     optimize(&mut f, &passes);
-    Ok(BaselineCode { function: f, kernels: KernelLib::new() })
+    Ok(BaselineCode { function: f })
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Regenerates the paper's Fig. 14: HLAC benchmarks (potrf, trsyl, trlya,
-//! trtri) — SLinGen vs MKL, ReLAPACK, (RECSY), Eigen, icc, clang/Polly on
-//! the left; SLinGen variants vs Cl1ck+MKL (nb ∈ {4, n/2, n}) on the
-//! right. Performance in flops/cycle vs n, double precision.
+//! trtri) — SLinGen vs Eigen, icc and clang/Polly on the left; SLinGen's
+//! algorithmic variants on the right. Performance in flops/cycle vs n,
+//! double precision. Every row is *modeled* (VM plus machine model); the
+//! paper's library competitors have no row because none of them is
+//! available to time.
 //!
 //! Usage: `fig14 [potrf|trsyl|trlya|trtri|all] [--full]`
 
@@ -11,40 +13,23 @@ use slingen_bench::*;
 use slingen_synth::Policy;
 
 fn run_kernel(kernel: &str, full: bool) {
-    println!("== Fig. 14 ({kernel}) — performance [f/c] vs n, peak 8 f/c ==");
-    println!("-- left plot: SLinGen vs libraries and compilers --");
+    println!("== Fig. 14 ({kernel}) — modeled performance [f/c] vs n, peak 8 f/c ==");
+    println!("-- left plot (modeled): SLinGen vs templates and compilers --");
     for n in hlac_sizes(full) {
         let p = program_for(kernel, n);
         let fl = nominal_flops(kernel, n, 0);
         let mut row = vec![measure_slingen(&p, n, fl)];
-        let mut flavors =
-            vec![Flavor::Mkl, Flavor::Relapack, Flavor::Eigen, Flavor::Icc, Flavor::ClangPolly];
-        if kernel == "trsyl" {
-            flavors.insert(2, Flavor::Recsy);
-        }
-        for f in flavors {
+        for f in [Flavor::Eigen, Flavor::Icc, Flavor::ClangPolly] {
             row.push(measure_baseline(&p, f, n, fl));
         }
         println!("{}", format_row(&row));
     }
-    println!("-- right plot: algorithmic variants vs Cl1ck+MKL --");
+    println!("-- right plot (modeled): SLinGen's algorithmic variants --");
     for n in hlac_sizes(full) {
         let p = program_for(kernel, n);
         let fl = nominal_flops(kernel, n, 0);
-        let mut row = Vec::new();
-        for policy in Policy::ALL {
-            row.push(measure_slingen_variant(&p, policy, n, fl));
-        }
-        for nb in [4usize, (n / 2).max(1), n] {
-            let flavor = if nb >= n {
-                Flavor::Mkl // nb = n: unblocked, one LAPACK call
-            } else {
-                Flavor::Cl1ckMkl { nb }
-            };
-            let mut m = measure_baseline(&p, flavor, n, fl);
-            m.label = format!("Cl1ck+MKL (nb={nb})");
-            row.push(m);
-        }
+        let row: Vec<Measurement> =
+            Policy::ALL.iter().map(|&policy| measure_slingen_variant(&p, policy, n, fl)).collect();
         println!("{}", format_row(&row));
     }
     println!();

@@ -1,11 +1,14 @@
 //! Shared measurement harness for the figure/table binaries.
 //!
-//! Every competitor — SLinGen's generated code and all baselines — is
-//! executed by the same VM on the same valid random workloads and costed
-//! by the same Sandy Bridge machine model (with flavor-specific library
-//! overheads). Performance is reported in flops/cycle against the paper's
-//! *nominal* operation counts (e.g. n³/3 for Cholesky), exactly like the
-//! paper's plots.
+//! Every competitor — SLinGen's generated code and the compiler- and
+//! template-style baselines — is executed by the same VM on the same
+//! valid random workloads and costed by the same Sandy Bridge machine
+//! model. Every number here is therefore *modeled*; hardware timings of
+//! the same C come from `slingen::HardwareMeasurer` (see
+//! `tests/paper_claims.rs` and `perfbench`'s `kernels` workload).
+//! Performance is reported in flops/cycle against the paper's *nominal*
+//! operation counts (e.g. n³/3 for Cholesky), exactly like the paper's
+//! plots.
 
 use slingen::{apps, Options, VariantSpec};
 use slingen_baselines::{baseline_codegen, Flavor};
@@ -13,7 +16,7 @@ use slingen_ir::Program;
 use slingen_perf::{Machine, Report};
 use slingen_synth::Policy;
 
-/// A single measurement.
+/// A single modeled measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Competitor label.
@@ -28,21 +31,15 @@ pub struct Measurement {
     pub report: Report,
 }
 
-fn run_function(
-    program: &Program,
-    function: &slingen_cir::Function,
-    kernels: Option<&slingen_vm::KernelLib>,
-    machine: &Machine,
-    seed: u64,
-) -> Report {
+fn run_function(program: &Program, function: &slingen_cir::Function, seed: u64) -> Report {
     let mut bufs = slingen::workload::buffers(program, function, seed);
-    slingen_perf::measure(function, &mut bufs, kernels, machine).expect("measurement")
+    slingen_perf::measure(function, &mut bufs, None, &Machine::sandy_bridge()).expect("measurement")
 }
 
-/// Measure SLinGen's autotuned output.
+/// Model SLinGen's autotuned output.
 pub fn measure_slingen(program: &Program, n: usize, nominal_flops: f64) -> Measurement {
     let g = slingen::generate(program, &Options::default()).expect("slingen generation");
-    let report = run_function(program, &g.function, None, &Machine::sandy_bridge(), 7);
+    let report = run_function(program, &g.function, 7);
     Measurement {
         label: "SLinGen".to_string(),
         n,
@@ -52,7 +49,7 @@ pub fn measure_slingen(program: &Program, n: usize, nominal_flops: f64) -> Measu
     }
 }
 
-/// Measure one fixed SLinGen variant (the dashed lines of Fig. 14).
+/// Model one fixed SLinGen variant (the dashed lines of Fig. 14).
 pub fn measure_slingen_variant(
     program: &Program,
     policy: Policy,
@@ -62,7 +59,7 @@ pub fn measure_slingen_variant(
     let opts = Options::default();
     let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
     let g = slingen::generate_with_spec(program, spec, &opts).expect("slingen variant");
-    let report = run_function(program, &g.function, None, &Machine::sandy_bridge(), 7);
+    let report = run_function(program, &g.function, 7);
     Measurement {
         label: format!("SLinGen ({policy})"),
         n,
@@ -72,7 +69,7 @@ pub fn measure_slingen_variant(
     }
 }
 
-/// Measure a competitor flavor.
+/// Model a competitor flavor.
 pub fn measure_baseline(
     program: &Program,
     flavor: Flavor,
@@ -80,9 +77,9 @@ pub fn measure_baseline(
     nominal_flops: f64,
 ) -> Measurement {
     let code = baseline_codegen(program, flavor).expect("baseline generation");
-    let report = run_function(program, &code.function, Some(&code.kernels), &flavor.machine(), 7);
+    let report = run_function(program, &code.function, 7);
     Measurement {
-        label: flavor.label(),
+        label: flavor.label().to_string(),
         n,
         cycles: report.cycles,
         flops_per_cycle: nominal_flops / report.cycles,

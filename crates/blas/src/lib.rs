@@ -2,9 +2,8 @@
 //!
 //! A self-contained BLAS/LAPACK substrate in pure Rust.
 //!
-//! The paper's evaluation compares generated code against library-based
-//! implementations (Intel MKL, ReLAPACK, RECSY) and uses LAPACK semantics
-//! as the correctness reference. This crate provides that substrate:
+//! The paper's evaluation uses LAPACK semantics as the correctness
+//! reference. This crate provides that substrate:
 //!
 //! * level-1/2/3 BLAS kernels (`ddot`, `daxpy`, `dgemv`, `dtrsv`, `dgemm`,
 //!   `dsyrk`, `dtrsm`, `dtrmm`, ...) with row-major storage and explicit
@@ -16,8 +15,7 @@
 //!   triangular factors) used throughout the test and benchmark suites.
 //!
 //! Everything here is the *oracle*: the generated C-IR is validated
-//! against these routines, and the library-style baselines mirror their
-//! call trees.
+//! against these routines.
 
 pub mod blas1;
 pub mod blas2;

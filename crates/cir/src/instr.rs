@@ -385,19 +385,6 @@ pub enum Instr {
         /// Source vector.
         src: VReg,
     },
-    /// Opaque call into a pre-built library kernel (used only by the
-    /// library-based *baselines*; SLinGen's own output never contains
-    /// calls). The callee is named so the VM can dispatch, and the cost
-    /// model charges the interface overhead the paper attributes to
-    /// fixed library APIs.
-    Call {
-        /// Kernel name (resolved by the VM's kernel registry).
-        kernel: String,
-        /// Buffer arguments.
-        bufs: Vec<BufId>,
-        /// Integer arguments (sizes, leading dimensions, flags).
-        ints: Vec<i64>,
-    },
 }
 
 /// Instruction classes used by the performance model (issue ports).
@@ -421,13 +408,11 @@ pub enum InstrClass {
     Blend,
     /// Register move / broadcast from register.
     Mov,
-    /// Library call overhead.
-    Call,
 }
 
 impl InstrClass {
     /// All instruction classes, for iteration.
-    pub const ALL: [InstrClass; 10] = [
+    pub const ALL: [InstrClass; 9] = [
         InstrClass::Load,
         InstrClass::Store,
         InstrClass::FAdd,
@@ -437,7 +422,6 @@ impl InstrClass {
         InstrClass::Shuffle,
         InstrClass::Blend,
         InstrClass::Mov,
-        InstrClass::Call,
     ];
 
     /// Inverse of the `Display` names — used by the persistent tuning
@@ -459,7 +443,6 @@ impl fmt::Display for InstrClass {
             InstrClass::Shuffle => "shuffle",
             InstrClass::Blend => "blend",
             InstrClass::Mov => "mov",
-            InstrClass::Call => "call",
         };
         f.write_str(s)
     }
@@ -484,7 +467,6 @@ impl Instr {
             Instr::VBlend { .. } => InstrClass::Blend,
             Instr::VExtract { .. } => InstrClass::Shuffle,
             Instr::VReduceAdd { .. } => InstrClass::FAdd,
-            Instr::Call { .. } => InstrClass::Call,
         }
     }
 
@@ -578,15 +560,11 @@ impl Instr {
         }
     }
 
-    /// Whether this instruction touches memory (including calls).
+    /// Whether this instruction touches memory.
     pub fn touches_memory(&self) -> bool {
         matches!(
             self,
-            Instr::SLoad { .. }
-                | Instr::SStore { .. }
-                | Instr::VLoad { .. }
-                | Instr::VStore { .. }
-                | Instr::Call { .. }
+            Instr::SLoad { .. } | Instr::SStore { .. } | Instr::VLoad { .. } | Instr::VStore { .. }
         )
     }
 

@@ -268,15 +268,6 @@ fn process(st: &mut Cse, ins: &mut Instr) -> bool {
     match &*ins {
         Instr::SStore { dst, .. } => st.bump_epoch(dst.buf.0),
         Instr::VStore { base, .. } => st.bump_epoch(base.buf.0),
-        Instr::Call { .. } => {
-            let gen = st.gen;
-            st.epochs
-                .iter_mut()
-                .for_each(|s| *s = if s.0 == gen { (gen, s.1 + 1) } else { (gen, 1) });
-            // calls clobber nothing in registers, but be safe:
-            st.avail_s.clear();
-            st.avail_v.clear();
-        }
         _ => {}
     }
     // a move's destination takes the canonical key of its source, read

@@ -27,7 +27,6 @@ struct Usage {
     vreads: Vec<bool>,
     loaded_cells: FxHashSet<(usize, i64)>,
     symbolic_load_bufs: Vec<bool>,
-    call_bufs: Vec<bool>,
 }
 
 impl Usage {
@@ -39,8 +38,6 @@ impl Usage {
         self.loaded_cells.clear();
         self.symbolic_load_bufs.clear();
         self.symbolic_load_bufs.resize(f.buffers.len(), false);
-        self.call_bufs.clear();
-        self.call_bufs.resize(f.buffers.len(), false);
     }
 
     fn sread(&self, r: usize) -> bool {
@@ -75,11 +72,6 @@ fn collect(f: &Function, u: &mut Usage) {
                 }
                 None => mark(&mut u.symbolic_load_bufs, base.buf.0),
             },
-            Instr::Call { bufs, .. } => {
-                for b in bufs {
-                    mark(&mut u.call_bufs, b.0);
-                }
-            }
             _ => {}
         }
     });
@@ -94,9 +86,7 @@ fn store_is_dead(
     if buffers[buf].kind != BufKind::Local {
         return false;
     }
-    if u.symbolic_load_bufs.get(buf).copied().unwrap_or(false)
-        || u.call_bufs.get(buf).copied().unwrap_or(false)
-    {
+    if u.symbolic_load_bufs.get(buf).copied().unwrap_or(false) {
         return false;
     }
     for off in cells {
@@ -119,7 +109,6 @@ fn instr_is_dead(buffers: &[BufferDecl], u: &Usage, ins: &Instr) -> bool {
             }
             None => false,
         },
-        Instr::Call { .. } => false,
         other => {
             let swrite_dead = other.sreg_write().is_none_or(|r| !u.sread(r.0));
             let vwrite_dead = other.vreg_write().is_none_or(|r| !u.vread(r.0));

@@ -20,7 +20,7 @@
 //! reason).
 //!
 //! Soundness relies on the C-IR invariant that distinct buffers never
-//! alias. Conservative resets happen at control-flow boundaries and calls.
+//! alias. Conservative resets happen at control-flow boundaries.
 //!
 //! Throughput notes: both `forward` and `copyprop` stream over the body
 //! mutating instructions in place (no rebuilt vectors, no per-instruction
@@ -240,10 +240,6 @@ fn process(st: &mut State, ins: &mut Instr, ls_analysis: bool, scalar_repl: bool
                 None => Outcome::Keep,
             }
         }
-        Instr::Call { .. } => {
-            st.clear_cells();
-            Outcome::Keep
-        }
         other => {
             if let Some(r) = other.sreg_write() {
                 st.bump_s(r);
@@ -453,7 +449,7 @@ fn copyprop_instr(st: &mut CopyState, ins: &mut Instr) -> bool {
         Instr::VExtract { src, .. } | Instr::VReduceAdd { src, .. } => {
             changed |= st.subst_v(src);
         }
-        Instr::SLoad { .. } | Instr::VLoad { .. } | Instr::Call { .. } => {}
+        Instr::SLoad { .. } | Instr::VLoad { .. } => {}
     }
     // Redefinitions invalidate (lazily, via versions), then new copy facts
     // are recorded from the rewritten instruction.

@@ -114,7 +114,7 @@ fn rewrite_reads(ins: &mut Instr, smap: &RenameMap<SReg>, vmap: &RenameMap<VReg>
         }
         Instr::VBroadcast { src, .. } => map_sop(smap, src),
         Instr::VExtract { src, .. } | Instr::VReduceAdd { src, .. } => map_v(vmap, src),
-        Instr::SLoad { .. } | Instr::VLoad { .. } | Instr::Call { .. } => {}
+        Instr::SLoad { .. } | Instr::VLoad { .. } => {}
     }
 }
 

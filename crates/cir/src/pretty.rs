@@ -43,11 +43,6 @@ pub fn instr_to_string(i: &Instr) -> String {
         }
         Instr::VExtract { dst, src, lane } => format!("{dst} = vextract {src}[{lane}]"),
         Instr::VReduceAdd { dst, src } => format!("{dst} = vreduce_add {src}"),
-        Instr::Call { kernel, bufs, ints } => {
-            let bs: Vec<String> = bufs.iter().map(|b| b.to_string()).collect();
-            let is: Vec<String> = ints.iter().map(|v| v.to_string()).collect();
-            format!("call {kernel}({}; {})", bs.join(","), is.join(","))
-        }
     }
 }
 

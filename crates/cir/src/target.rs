@@ -78,8 +78,6 @@ pub struct CostTable {
     pub div_scalar_cycles: f64,
     /// Divider occupancy & latency for a vector divide/sqrt.
     pub div_vector_cycles: f64,
-    /// Front-end cycles per library call.
-    pub call_overhead_cycles: f64,
     /// The vector width the peak numbers assume.
     pub nominal_width: usize,
 }
@@ -126,7 +124,6 @@ const SANDY_BRIDGE_COSTS: CostTable = CostTable {
     store_latency: 4.0,
     div_scalar_cycles: 22.0,
     div_vector_cycles: 44.0,
-    call_overhead_cycles: 120.0,
     nominal_width: 4,
 };
 

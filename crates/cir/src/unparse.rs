@@ -818,12 +818,6 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
                 let _ = writeln!(out, "{pad}{dst} = {};", sum.join(" + "));
             }
         }
-        Instr::Call { kernel, bufs, ints } => {
-            let mut args: Vec<String> =
-                bufs.iter().map(|b| c_ident(&f.buffers[b.0].name)).collect();
-            args.extend(ints.iter().map(|v| v.to_string()));
-            let _ = writeln!(out, "{pad}{kernel}({});", args.join(", "));
-        }
     }
 }
 

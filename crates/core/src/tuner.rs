@@ -376,7 +376,7 @@ fn measure(
     budget: Option<f64>,
 ) -> Result<Option<Report>, Error> {
     let mut bufs = workload::buffers(program, function, options.seed);
-    Ok(slingen_perf::measure_budgeted(function, &mut bufs, None, &options.machine, budget)?)
+    Ok(slingen_perf::measure_budgeted(function, &mut bufs, &options.machine, budget)?)
 }
 
 /// One variant after Stages 2–3: the optimized function, the

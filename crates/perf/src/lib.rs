@@ -21,10 +21,7 @@
 //! * 2 × 128-bit load units and 1 × 128-bit store unit per cycle (256-bit
 //!   accesses occupy two unit-slots), L1 latency 4;
 //! * true data dependences through registers and memory cells (hardware
-//!   register renaming is modeled: only read-after-write serializes);
-//! * library calls occupy a front-end resource for a configurable
-//!   interface overhead — the cost the paper attributes to fixed
-//!   library APIs on small sizes.
+//!   register renaming is modeled: only read-after-write serializes).
 //!
 //! [`measure`] runs a C-IR function in the VM under a [`Scheduler`] monitor
 //! and returns a [`Report`] with estimated cycles, per-resource pressure,
@@ -40,12 +37,15 @@ pub use report::{MeasuredTime, Report};
 pub use sched::{pressure_lower_bound, Scheduler};
 
 use slingen_cir::Function;
-use slingen_vm::{BufferSet, KernelLib, VmError};
+use slingen_vm::{BufferSet, VmError};
 
 /// Execute `f` under the performance model and return the report.
 ///
 /// `buffers` provides the inputs and receives the outputs (so correctness
 /// checks and measurement share one execution).
+///
+/// `_unused` can only be `None` and is ignored. Kept because the external
+/// benchmark under `perfbench/` passes it.
 ///
 /// # Errors
 ///
@@ -53,10 +53,10 @@ use slingen_vm::{BufferSet, KernelLib, VmError};
 pub fn measure(
     f: &Function,
     buffers: &mut BufferSet,
-    lib: Option<&KernelLib>,
+    _unused: Option<std::convert::Infallible>,
     machine: &Machine,
 ) -> Result<Report, VmError> {
-    Ok(measure_budgeted(f, buffers, lib, machine, None)?.expect("no budget, no cutoff"))
+    Ok(measure_budgeted(f, buffers, machine, None)?.expect("no budget, no cutoff"))
 }
 
 /// Execute `f` under the performance model with a cycle budget: as soon as
@@ -73,12 +73,11 @@ pub fn measure(
 pub fn measure_budgeted(
     f: &Function,
     buffers: &mut BufferSet,
-    lib: Option<&KernelLib>,
     machine: &Machine,
     budget: Option<f64>,
 ) -> Result<Option<Report>, VmError> {
     let mut sched = Scheduler::with_budget(machine.clone(), budget);
-    slingen_vm::execute_with_lib(f, buffers, lib, &mut sched)?;
+    slingen_vm::execute(f, buffers, &mut sched)?;
     if sched.budget_exceeded() {
         Ok(None)
     } else {

@@ -28,13 +28,11 @@ pub enum Resource {
     Store,
     /// Register moves / broadcasts.
     Mov,
-    /// Front-end / dispatch (library-call interface overhead).
-    Frontend,
 }
 
 impl Resource {
     /// All resources, for iteration.
-    pub const ALL: [Resource; 9] = [
+    pub const ALL: [Resource; 8] = [
         Resource::FMul,
         Resource::FAdd,
         Resource::Divider,
@@ -43,7 +41,6 @@ impl Resource {
         Resource::Load,
         Resource::Store,
         Resource::Mov,
-        Resource::Frontend,
     ];
 
     /// Stable single-token name used in the on-disk cache wire format
@@ -59,7 +56,6 @@ impl Resource {
             Resource::Load => "load",
             Resource::Store => "store",
             Resource::Mov => "mov",
-            Resource::Frontend => "fe",
         }
     }
 
@@ -79,7 +75,6 @@ impl Resource {
             Resource::Load => "L1 loads",
             Resource::Store => "L1 stores",
             Resource::Mov => "reg moves",
-            Resource::Frontend => "call overhead",
         }
     }
 }
@@ -135,9 +130,6 @@ pub struct Machine {
     pub div_scalar_cycles: f64,
     /// Divider occupancy & latency for a *vector* divide or sqrt.
     pub div_vector_cycles: f64,
-    /// Front-end cycles consumed by one library call (interface overhead:
-    /// argument checking, dispatch, no cross-call fusion).
-    pub call_overhead_cycles: f64,
     /// The vector width the peak numbers assume (for reports only).
     pub nominal_width: usize,
 }
@@ -171,7 +163,6 @@ impl Machine {
             store_latency: c.store_latency,
             div_scalar_cycles: c.div_scalar_cycles,
             div_vector_cycles: c.div_vector_cycles,
-            call_overhead_cycles: c.call_overhead_cycles,
             nominal_width: c.nominal_width,
         }
     }
@@ -199,14 +190,7 @@ impl Machine {
             Resource::Load => self.load_units_per_cycle,
             Resource::Store => self.store_units_per_cycle,
             Resource::Mov => self.mov_per_cycle,
-            Resource::Frontend => 1.0,
         }
-    }
-
-    /// Set the library-call overhead (builder style).
-    pub fn with_call_overhead(mut self, cycles: f64) -> Machine {
-        self.call_overhead_cycles = cycles;
-        self
     }
 }
 
@@ -258,12 +242,6 @@ mod tests {
         for r in Resource::ALL {
             assert!(m.capacity(r) > 0.0, "{r} has zero capacity");
         }
-    }
-
-    #[test]
-    fn call_overhead_builder() {
-        let m = Machine::sandy_bridge().with_call_overhead(500.0);
-        assert_eq!(m.call_overhead_cycles, 500.0);
     }
 
     #[test]

@@ -223,11 +223,6 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Vec<Demand> {
                 Demand { resource: Resource::Shuffle, units: steps, latency: m.shuffle_latency },
             ]
         }
-        Instr::Call { .. } => vec![Demand {
-            resource: Resource::Frontend,
-            units: m.call_overhead_cycles,
-            latency: m.call_overhead_cycles,
-        }],
     }
 }
 
@@ -559,15 +554,13 @@ mod tests {
 
         let mut bufs = BufferSet::for_function(&f);
         let cut =
-            crate::measure_budgeted(&f, &mut bufs, None, &Machine::sandy_bridge(), Some(50.0))
-                .unwrap();
+            crate::measure_budgeted(&f, &mut bufs, &Machine::sandy_bridge(), Some(50.0)).unwrap();
         assert!(cut.is_none(), "8 chained divs must blow a 50-cycle budget");
 
         let mut bufs = BufferSet::for_function(&f);
         let kept = crate::measure_budgeted(
             &f,
             &mut bufs,
-            None,
             &Machine::sandy_bridge(),
             Some(full.cycles + 1.0),
         )
@@ -575,26 +568,6 @@ mod tests {
         .expect("budget above the true cost must not trigger");
         assert_eq!(kept.cycles, full.cycles);
         assert_eq!(kept.instructions, full.instructions);
-    }
-
-    /// Calls pay the configured interface overhead.
-    #[test]
-    fn call_overhead_charged() {
-        use slingen_cir::Instr;
-        use slingen_vm::KernelLib;
-        let mut lib = KernelLib::new();
-        let mut kb = FunctionBuilder::new("noop", 1);
-        kb.buffer("a", 1, BufKind::ParamInOut);
-        lib.register(kb.finish());
-        let mut b = FunctionBuilder::new("caller", 1);
-        let a = b.buffer("a", 1, BufKind::ParamInOut);
-        for _ in 0..4 {
-            b.instr(Instr::Call { kernel: "noop".into(), bufs: vec![a], ints: vec![] });
-        }
-        let f = b.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        let rep = crate::measure(&f, &mut bufs, Some(&lib), &Machine::sandy_bridge()).unwrap();
-        assert!(rep.cycles >= 4.0 * 120.0, "4 calls >= 480 cycles, got {}", rep.cycles);
     }
 
     /// Loop-var-dependent addressing resolves per iteration.

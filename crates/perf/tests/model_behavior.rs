@@ -37,34 +37,6 @@ fn balanced_fp_stream_approaches_peak() {
     assert!(fpc <= 8.0 + 1e-9, "cannot exceed peak, got {fpc:.2}");
 }
 
-/// Doubling the interface overhead must increase a call-heavy program's
-/// cycles accordingly.
-#[test]
-fn call_overhead_scales_linearly() {
-    use slingen_cir::Instr;
-    use slingen_vm::KernelLib;
-    let mut lib = KernelLib::new();
-    let mut kb = FunctionBuilder::new("k", 1);
-    kb.buffer("a", 1, BufKind::ParamInOut);
-    lib.register(kb.finish());
-    let mut b = FunctionBuilder::new("main", 1);
-    let a = b.buffer("a", 1, BufKind::ParamInOut);
-    for _ in 0..10 {
-        b.instr(Instr::Call { kernel: "k".into(), bufs: vec![a], ints: vec![] });
-    }
-    let f = b.finish();
-    let mut bufs = BufferSet::for_function(&f);
-    let cheap =
-        measure(&f, &mut bufs, Some(&lib), &Machine::sandy_bridge().with_call_overhead(100.0))
-            .unwrap();
-    let mut bufs = BufferSet::for_function(&f);
-    let costly =
-        measure(&f, &mut bufs, Some(&lib), &Machine::sandy_bridge().with_call_overhead(200.0))
-            .unwrap();
-    let delta = costly.cycles - cheap.cycles;
-    assert!((delta - 1000.0).abs() < 50.0, "10 calls x 100 extra cycles, got {delta}");
-}
-
 /// Store-heavy code is bound by the single store unit.
 #[test]
 fn store_bound_attribution() {

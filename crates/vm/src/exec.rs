@@ -1,8 +1,7 @@
 //! The C-IR interpreter.
 
-use crate::kernels::KernelLib;
 use crate::monitor::{Event, Monitor};
-use slingen_cir::{BufKind, CStmt, Function, Instr, LaneSel, MemRef, SOperand};
+use slingen_cir::{CStmt, Function, Instr, LaneSel, MemRef, SOperand};
 use std::fmt;
 
 /// Errors raised during execution.
@@ -17,17 +16,6 @@ pub enum VmError {
         /// Declared length.
         len: usize,
     },
-    /// `Call` to a kernel that is not registered.
-    UnknownKernel(String),
-    /// `Call` argument count does not match the callee's parameters.
-    BadCallArity {
-        /// Kernel name.
-        kernel: String,
-        /// Arguments supplied.
-        given: usize,
-        /// Parameters expected.
-        expected: usize,
-    },
     /// The function references a buffer id outside its table.
     BadBuffer(usize),
 }
@@ -38,10 +26,6 @@ impl fmt::Display for VmError {
             VmError::OutOfBounds { buffer, index, len } => {
                 write!(f, "out-of-bounds access: {buffer}[{index}] (len {len})")
             }
-            VmError::UnknownKernel(name) => write!(f, "unknown kernel `{name}`"),
-            VmError::BadCallArity { kernel, given, expected } => {
-                write!(f, "call to `{kernel}` with {given} buffers, expected {expected}")
-            }
             VmError::BadBuffer(id) => write!(f, "invalid buffer id {id}"),
         }
     }
@@ -49,8 +33,8 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// The caller-visible memory of a VM run: one `Vec<f64>` per buffer of the
-/// top-level function (parameters *and* locals, in declaration order).
+/// The memory of a VM run: one `Vec<f64>` per buffer of the function
+/// (parameters *and* locals, in declaration order).
 ///
 /// ```
 /// use slingen_cir::{FunctionBuilder, BufKind};
@@ -100,42 +84,17 @@ impl BufferSet {
     }
 }
 
-/// Global memory during a run: top-level buffers first, then transient
-/// activations' locals.
-struct Memory {
-    bufs: Vec<Vec<f64>>,
-    names: Vec<String>,
-}
-
-struct Activation<'f> {
+/// Interpreter state for one run of `f`.
+struct Vm<'f, 'm> {
     f: &'f Function,
-    /// Local BufId -> global buffer index.
-    map: Vec<usize>,
+    bufs: Vec<Vec<f64>>,
     sregs: Vec<f64>,
     vregs: Vec<Vec<f64>>,
     loopvars: Vec<i64>,
-}
-
-struct Vm<'l, 'm> {
-    mem: Memory,
-    lib: Option<&'l KernelLib>,
     monitor: &'m mut dyn Monitor,
 }
 
-/// Execute `f` against `buffers` without a kernel library.
-///
-/// # Errors
-///
-/// Returns [`VmError`] on out-of-bounds accesses or unresolvable calls.
-pub fn execute(
-    f: &Function,
-    buffers: &mut BufferSet,
-    monitor: &mut dyn Monitor,
-) -> Result<(), VmError> {
-    execute_with_lib(f, buffers, None, monitor)
-}
-
-/// Execute `f` against `buffers`, resolving [`Instr::Call`]s in `lib`.
+/// Execute `f` against `buffers`.
 ///
 /// If the monitor's [`Monitor::should_stop`] turns true mid-run, execution
 /// stops early and returns `Ok(())` with partial output buffers; the
@@ -143,62 +102,49 @@ pub fn execute(
 ///
 /// # Errors
 ///
-/// Returns [`VmError`] on out-of-bounds accesses, unknown kernels, or call
-/// arity mismatches.
-pub fn execute_with_lib(
+/// Returns [`VmError`] on out-of-bounds accesses or invalid buffer ids.
+pub fn execute(
     f: &Function,
     buffers: &mut BufferSet,
-    lib: Option<&KernelLib>,
     monitor: &mut dyn Monitor,
 ) -> Result<(), VmError> {
-    let mem = Memory {
+    let mut vm = Vm {
+        f,
         bufs: std::mem::take(&mut buffers.data),
-        names: f.buffers.iter().map(|b| b.name.clone()).collect(),
+        sregs: vec![0.0; f.n_sregs],
+        vregs: vec![vec![0.0; f.width]; f.n_vregs],
+        loopvars: vec![0; f.n_loopvars],
+        monitor,
     };
-    let mut vm = Vm { mem, lib, monitor };
-    let map: Vec<usize> = (0..f.buffers.len()).collect();
-    let result = vm.run(f, map).map(|_continue| ());
-    buffers.data = vm.mem.bufs;
-    buffers.data.truncate(f.buffers.len());
+    let result = vm.exec_stmts(&f.body).map(|_continue| ());
+    buffers.data = vm.bufs;
     result
 }
 
-impl<'l, 'm> Vm<'l, 'm> {
-    /// Returns `Ok(false)` when the monitor requested an early stop.
-    fn run(&mut self, f: &Function, map: Vec<usize>) -> Result<bool, VmError> {
-        let mut act = Activation {
-            f,
-            map,
-            sregs: vec![0.0; f.n_sregs],
-            vregs: vec![vec![0.0; f.width]; f.n_vregs],
-            loopvars: vec![0; f.n_loopvars],
-        };
-        self.exec_stmts(&f.body, &mut act)
-    }
-
-    fn exec_stmts(&mut self, stmts: &[CStmt], act: &mut Activation<'_>) -> Result<bool, VmError> {
+impl Vm<'_, '_> {
+    fn exec_stmts(&mut self, stmts: &[CStmt]) -> Result<bool, VmError> {
         for s in stmts {
             match s {
                 CStmt::I(i) => {
-                    if !self.exec_instr(i, act)? {
+                    if !self.exec_instr(i)? {
                         return Ok(false);
                     }
                 }
                 CStmt::For { var, lo, hi, step, body } => {
-                    let lo = lo.eval(&|v| act.loopvars[v.0]);
-                    let hi = hi.eval(&|v| act.loopvars[v.0]);
+                    let lo = lo.eval(&|v| self.loopvars[v.0]);
+                    let hi = hi.eval(&|v| self.loopvars[v.0]);
                     let mut iv = lo;
                     while iv < hi {
-                        act.loopvars[var.0] = iv;
-                        if !self.exec_stmts(body, act)? {
+                        self.loopvars[var.0] = iv;
+                        if !self.exec_stmts(body)? {
                             return Ok(false);
                         }
                         iv += step;
                     }
                 }
                 CStmt::If { cond, then_, else_ } => {
-                    let taken = if cond.eval(&|v| act.loopvars[v.0]) { then_ } else { else_ };
-                    if !self.exec_stmts(taken, act)? {
+                    let taken = if cond.eval(&|v| self.loopvars[v.0]) { then_ } else { else_ };
+                    if !self.exec_stmts(taken)? {
                         return Ok(false);
                     }
                 }
@@ -207,188 +153,133 @@ impl<'l, 'm> Vm<'l, 'm> {
         Ok(true)
     }
 
-    fn resolve(
-        &self,
-        m: &MemRef,
-        extra: i64,
-        act: &Activation<'_>,
-    ) -> Result<(usize, i64), VmError> {
-        let local = m.buf.0;
-        if local >= act.map.len() {
-            return Err(VmError::BadBuffer(local));
+    fn resolve(&self, m: &MemRef, extra: i64) -> Result<(usize, i64), VmError> {
+        let b = m.buf.0;
+        if b >= self.f.buffers.len() {
+            return Err(VmError::BadBuffer(b));
         }
-        let global = act.map[local];
-        let idx = m.offset.eval(&|v| act.loopvars[v.0]) + extra;
-        let len = self.mem.bufs[global].len();
+        let idx = m.offset.eval(&|v| self.loopvars[v.0]) + extra;
+        let len = self.bufs[b].len();
         if idx < 0 || idx as usize >= len {
             return Err(VmError::OutOfBounds {
-                buffer: self
-                    .mem
-                    .names
-                    .get(global)
-                    .cloned()
-                    .unwrap_or_else(|| format!("buf{global}")),
+                buffer: self.f.buffers[b].name.clone(),
                 index: idx,
                 len,
             });
         }
-        Ok((global, idx))
+        Ok((b, idx))
     }
 
-    fn sval(&self, o: &SOperand, act: &Activation<'_>) -> f64 {
+    fn sval(&self, o: &SOperand) -> f64 {
         match o {
-            SOperand::Reg(r) => act.sregs[r.0],
+            SOperand::Reg(r) => self.sregs[r.0],
             SOperand::Imm(v) => *v,
         }
     }
 
     /// Returns `Ok(false)` when the monitor requested an early stop.
-    fn exec_instr(&mut self, i: &Instr, act: &mut Activation<'_>) -> Result<bool, VmError> {
+    fn exec_instr(&mut self, i: &Instr) -> Result<bool, VmError> {
         let mut reads: Vec<(usize, i64)> = Vec::new();
         let mut writes: Vec<(usize, i64)> = Vec::new();
         match i {
             Instr::SLoad { dst, src } => {
-                let (g, idx) = self.resolve(src, 0, act)?;
-                act.sregs[dst.0] = self.mem.bufs[g][idx as usize];
+                let (g, idx) = self.resolve(src, 0)?;
+                self.sregs[dst.0] = self.bufs[g][idx as usize];
                 reads.push((g, idx));
             }
             Instr::SStore { src, dst } => {
-                let v = self.sval(src, act);
-                let (g, idx) = self.resolve(dst, 0, act)?;
-                self.mem.bufs[g][idx as usize] = v;
+                let v = self.sval(src);
+                let (g, idx) = self.resolve(dst, 0)?;
+                self.bufs[g][idx as usize] = v;
                 writes.push((g, idx));
             }
             Instr::SBin { op, dst, a, b } => {
-                act.sregs[dst.0] = op.apply(self.sval(a, act), self.sval(b, act));
+                self.sregs[dst.0] = op.apply(self.sval(a), self.sval(b));
             }
             Instr::SSqrt { dst, a } => {
-                act.sregs[dst.0] = self.sval(a, act).sqrt();
+                self.sregs[dst.0] = self.sval(a).sqrt();
             }
             Instr::SFma { kind, dst, a, b, c } => {
                 // fused (single rounding): can differ from the two-op
                 // mul+add sequence by up to 1 ULP
-                act.sregs[dst.0] =
-                    kind.apply(self.sval(a, act), self.sval(b, act), self.sval(c, act));
+                self.sregs[dst.0] = kind.apply(self.sval(a), self.sval(b), self.sval(c));
             }
             Instr::SMov { dst, a } => {
-                act.sregs[dst.0] = self.sval(a, act);
+                self.sregs[dst.0] = self.sval(a);
             }
             Instr::VLoad { dst, base, lanes } => {
-                let mut vals = vec![0.0; act.f.width];
+                let mut vals = vec![0.0; self.f.width];
                 for (lane, l) in lanes.iter().enumerate() {
                     if let Some(off) = l {
-                        let (g, idx) = self.resolve(base, *off, act)?;
-                        vals[lane] = self.mem.bufs[g][idx as usize];
+                        let (g, idx) = self.resolve(base, *off)?;
+                        vals[lane] = self.bufs[g][idx as usize];
                         reads.push((g, idx));
                     }
                 }
-                act.vregs[dst.0] = vals;
+                self.vregs[dst.0] = vals;
             }
             Instr::VStore { src, base, lanes } => {
                 for (lane, l) in lanes.iter().enumerate() {
                     if let Some(off) = l {
-                        let (g, idx) = self.resolve(base, *off, act)?;
-                        self.mem.bufs[g][idx as usize] = act.vregs[src.0][lane];
+                        let (g, idx) = self.resolve(base, *off)?;
+                        self.bufs[g][idx as usize] = self.vregs[src.0][lane];
                         writes.push((g, idx));
                     }
                 }
             }
             Instr::VMov { dst, src } => {
-                let v = act.vregs[src.0].clone();
-                act.vregs[dst.0] = v;
+                let v = self.vregs[src.0].clone();
+                self.vregs[dst.0] = v;
             }
             Instr::VBin { op, dst, a, b } => {
-                let mut vals = vec![0.0; act.f.width];
+                let mut vals = vec![0.0; self.f.width];
                 for (lane, v) in vals.iter_mut().enumerate() {
-                    *v = op.apply(act.vregs[a.0][lane], act.vregs[b.0][lane]);
+                    *v = op.apply(self.vregs[a.0][lane], self.vregs[b.0][lane]);
                 }
-                act.vregs[dst.0] = vals;
+                self.vregs[dst.0] = vals;
             }
             Instr::VFma { kind, dst, a, b, c } => {
-                let mut vals = vec![0.0; act.f.width];
+                let mut vals = vec![0.0; self.f.width];
                 for (lane, v) in vals.iter_mut().enumerate() {
                     *v = kind.apply(
-                        act.vregs[a.0][lane],
-                        act.vregs[b.0][lane],
-                        act.vregs[c.0][lane],
+                        self.vregs[a.0][lane],
+                        self.vregs[b.0][lane],
+                        self.vregs[c.0][lane],
                     );
                 }
-                act.vregs[dst.0] = vals;
+                self.vregs[dst.0] = vals;
             }
             Instr::VBroadcast { dst, src } => {
-                let v = self.sval(src, act);
-                act.vregs[dst.0] = vec![v; act.f.width];
+                let v = self.sval(src);
+                self.vregs[dst.0] = vec![v; self.f.width];
             }
             Instr::VShuffle { dst, a, b, sel } => {
-                let mut vals = vec![0.0; act.f.width];
+                let mut vals = vec![0.0; self.f.width];
                 for (lane, s) in sel.iter().enumerate() {
                     vals[lane] = match s {
-                        LaneSel::A(j) => act.vregs[a.0][*j],
-                        LaneSel::B(j) => act.vregs[b.0][*j],
+                        LaneSel::A(j) => self.vregs[a.0][*j],
+                        LaneSel::B(j) => self.vregs[b.0][*j],
                         LaneSel::Zero => 0.0,
                     };
                 }
-                act.vregs[dst.0] = vals;
+                self.vregs[dst.0] = vals;
             }
             Instr::VBlend { dst, a, b, mask } => {
-                let mut vals = vec![0.0; act.f.width];
-                for lane in 0..act.f.width {
+                let mut vals = vec![0.0; self.f.width];
+                for lane in 0..self.f.width {
                     vals[lane] =
-                        if mask[lane] { act.vregs[b.0][lane] } else { act.vregs[a.0][lane] };
+                        if mask[lane] { self.vregs[b.0][lane] } else { self.vregs[a.0][lane] };
                 }
-                act.vregs[dst.0] = vals;
+                self.vregs[dst.0] = vals;
             }
             Instr::VExtract { dst, src, lane } => {
-                act.sregs[dst.0] = act.vregs[src.0][*lane];
+                self.sregs[dst.0] = self.vregs[src.0][*lane];
             }
             Instr::VReduceAdd { dst, src } => {
-                act.sregs[dst.0] = act.vregs[src.0].iter().sum();
-            }
-            Instr::Call { kernel, bufs, ints: _ } => {
-                // report the call itself first (interface overhead)
-                self.monitor.event(&Event {
-                    instr: i,
-                    width: act.f.width,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                });
-                let lib = self.lib.ok_or_else(|| VmError::UnknownKernel(kernel.clone()))?;
-                let callee =
-                    lib.get(kernel).ok_or_else(|| VmError::UnknownKernel(kernel.clone()))?;
-                let expected = callee.params().count();
-                if bufs.len() != expected {
-                    return Err(VmError::BadCallArity {
-                        kernel: kernel.clone(),
-                        given: bufs.len(),
-                        expected,
-                    });
-                }
-                // map callee buffers: params to caller buffers, locals fresh
-                let mut map = vec![usize::MAX; callee.buffers.len()];
-                let mut arg = 0;
-                let base_len = self.mem.bufs.len();
-                for (idx, decl) in callee.buffers.iter().enumerate() {
-                    if decl.kind == BufKind::Local {
-                        self.mem.bufs.push(vec![0.0; decl.len]);
-                        self.mem.names.push(format!("{}::{}", kernel, decl.name));
-                        map[idx] = self.mem.bufs.len() - 1;
-                    } else {
-                        let local = bufs[arg].0;
-                        if local >= act.map.len() {
-                            return Err(VmError::BadBuffer(local));
-                        }
-                        map[idx] = act.map[local];
-                        arg += 1;
-                    }
-                }
-                let keep_going = self.run(callee, map)?;
-                // free callee locals
-                self.mem.bufs.truncate(base_len);
-                self.mem.names.truncate(base_len);
-                return Ok(keep_going);
+                self.sregs[dst.0] = self.vregs[src.0].iter().sum();
             }
         }
-        self.monitor.event(&Event { instr: i, width: act.f.width, reads, writes });
+        self.monitor.event(&Event { instr: i, width: self.f.width, reads, writes });
         Ok(!self.monitor.should_stop())
     }
 }
@@ -397,7 +288,7 @@ impl<'l, 'm> Vm<'l, 'm> {
 mod tests {
     use super::*;
     use crate::monitor::{CountingMonitor, NullMonitor};
-    use slingen_cir::{Affine, BinOp, FunctionBuilder, InstrClass};
+    use slingen_cir::{Affine, BinOp, BufKind, FunctionBuilder, InstrClass};
 
     #[test]
     fn scalar_axpy_executes() {
@@ -535,67 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn calls_execute_kernels_with_fresh_locals() {
-        // kernel: c[0] = a[0] + a[1], uses a local scratch
-        let mut kb = FunctionBuilder::new("sum2", 1);
-        let ka = kb.buffer("a", 2, BufKind::ParamIn);
-        let kt = kb.buffer("scratch", 1, BufKind::Local);
-        let kc = kb.buffer("c", 1, BufKind::ParamOut);
-        let r0 = kb.sload(MemRef::new(ka, 0));
-        let r1 = kb.sload(MemRef::new(ka, 1));
-        let s = kb.sbin(BinOp::Add, r0, r1);
-        kb.sstore(s, MemRef::new(kt, 0));
-        let t = kb.sload(MemRef::new(kt, 0));
-        kb.sstore(t, MemRef::new(kc, 0));
-        let kernel = kb.finish();
-        let mut lib = KernelLib::new();
-        lib.register(kernel);
-
-        let mut b = FunctionBuilder::new("main", 1);
-        let a = b.buffer("a", 2, BufKind::ParamIn);
-        let c = b.buffer("c", 1, BufKind::ParamOut);
-        b.instr(Instr::Call { kernel: "sum2".into(), bufs: vec![a, c], ints: vec![] });
-        let f = b.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        bufs.set(a, &[3.0, 4.0]);
-        let mut m = CountingMonitor::default();
-        execute_with_lib(&f, &mut bufs, Some(&lib), &mut m).unwrap();
-        assert_eq!(bufs.get(c), &[7.0]);
-        assert_eq!(m.count(InstrClass::Call), 1);
-        assert_eq!(m.count(InstrClass::FAdd), 1);
-        // caller's buffer set is restored to its own two buffers
-        assert_eq!(bufs.len(), 2);
-    }
-
-    #[test]
-    fn unknown_kernel_errors() {
-        let mut b = FunctionBuilder::new("main", 1);
-        let a = b.buffer("a", 1, BufKind::ParamInOut);
-        b.instr(Instr::Call { kernel: "nope".into(), bufs: vec![a], ints: vec![] });
-        let f = b.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        let lib = KernelLib::new();
-        let err = execute_with_lib(&f, &mut bufs, Some(&lib), &mut NullMonitor).unwrap_err();
-        assert_eq!(err, VmError::UnknownKernel("nope".into()));
-    }
-
-    #[test]
-    fn call_arity_checked() {
-        let mut lib = KernelLib::new();
-        let mut kb = FunctionBuilder::new("k", 1);
-        kb.buffer("a", 1, BufKind::ParamIn);
-        kb.buffer("b", 1, BufKind::ParamOut);
-        lib.register(kb.finish());
-        let mut b = FunctionBuilder::new("main", 1);
-        let a = b.buffer("a", 1, BufKind::ParamInOut);
-        b.instr(Instr::Call { kernel: "k".into(), bufs: vec![a], ints: vec![] });
-        let f = b.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        let err = execute_with_lib(&f, &mut bufs, Some(&lib), &mut NullMonitor).unwrap_err();
-        assert!(matches!(err, VmError::BadCallArity { .. }));
-    }
-
-    #[test]
     fn if_branches_follow_conditions() {
         use slingen_cir::{CmpOp, Cond};
         let mut b = FunctionBuilder::new("br", 1);
@@ -611,76 +441,5 @@ mod tests {
         let mut bufs = BufferSet::for_function(&f);
         execute(&f, &mut bufs, &mut NullMonitor).unwrap();
         assert_eq!(bufs.get(y), &[1.0, 1.0, 2.0, 2.0]);
-    }
-}
-
-#[cfg(test)]
-mod nested_call_tests {
-    use super::*;
-    use crate::kernels::KernelLib;
-    use crate::monitor::{CountingMonitor, NullMonitor};
-    use slingen_cir::{BinOp, FunctionBuilder, Instr, MemRef};
-
-    /// Kernels calling kernels: locals at each activation stay isolated
-    /// and the buffer table is restored after every return.
-    #[test]
-    fn nested_kernel_calls() {
-        let mut lib = KernelLib::new();
-        // inner: b[0] = a[0] * 2
-        let mut ib = FunctionBuilder::new("double", 1);
-        let ia = ib.buffer("a", 1, BufKind::ParamIn);
-        let ibuf = ib.buffer("b", 1, BufKind::ParamOut);
-        let r = ib.sload(MemRef::new(ia, 0));
-        let d = ib.sbin(BinOp::Mul, r, 2.0);
-        ib.sstore(d, MemRef::new(ibuf, 0));
-        lib.register(ib.finish());
-        // outer: scratch = double(a); out = double(scratch)
-        let mut ob = FunctionBuilder::new("quad", 1);
-        let oa = ob.buffer("a", 1, BufKind::ParamIn);
-        let scratch = ob.buffer("scratch", 1, BufKind::Local);
-        let oout = ob.buffer("out", 1, BufKind::ParamOut);
-        ob.instr(Instr::Call { kernel: "double".into(), bufs: vec![oa, scratch], ints: vec![] });
-        ob.instr(Instr::Call { kernel: "double".into(), bufs: vec![scratch, oout], ints: vec![] });
-        lib.register(ob.finish());
-        // main
-        let mut mb = FunctionBuilder::new("main", 1);
-        let ma = mb.buffer("a", 1, BufKind::ParamIn);
-        let mout = mb.buffer("out", 1, BufKind::ParamOut);
-        mb.instr(Instr::Call { kernel: "quad".into(), bufs: vec![ma, mout], ints: vec![] });
-        let f = mb.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        bufs.set(ma, &[3.0]);
-        let mut m = CountingMonitor::default();
-        execute_with_lib(&f, &mut bufs, Some(&lib), &mut m).unwrap();
-        assert_eq!(bufs.get(mout), &[12.0]);
-        assert_eq!(m.count(slingen_cir::InstrClass::Call), 3);
-        assert_eq!(bufs.len(), 2, "caller buffers restored");
-    }
-
-    /// Repeated calls reuse fresh (zeroed) locals every time.
-    #[test]
-    fn locals_are_fresh_per_activation() {
-        let mut lib = KernelLib::new();
-        // kernel: out[0] = scratch[0] + 1 (scratch must start at 0)
-        let mut kb = FunctionBuilder::new("probe", 1);
-        let scratch = kb.buffer("scratch", 1, BufKind::Local);
-        let kout = kb.buffer("out", 1, BufKind::ParamInOut);
-        let r = kb.sload(MemRef::new(scratch, 0));
-        let prev = kb.sload(MemRef::new(kout, 0));
-        let one = kb.sbin(BinOp::Add, r, 1.0);
-        let acc = kb.sbin(BinOp::Add, prev, one);
-        kb.sstore(acc, MemRef::new(kout, 0));
-        // poison the scratch for the *next* activation (must not leak)
-        kb.sstore(99.0, MemRef::new(scratch, 0));
-        lib.register(kb.finish());
-        let mut mb = FunctionBuilder::new("main", 1);
-        let mo = mb.buffer("out", 1, BufKind::ParamInOut);
-        for _ in 0..3 {
-            mb.instr(Instr::Call { kernel: "probe".into(), bufs: vec![mo], ints: vec![] });
-        }
-        let f = mb.finish();
-        let mut bufs = BufferSet::for_function(&f);
-        execute_with_lib(&f, &mut bufs, Some(&lib), &mut NullMonitor).unwrap();
-        assert_eq!(bufs.get(mo), &[3.0], "each call adds exactly 1");
     }
 }

@@ -1,63 +1,117 @@
 //! Regression guards for the paper's headline *shapes*: who wins, rough
-//! factors, and where bottlenecks sit. These assertions keep the model
-//! honest — if a change flips an ordering the paper reports, these fail.
+//! factors, and where bottlenecks sit.
+//!
+//! Two kinds of claim live here:
+//!
+//! * **Measured** (`measured_*`): SLinGen's emitted C and the compiled
+//!   competitors' C, each built by `HardwareMeasurer` into a timing
+//!   harness (`cc -std=c99 -O2 -mavx`) and timed on this host; every run's
+//!   output checksum must match the VM's. Each side keeps its best of
+//!   three interleaved trials. Without a C compiler these tests pass
+//!   trivially, with a message.
+//! * **Modeled** (everything else): the VM plus the Sandy Bridge machine
+//!   model. These keep the model honest — if a change flips an ordering
+//!   the paper reports, they fail.
+//!
+//! The paper's library competitors (MKL, Cl1ck+MKL, ReLAPACK, RECSY) have
+//! no claim: none of them is available to time.
+//!
+//! Known failures, not asserted (best of three trials, 2-core Xeon,
+//! gcc 12.2):
+//!
+//! * The Eigen-style C ties or beats SLinGen's winner: potrf20 about
+//!   1000 vs 1900 cycles, potrf28 1900 vs 2100, trsyl20 a tie at 8300,
+//!   kf12 3700–5700 vs 5700–6500. The modeled Eigen claims below still
+//!   say the opposite.
+//! * trsyl20 beats icc-style C by only 1.17–1.31x (about 8000 vs 10500
+//!   cycles), so a 1.3x claim fails about one run in three.
+//! * At n = 12, icc-style C beats SLinGen on trsyl (about 2100 vs 2750)
+//!   and trlya (1100 vs 1780).
 
 use slingen::apps::{self, nominal_flops};
-use slingen_baselines::Flavor;
+use slingen::{HardwareMeasurer, MeasureConfig, Options, Target};
+use slingen_baselines::{baseline_codegen, Flavor};
 use slingen_bench::{measure_baseline, measure_slingen};
+use slingen_cir::Function;
+use slingen_ir::Program;
 use slingen_perf::Resource;
 
-#[test]
-fn slingen_beats_libraries_and_compilers_on_potrf() {
-    // paper §4.2: ~2x over MKL, ~4.2x over icc, ~5.6x over clang/Polly
-    let n = 28;
-    let p = apps::potrf(n);
-    let fl = nominal_flops("potrf", n, 0);
-    let ours = measure_slingen(&p, n, fl).flops_per_cycle;
-    for (flavor, min_speedup) in
-        [(Flavor::Mkl, 1.5), (Flavor::Eigen, 1.2), (Flavor::Icc, 2.0), (Flavor::ClangPolly, 2.0)]
-    {
-        let theirs = measure_baseline(&p, flavor, n, fl).flops_per_cycle;
+/// Hardware trials per kernel; each side keeps its fastest.
+const TRIALS: usize = 3;
+
+/// Time SLinGen's winner and each competitor's C on this host, and
+/// require `competitor cycles >= factor * SLinGen cycles`. Trials
+/// alternate between the kernels so a change in host speed hits all of
+/// them alike.
+fn assert_measured_speedups(program: &Program, competitors: &[(Flavor, f64)]) {
+    let measurer = match HardwareMeasurer::new(Target::Avx2, &MeasureConfig::hardware()) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("skipping: {e}");
+            return;
+        }
+    };
+    let ours = slingen::generate(program, &Options::default()).expect("slingen generation");
+    let codes: Vec<Function> = competitors
+        .iter()
+        .map(|&(flavor, _)| {
+            baseline_codegen(program, flavor).expect("baseline generation").function
+        })
+        .collect();
+    let kernels: Vec<&Function> = std::iter::once(&ours.function).chain(&codes).collect();
+    let mut best = vec![f64::INFINITY; kernels.len()];
+    for _ in 0..TRIALS {
+        for (b, f) in best.iter_mut().zip(&kernels) {
+            let m = measurer.measure(program, f, 7).expect("hardware timing");
+            *b = b.min(m.cycles);
+        }
+    }
+    let name = program.name();
+    for ((flavor, factor), theirs) in competitors.iter().zip(&best[1..]) {
         assert!(
-            ours > theirs * min_speedup,
-            "potrf n={n}: SLinGen {ours:.2} vs {} {theirs:.2} (need {min_speedup}x)",
+            *theirs >= factor * best[0],
+            "{name} (measured): SLinGen {:.0} vs {} {theirs:.0} cycles (need {factor}x)",
+            best[0],
             flavor.label()
         );
     }
 }
 
 #[test]
-fn library_overhead_dominates_small_sizes() {
-    // the motivation of the paper: fixed interfaces hurt at small n
-    let n = 4;
-    let p = apps::potrf(n);
-    let fl = nominal_flops("potrf", n, 0);
-    let ours = measure_slingen(&p, n, fl);
-    let mkl = measure_baseline(&p, Flavor::Mkl, n, fl);
-    assert!(
-        ours.cycles < mkl.cycles,
-        "call overhead must hurt MKL at n=4: {} vs {}",
-        ours.cycles,
-        mkl.cycles
-    );
+fn measured_potrf_beats_compilers() {
+    // 2-core Xeon, gcc 12.2: about 1900 vs 7000 cycles for both
+    assert_measured_speedups(&apps::potrf(28), &[(Flavor::Icc, 2.0), (Flavor::ClangPolly, 2.0)]);
 }
 
 #[test]
-fn recsy_is_slowest_sylvester_solver() {
-    // paper: RECSY ~12x slower than SLinGen on trsyl
-    let n = 20;
-    let p = apps::trsyl(n);
-    let fl = nominal_flops("trsyl", n, 0);
+fn measured_kalman_filter_beats_icc() {
+    // 2-core Xeon, gcc 12.2: about 5900 vs 16500 cycles
+    assert_measured_speedups(&apps::kf(12), &[(Flavor::Icc, 1.5)]);
+}
+
+#[test]
+fn slingen_beats_libraries_and_compilers_on_potrf() {
+    // modeled; paper §4.2: ~4.2x over icc, ~5.6x over clang/Polly. The
+    // template library (Eigen) is the only library row left.
+    let n = 28;
+    let p = apps::potrf(n);
+    let fl = nominal_flops("potrf", n, 0);
     let ours = measure_slingen(&p, n, fl).flops_per_cycle;
-    let recsy = measure_baseline(&p, Flavor::Recsy, n, fl).flops_per_cycle;
-    let mkl = measure_baseline(&p, Flavor::Mkl, n, fl).flops_per_cycle;
-    assert!(ours > 2.0 * recsy, "trsyl: SLinGen {ours:.2} vs RECSY {recsy:.2}");
-    assert!(mkl > recsy, "trsyl: MKL should beat RECSY");
+    for (flavor, min_speedup) in
+        [(Flavor::Eigen, 1.2), (Flavor::Icc, 2.0), (Flavor::ClangPolly, 2.0)]
+    {
+        let theirs = measure_baseline(&p, flavor, n, fl).flops_per_cycle;
+        assert!(
+            ours > theirs * min_speedup,
+            "potrf n={n} (modeled): SLinGen {ours:.2} vs {} {theirs:.2} (need {min_speedup}x)",
+            flavor.label()
+        );
+    }
 }
 
 #[test]
 fn divisions_bound_small_sizes_loads_or_shuffles_larger() {
-    // Table 4's trend for potrf
+    // modeled; Table 4's trend for potrf
     let p4 = apps::potrf(4);
     let small = measure_slingen(&p4, 4, nominal_flops("potrf", 4, 0));
     assert_eq!(small.report.bottleneck(), Resource::Divider);
@@ -71,35 +125,23 @@ fn divisions_bound_small_sizes_loads_or_shuffles_larger() {
 }
 
 #[test]
-fn cl1ck_small_blocks_beat_large_blocks() {
-    // Fig. 14 right columns: nb = 4 is the best Cl1ck+MKL configuration
-    let n = 20;
-    let p = apps::potrf(n);
-    let fl = nominal_flops("potrf", n, 0);
-    let nb4 = measure_baseline(&p, Flavor::Cl1ckMkl { nb: 4 }, n, fl).flops_per_cycle;
-    let nbh = measure_baseline(&p, Flavor::Cl1ckMkl { nb: n / 2 }, n, fl).flops_per_cycle;
-    assert!(nb4 > nbh, "nb=4 {nb4:.2} must beat nb=n/2 {nbh:.2}");
-}
-
-#[test]
 fn kalman_filter_speedups_hold() {
-    // paper Fig. 15a: ~1.4x over MKL, ~3x over Eigen, ~4x over icc
+    // modeled; paper Fig. 15a: ~3x over Eigen, ~4x over icc
     let n = 12;
     let p = apps::kf(n);
     let fl = nominal_flops("kf", n, 0);
     let ours = measure_slingen(&p, n, fl).flops_per_cycle;
-    let mkl = measure_baseline(&p, Flavor::Mkl, n, fl).flops_per_cycle;
+    let eigen = measure_baseline(&p, Flavor::Eigen, n, fl).flops_per_cycle;
     let icc = measure_baseline(&p, Flavor::Icc, n, fl).flops_per_cycle;
-    assert!(ours > mkl, "kf: SLinGen {ours:.2} vs MKL {mkl:.2}");
-    assert!(ours > 1.5 * icc, "kf: SLinGen {ours:.2} vs icc {icc:.2}");
+    assert!(ours > eigen, "kf (modeled): SLinGen {ours:.2} vs Eigen {eigen:.2}");
+    assert!(ours > 1.5 * icc, "kf (modeled): SLinGen {ours:.2} vs icc {icc:.2}");
 }
 
 #[test]
 fn vectorization_ablation_nu() {
-    // Generated AVX (nu=4) code must beat generated scalar (nu=1) code
+    // modeled: generated AVX (nu=4) code must beat generated scalar (nu=1) code
     // once out of the division-latency-dominated regime. (At tiny sizes a
-    // single invocation is chain-bound and vectorization cannot help —
-    // see EXPERIMENTS.md on single-invocation vs warm-loop measurement.)
+    // single invocation is chain-bound and vectorization cannot help.)
     let n = 40;
     let p = apps::potrf(n);
     let mut opts = slingen::Options::default();
@@ -116,8 +158,8 @@ fn vectorization_ablation_nu() {
 
 #[test]
 fn load_store_analysis_ablation() {
-    // the Fig. 12 optimization must not hurt, and shuffle/blend counts
-    // must reflect it
+    // modeled: the Fig. 12 optimization must not hurt, and shuffle/blend
+    // counts must reflect it
     let n = 12;
     let p = apps::potrf(n);
     let mut opts = slingen::Options::default();
