@@ -14,14 +14,18 @@
 //! * every paper app × target × ν × policy emits the C and measures the
 //!   `Report` pinned in `tests/snapshots/golden_digests.txt`;
 //! * the tuner's C-IR fingerprint groups the bodies of one search exactly
-//!   as the emitted-C digest does.
+//!   as the emitted-C digest does;
+//! * Stage 3 converges within three rounds, and its work and the vector
+//!   loads left waiting on store forwarding are pinned in
+//!   `tests/snapshots/stage3_counters.txt`.
 
 use slingen::{apps, generate_with_spec, Options, Target, VariantSpec};
 use slingen_cir::passes::{optimize_with_stats, PipelineStats};
-use slingen_cir::Function;
+use slingen_cir::{Function, Instr};
 use slingen_ir::Program;
 use slingen_lgen::lower_program;
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
+use slingen_vm::{execute, BufferSet, Event, Monitor};
 use std::collections::HashMap;
 
 /// The pinned variant each snapshot was generated from: Lazy policy at
@@ -280,12 +284,60 @@ fn fingerprint_groups_bodies_exactly_as_the_c_digest_does() {
     assert!(merged > 0, "the grid must contain colliding bodies for the check to bite");
 }
 
+/// Counts the dynamic vector loads that cannot take their data from the
+/// store buffer: loads whose lanes were last written by two or more
+/// different (dynamic) stores, or by a masked store, i.e. a vector store
+/// with an inactive lane. Such a load waits until the stores commit.
+#[derive(Default)]
+struct StalledLoads {
+    stores: u64,
+    /// Per memory cell: the serial of its last store, and whether that
+    /// store was masked.
+    last_store: HashMap<(usize, i64), (u64, bool)>,
+    count: usize,
+}
+
+impl Monitor for StalledLoads {
+    fn event(&mut self, ev: &Event<'_>) {
+        match ev.instr {
+            Instr::VLoad { .. } => {
+                let writers: Vec<(u64, bool)> =
+                    ev.reads.iter().filter_map(|c| self.last_store.get(c).copied()).collect();
+                if writers.iter().any(|&(_, masked)| masked)
+                    || writers.windows(2).any(|p| p[0].0 != p[1].0)
+                {
+                    self.count += 1;
+                }
+            }
+            Instr::SStore { .. } | Instr::VStore { .. } => {
+                self.stores += 1;
+                let masked =
+                    matches!(ev.instr, Instr::VStore { lanes, .. } if lanes.contains(&None));
+                for cell in &ev.writes {
+                    self.last_store.insert(*cell, (self.stores, masked));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// [`StalledLoads`] over one run of `f` on zero inputs (the count depends
+/// on addresses only, never on values).
+fn stalled_loads(f: &Function) -> usize {
+    let mut bufs = BufferSet::for_function(f);
+    let mut mon = StalledLoads::default();
+    execute(f, &mut bufs, &mut mon).expect("VM runs the body");
+    mon.count
+}
+
 /// Deterministic Stage-3 work counters. Every body of the golden grid
 /// (app × target × ν × policy × loop threshold 16/64/256), plus trlya24
 /// lazy/nu1 on AVX2, must reach the cleanup fixpoint within 3 rounds
 /// (one productive round, at most one more, and the confirming round).
-/// The per-app totals of rounds and CSE-keyed instructions must match
-/// `tests/snapshots/stage3_counters.txt`; like the golden digests, a
+/// The per-app totals of rounds, CSE-keyed instructions and
+/// [`StalledLoads`] must match `tests/snapshots/stage3_counters.txt`;
+/// like the golden digests, a
 /// mismatch prints the fresh table so an intentional change can be
 /// reviewed and committed.
 #[test]
@@ -293,11 +345,11 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
     use std::fmt::Write;
     const MAX_ROUNDS: usize = 3;
     let mut fresh = String::new();
-    let (mut total_bodies, mut total_rounds, mut total_keyed) = (0, 0, 0);
+    let (mut total_bodies, mut total_rounds, mut total_keyed, mut total_stalled) = (0, 0, 0, 0);
     let mut row = |label: &str, program: &Program, runs: &[(Target, VariantSpec)]| {
-        let (mut rounds, mut keyed) = (0, 0);
+        let (mut rounds, mut keyed, mut stalled) = (0, 0, 0);
         for &(target, spec) in runs {
-            let (_, stats) = stage3(program, target, spec);
+            let (f, stats) = stage3(program, target, spec);
             assert!(
                 stats.converged && stats.rounds.len() <= MAX_ROUNDS,
                 "{label}/{target}/{spec}: {} rounds, converged = {}",
@@ -306,11 +358,13 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
             );
             rounds += stats.rounds.len();
             keyed += stats.rounds.iter().map(|r| r.cse_rekeyed).sum::<usize>();
+            stalled += stalled_loads(&f);
         }
-        let _ = writeln!(fresh, "{label} {} {rounds} {keyed}", runs.len());
+        let _ = writeln!(fresh, "{label} {} {rounds} {keyed} {stalled}", runs.len());
         total_bodies += runs.len();
         total_rounds += rounds;
         total_keyed += keyed;
+        total_stalled += stalled;
     };
     for (name, program) in paper_apps() {
         let runs: Vec<(Target, VariantSpec)> = Target::ALL
@@ -321,12 +375,12 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
     }
     let spec = VariantSpec { policy: Policy::Lazy, nu: 1, loop_threshold: 64 };
     row("trlya24", &apps::trlya(24), &[(Target::Avx2, spec)]);
-    let _ = writeln!(fresh, "total {total_bodies} {total_rounds} {total_keyed}");
+    let _ = writeln!(fresh, "total {total_bodies} {total_rounds} {total_keyed} {total_stalled}");
     let path = format!("{}/../../tests/snapshots/stage3_counters.txt", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(&path).unwrap_or_default();
     assert!(
         fresh == want,
         "Stage-3 work drifted from tests/snapshots/stage3_counters.txt; fresh table \
-         (label bodies rounds cse_rekeyed):\n{fresh}"
+         (label bodies rounds cse_rekeyed stalled_loads):\n{fresh}"
     );
 }
