@@ -356,6 +356,14 @@ impl FunctionBuilder {
         dst
     }
 
+    /// Pack scalars into a fresh register (`None` lanes are 0.0).
+    pub fn vpack(&mut self, elems: Vec<Option<SOperand>>) -> VReg {
+        assert_eq!(elems.len(), self.width, "pack must have width ν");
+        let dst = self.fresh_vreg();
+        self.instr(Instr::VPack { dst, elems });
+        dst
+    }
+
     /// Blend into a fresh register.
     pub fn vblend(&mut self, a: VReg, b: VReg, mask: Vec<bool>) -> VReg {
         assert_eq!(mask.len(), self.width, "mask must have width ν");

@@ -357,6 +357,15 @@ pub enum Instr {
         /// Per-lane selection.
         sel: Vec<LaneSel>,
     },
+    /// Build a vector from scalars: lane `i` is `elems[i]`, and a `None`
+    /// lane is 0.0. The load/store analysis emits it for a vector load
+    /// whose lanes were stored from scalar registers.
+    VPack {
+        /// Destination.
+        dst: VReg,
+        /// Per-lane scalar sources.
+        elems: Vec<Option<SOperand>>,
+    },
     /// Per-lane select: `dst[i] = if mask[i] { b[i] } else { a[i] }`
     /// (AVX `blend` with an immediate mask).
     VBlend {
@@ -463,7 +472,7 @@ impl Instr {
             Instr::SSqrt { .. } => InstrClass::FDivSqrt,
             Instr::SMov { .. } | Instr::VMov { .. } => InstrClass::Mov,
             Instr::VBroadcast { .. } => InstrClass::Mov,
-            Instr::VShuffle { .. } => InstrClass::Shuffle,
+            Instr::VShuffle { .. } | Instr::VPack { .. } => InstrClass::Shuffle,
             Instr::VBlend { .. } => InstrClass::Blend,
             Instr::VExtract { .. } => InstrClass::Shuffle,
             Instr::VReduceAdd { .. } => InstrClass::FAdd,
@@ -500,6 +509,7 @@ impl Instr {
             }
             Instr::SSqrt { a, .. } | Instr::SMov { a, .. } => push(a),
             Instr::VBroadcast { src, .. } => push(src),
+            Instr::VPack { elems, .. } => elems.iter().flatten().for_each(&mut push),
             _ => {}
         }
     }
@@ -555,6 +565,7 @@ impl Instr {
             | Instr::VFma { dst, .. }
             | Instr::VBroadcast { dst, .. }
             | Instr::VShuffle { dst, .. }
+            | Instr::VPack { dst, .. }
             | Instr::VBlend { dst, .. } => Some(*dst),
             _ => None,
         }
@@ -621,6 +632,18 @@ mod tests {
         };
         assert_eq!(v.vreg_reads(), vec![VReg(1), VReg(2)]);
         assert_eq!(v.vreg_write(), Some(VReg(0)));
+
+        let p = Instr::VPack {
+            dst: VReg(4),
+            elems: vec![Some(SReg(2).into()), None, Some(1.5.into()), Some(SReg(0).into())],
+        };
+        assert_eq!(p.class(), InstrClass::Shuffle);
+        assert_eq!(p.sreg_reads(), vec![SReg(2), SReg(0)]);
+        assert_eq!(p.vreg_reads(), vec![]);
+        assert_eq!(p.vreg_write(), Some(VReg(4)));
+        assert_eq!(p.sreg_write(), None);
+        assert!(!p.touches_memory());
+        assert_eq!(p.flops(4), 0);
     }
 
     #[test]

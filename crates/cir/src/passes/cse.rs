@@ -42,6 +42,7 @@ enum Key {
     VBroadcast(SKey),
     VShuffle(VKey, VKey, Vec<LaneSel>),
     VBlend(VKey, VKey, Vec<bool>),
+    VPack(Vec<Option<SKey>>),
     VLoad(usize, i64, Vec<Option<i64>>, u64),
 }
 
@@ -230,6 +231,9 @@ fn instr_key(st: &Cse, ins: &Instr) -> Option<Key> {
         }
         Instr::VBlend { a, b, mask, .. } => {
             Some(Key::VBlend(st.vkey(*a), st.vkey(*b), mask.clone()))
+        }
+        Instr::VPack { elems, .. } => {
+            Some(Key::VPack(elems.iter().map(|o| o.as_ref().map(|o| st.skey(o))).collect()))
         }
         Instr::VLoad { base, lanes, .. } => base
             .offset

@@ -10,9 +10,11 @@
 //! * a vector load whose lanes live in one or two vector registers becomes
 //!   a [`crate::Instr::VBlend`] (when lanes align) or a
 //!   [`crate::Instr::VShuffle`] — the `smul9a`/`smul9b` example of Fig. 12;
-//! * a vector load whose lanes are scattered scalar registers is left
-//!   alone (re-packing through memory is what the hardware store buffer
-//!   would do anyway).
+//! * a vector load whose lanes are scalar registers (at least one) or
+//!   immediates becomes a [`crate::Instr::VPack`]. Reloading such cells
+//!   through memory stalls: several narrow stores cannot forward into one
+//!   wide load, so the load waits until every store has committed;
+//! * a vector load that mixes scalar and vector sources is left alone.
 //!
 //! The stores themselves often become dead afterwards and are removed by
 //! [`super::dce`] when the buffer is a local temporary, or kept when the
@@ -78,12 +80,17 @@ impl State {
     }
 }
 
-/// Try to rewrite a vector load from tracked cells into a shuffle/blend.
+/// Try to rewrite a vector load from tracked cells into register
+/// operations: a pack of scalars, or a shuffle/blend of at most two
+/// vector registers.
 ///
 /// Returns the replacement instruction, or `None` to keep the load.
 fn rewrite_vload(dst: VReg, sources: &[Option<CellSrc>]) -> Option<Instr> {
-    // All active lanes must be valid vector lanes (scalar sources would
-    // need broadcast+blend chains that rarely pay off; see module docs).
+    if let Some(elems) = pack_elems(sources) {
+        return Some(Instr::VPack { dst, elems });
+    }
+    // Otherwise all active lanes must be vector lanes of at most two
+    // registers.
     let mut regs: [Option<VReg>; 2] = [None, None];
     for s in sources.iter().flatten() {
         match s {
@@ -129,6 +136,24 @@ fn rewrite_vload(dst: VReg, sources: &[Option<CellSrc>]) -> Option<Instr> {
         return Some(Instr::VBlend { dst, a, b, mask });
     }
     Some(Instr::VShuffle { dst, a, b, sel })
+}
+
+/// The lanes of a [`Instr::VPack`] for a load whose active lanes are all
+/// scalar registers or immediates: at least two active lanes, at least
+/// one of them a register.
+fn pack_elems(sources: &[Option<CellSrc>]) -> Option<Vec<Option<SOperand>>> {
+    let elems: Vec<Option<SOperand>> = sources
+        .iter()
+        .map(|s| match s {
+            None => Some(None),
+            Some(CellSrc::S(r, _)) => Some(Some(SOperand::Reg(*r))),
+            Some(CellSrc::Imm(v)) => Some(Some(SOperand::Imm(*v))),
+            Some(CellSrc::VLane(..)) => None,
+        })
+        .collect::<Option<_>>()?;
+    let active = elems.iter().flatten().count();
+    let regs = elems.iter().flatten().any(|o| matches!(o, SOperand::Reg(_)));
+    (active >= 2 && regs).then_some(elems)
 }
 
 /// Outcome of processing one instruction in place.
@@ -436,6 +461,11 @@ fn copyprop_instr(st: &mut CopyState, ins: &mut Instr) -> bool {
         }
         Instr::SStore { src, .. } => changed |= st.subst_sop(src),
         Instr::VBroadcast { src, .. } => changed |= st.subst_sop(src),
+        Instr::VPack { elems, .. } => {
+            for o in elems.iter_mut().flatten() {
+                changed |= st.subst_sop(o);
+            }
+        }
         Instr::VMov { src, .. } | Instr::VStore { src, .. } => changed |= st.subst_v(src),
         Instr::VBin { a, b, .. } | Instr::VShuffle { a, b, .. } | Instr::VBlend { a, b, .. } => {
             changed |= st.subst_v(a);
@@ -680,5 +710,112 @@ mod tests {
             }
         });
         assert_eq!(vloads, 1, "mixed sources must not be rewritten");
+    }
+
+    /// The instructions of `f` that load or build a vector.
+    fn vector_defs(f: &Function) -> Vec<Instr> {
+        let mut out = Vec::new();
+        f.for_each_instr(&mut |i| {
+            if matches!(
+                i,
+                Instr::VLoad { .. }
+                    | Instr::VPack { .. }
+                    | Instr::VShuffle { .. }
+                    | Instr::VBlend { .. }
+            ) {
+                out.push(i.clone());
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn scalar_stores_then_vector_load_become_a_pack() {
+        let mut b = FunctionBuilder::new("f", 4);
+        let x = b.buffer("x", 4, BufKind::ParamIn);
+        let t = b.buffer("t", 4, BufKind::ParamInOut);
+        let regs: Vec<SReg> = (0..4)
+            .map(|i| {
+                let r = b.sload(MemRef::new(x, i));
+                let s = b.sbin(BinOp::Mul, r, 2.0);
+                b.sstore(s, MemRef::new(t, i));
+                s
+            })
+            .collect();
+        let v = b.vload_contig(MemRef::new(t, 0));
+        b.vstore_contig(v, MemRef::new(t, 0));
+        let mut f = b.finish();
+        assert!(forward(&mut f, true, true));
+        let want = Instr::VPack { dst: v, elems: regs.iter().map(|&r| Some(r.into())).collect() };
+        assert_eq!(vector_defs(&f), vec![want], "{}", crate::pretty::function_to_string(&f));
+        // without the load/store analysis the load stays
+        let mut b = FunctionBuilder::new("f", 4);
+        let t = b.buffer("t", 4, BufKind::ParamInOut);
+        for i in 0..4 {
+            let s = b.sbin(BinOp::Mul, 3.0, i as f64);
+            b.sstore(s, MemRef::new(t, i));
+        }
+        let _ = b.vload_contig(MemRef::new(t, 0));
+        let mut f = b.finish();
+        assert!(!forward(&mut f, false, true));
+    }
+
+    #[test]
+    fn stale_or_untracked_lanes_keep_the_load() {
+        // lane 1's register is redefined after its store
+        let mut b = FunctionBuilder::new("f", 4);
+        let t = b.buffer("t", 4, BufKind::ParamInOut);
+        let regs: Vec<SReg> = (0..4).map(|i| b.sbin(BinOp::Mul, 3.0, i as f64)).collect();
+        for (i, r) in regs.iter().enumerate() {
+            b.sstore(*r, MemRef::new(t, i as i64));
+        }
+        b.instr(Instr::SMov { dst: regs[1], a: 9.0.into() });
+        let _ = b.vload_contig(MemRef::new(t, 0));
+        let mut f = b.finish();
+        forward(&mut f, true, true);
+        assert!(matches!(vector_defs(&f)[..], [Instr::VLoad { .. }]), "stale lane forwarded");
+
+        // lane 3 was never stored: its cell holds unknown memory
+        let mut b = FunctionBuilder::new("f", 4);
+        let t = b.buffer("t", 4, BufKind::ParamInOut);
+        for i in 0..3 {
+            let s = b.sbin(BinOp::Mul, 3.0, i as f64);
+            b.sstore(s, MemRef::new(t, i));
+        }
+        let _ = b.vload_contig(MemRef::new(t, 0));
+        let mut f = b.finish();
+        forward(&mut f, true, true);
+        assert!(matches!(vector_defs(&f)[..], [Instr::VLoad { .. }]), "untracked lane packed");
+    }
+
+    #[test]
+    fn packs_take_immediates_and_skip_inactive_lanes() {
+        let mut b = FunctionBuilder::new("f", 4);
+        let t = b.buffer("t", 4, BufKind::ParamInOut);
+        let r = b.sbin(BinOp::Mul, 3.0, 5.0);
+        b.sstore(r, MemRef::new(t, 0));
+        b.sstore(0.5, MemRef::new(t, 2));
+        let v = b.vload(MemRef::new(t, 0), vec![Some(0), None, Some(2), None]);
+        let mut f = b.finish();
+        forward(&mut f, true, true);
+        let want =
+            Instr::VPack { dst: v, elems: vec![Some(r.into()), None, Some(0.5.into()), None] };
+        assert_eq!(vector_defs(&f), vec![want]);
+
+        // only immediates, or a single active lane: the load stays
+        for (imm_lane0, lanes) in
+            [(true, vec![Some(0), Some(1), None, None]), (false, vec![Some(0), None, None, None])]
+        {
+            let mut b = FunctionBuilder::new("f", 4);
+            let t = b.buffer("t", 4, BufKind::ParamInOut);
+            let r = b.sbin(BinOp::Mul, 3.0, 5.0);
+            let lane0 = if imm_lane0 { SOperand::Imm(1.0) } else { r.into() };
+            b.sstore(lane0, MemRef::new(t, 0));
+            b.sstore(2.0, MemRef::new(t, 1));
+            let _ = b.vload(MemRef::new(t, 0), lanes);
+            let mut f = b.finish();
+            forward(&mut f, true, true);
+            assert!(matches!(vector_defs(&f)[..], [Instr::VLoad { .. }]));
+        }
     }
 }

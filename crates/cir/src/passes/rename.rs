@@ -113,6 +113,7 @@ fn rewrite_reads(ins: &mut Instr, smap: &RenameMap<SReg>, vmap: &RenameMap<VReg>
             map_v(vmap, c);
         }
         Instr::VBroadcast { src, .. } => map_sop(smap, src),
+        Instr::VPack { elems, .. } => elems.iter_mut().flatten().for_each(|o| map_sop(smap, o)),
         Instr::VExtract { src, .. } | Instr::VReduceAdd { src, .. } => map_v(vmap, src),
         Instr::SLoad { .. } | Instr::VLoad { .. } => {}
     }
@@ -139,6 +140,7 @@ fn set_vwrite(ins: &mut Instr, new: VReg) {
         | Instr::VFma { dst, .. }
         | Instr::VBroadcast { dst, .. }
         | Instr::VShuffle { dst, .. }
+        | Instr::VPack { dst, .. }
         | Instr::VBlend { dst, .. } => *dst = new,
         _ => {}
     }

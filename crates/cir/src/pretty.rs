@@ -37,6 +37,13 @@ pub fn instr_to_string(i: &Instr) -> String {
             let s: Vec<String> = sel.iter().map(|l| l.to_string()).collect();
             format!("{dst} = vshuffle {a}, {b} [{}]", s.join(","))
         }
+        Instr::VPack { dst, elems } => {
+            let e: Vec<String> = elems
+                .iter()
+                .map(|o| o.map_or_else(|| "0".to_string(), |o| o.to_string()))
+                .collect();
+            format!("{dst} = vpack [{}]", e.join(","))
+        }
         Instr::VBlend { dst, a, b, mask } => {
             let m: String = mask.iter().map(|&x| if x { '1' } else { '0' }).collect();
             format!("{dst} = vblend {a}, {b} [{m}]")

@@ -784,6 +784,16 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
         Instr::VShuffle { dst, a, b, sel } => {
             emit_shuffle(isa, *dst, *a, *b, sel, w, &pad, out);
         }
+        Instr::VPack { dst, elems } => {
+            let lane = |o: &Option<SOperand>| o.as_ref().map_or_else(|| "0.0".to_string(), sop);
+            if w == 1 {
+                let _ = writeln!(out, "{pad}v{} = {};", dst.0, lane(&elems[0]));
+            } else {
+                // `set_pd` takes the highest lane first
+                let e: Vec<String> = elems.iter().rev().map(lane).collect();
+                let _ = writeln!(out, "{pad}{dst} = {}({});", isa.op("set"), e.join(", "));
+            }
+        }
         Instr::VBlend { dst, a, b, mask } => {
             if w == 1 {
                 let src = if mask[0] { b } else { a };
@@ -905,7 +915,7 @@ fn emit_stmts<W: std::fmt::Write>(
 mod tests {
     use super::*;
     use crate::func::{BufKind, FunctionBuilder};
-    use crate::instr::BinOp;
+    use crate::instr::{BinOp, SReg};
 
     /// `digest_c_for` must equal the digest of the materialized string fed
     /// to the same hash in arbitrary chunkings — i.e. the streaming hash is
@@ -1093,6 +1103,29 @@ mod tests {
         let c = to_c(&b.finish());
         assert!(c.contains("void k(double* restrict slg_sel4_p)"), "{c}");
         assert!(c.contains("v1 = slg_sel4(v0, v0, 1, 0, 3, 2);"), "{c}");
+    }
+
+    #[test]
+    fn packs_set_lanes_highest_first_with_zero_lanes() {
+        // lanes as (register index | immediate | zero), lane 0 first
+        let (r0, r1) = (Some(SOperand::Reg(SReg(0))), Some(SOperand::Reg(SReg(1))));
+        for (elems, want) in [
+            (vec![r1, Some(2.0.into()), None, r0], "v0 = _mm256_set_pd(s0, 0.0, 2.0, s1);"),
+            (vec![None, r1], "v0 = _mm_set_pd(s1, 0.0);"),
+        ] {
+            let w = elems.len();
+            let mut b = FunctionBuilder::new("p", w);
+            let x = b.buffer("x", 2, BufKind::ParamIn);
+            let y = b.buffer("y", w, BufKind::ParamOut);
+            let _ = b.sload(MemRef::new(x, 0));
+            let _ = b.sload(MemRef::new(x, 1));
+            let v = b.vpack(elems);
+            b.vstore_contig(v, MemRef::new(y, 0));
+            let f = b.finish();
+            let c = to_c_for(&f, Target::Avx2);
+            assert!(c.contains(want), "ν={w}:\n{c}");
+            assert_digest_matches(&f, Target::Avx2);
+        }
     }
 
     #[test]

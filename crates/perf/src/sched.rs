@@ -212,6 +212,17 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Vec<Demand> {
         Instr::VShuffle { .. } | Instr::VExtract { .. } => {
             vec![Demand { resource: Resource::Shuffle, units: 1.0, latency: m.shuffle_latency }]
         }
+        Instr::VPack { elems, .. } => {
+            // a tree of inserts/unpacks: active−1 shuffles, ⌈log2 active⌉
+            // of them on the critical path
+            let active = elems.iter().flatten().count().max(2);
+            let depth = (active as f64).log2().ceil();
+            vec![Demand {
+                resource: Resource::Shuffle,
+                units: (active - 1) as f64,
+                latency: m.shuffle_latency * depth,
+            }]
+        }
         Instr::VBlend { .. } => {
             vec![Demand { resource: Resource::Blend, units: 1.0, latency: m.blend_latency }]
         }
@@ -368,7 +379,7 @@ impl Monitor for Scheduler {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use slingen_cir::{Affine, BufKind, FunctionBuilder, MemRef};
+    use slingen_cir::{Affine, BufKind, FunctionBuilder, MemRef, SReg};
     use slingen_vm::BufferSet;
 
     fn run(f: &slingen_cir::Function, bufs: &mut BufferSet) -> Report {
@@ -568,6 +579,44 @@ mod tests {
         .expect("budget above the true cost must not trigger");
         assert_eq!(kept.cycles, full.cycles);
         assert_eq!(kept.instructions, full.instructions);
+    }
+
+    /// A pack of `k` active lanes costs `k - 1` shuffle issues with
+    /// `⌈log2 k⌉` shuffle latencies on its critical path, and the static
+    /// bound stays below the scheduled makespan on a body of packs.
+    #[test]
+    fn pack_demand_and_lower_bound() {
+        let m = Machine::sandy_bridge();
+        let sh = m.shuffle_latency;
+        for (elems, units, latency) in [
+            (vec![Some(SReg(0).into()), Some(SReg(1).into())], 1.0, sh),
+            (
+                vec![Some(SReg(0).into()), None, Some(2.0.into()), Some(SReg(1).into())],
+                2.0,
+                2.0 * sh,
+            ),
+            (vec![Some(SReg(0).into()); 4], 3.0, 2.0 * sh),
+        ] {
+            let d = demands(&m, &Instr::VPack { dst: slingen_cir::VReg(0), elems }, 4);
+            assert_eq!(d.len(), 1);
+            assert_eq!(d[0].resource, Resource::Shuffle);
+            assert_eq!((d[0].units, d[0].latency), (units, latency));
+        }
+
+        let mut b = FunctionBuilder::new("packs", 4);
+        let x = b.buffer("x", 64, BufKind::ParamIn);
+        let o = b.buffer("o", 64, BufKind::ParamOut);
+        for i in 0..16 {
+            let s: Vec<_> = (0..4).map(|l| b.sload(MemRef::new(x, 4 * i + l))).collect();
+            let v = b.vpack(s.iter().map(|&r| Some(r.into())).collect());
+            b.vstore_contig(v, MemRef::new(o, 4 * i));
+        }
+        let f = b.finish();
+        let mut bufs = BufferSet::for_function(&f);
+        let rep = run(&f, &mut bufs);
+        let lb = pressure_lower_bound(&f, &m);
+        assert!(lb <= rep.cycles, "bound {lb} above makespan {}", rep.cycles);
+        assert_eq!(rep.count(InstrClass::Shuffle), 16);
     }
 
     /// Loop-var-dependent addressing resolves per iteration.

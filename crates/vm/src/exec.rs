@@ -264,6 +264,15 @@ impl Vm<'_, '_> {
                 }
                 self.vregs[dst.0] = vals;
             }
+            Instr::VPack { dst, elems } => {
+                let mut vals = vec![0.0; self.f.width];
+                for (v, o) in vals.iter_mut().zip(elems) {
+                    if let Some(o) = o {
+                        *v = self.sval(o);
+                    }
+                }
+                self.vregs[dst.0] = vals;
+            }
             Instr::VBlend { dst, a, b, mask } => {
                 let mut vals = vec![0.0; self.f.width];
                 for lane in 0..self.f.width {
@@ -358,6 +367,25 @@ mod tests {
         let mut bufs = BufferSet::for_function(&f);
         execute(&f, &mut bufs, &mut NullMonitor).unwrap();
         assert_eq!(bufs.get(y), &[2.0, 6.0, 4.0]);
+    }
+
+    #[test]
+    fn pack_fills_registers_immediates_and_zero_lanes() {
+        let mut b = FunctionBuilder::new("pack", 4);
+        let x = b.buffer("x", 2, BufKind::ParamIn);
+        let y = b.buffer("y", 4, BufKind::ParamOut);
+        let r0 = b.sload(MemRef::new(x, 0));
+        let r1 = b.sload(MemRef::new(x, 1));
+        let v = b.vpack(vec![Some(r1.into()), None, Some(0.25.into()), Some(r0.into())]);
+        b.vstore_contig(v, MemRef::new(y, 0));
+        let f = b.finish();
+        let mut bufs = BufferSet::for_function(&f);
+        bufs.set(x, &[5.0, 6.0]);
+        let mut mon = CountingMonitor::default();
+        execute(&f, &mut bufs, &mut mon).unwrap();
+        assert_eq!(bufs.get(y), &[6.0, 0.0, 0.25, 5.0]);
+        assert_eq!(mon.count(InstrClass::Shuffle), 1);
+        assert_eq!(mon.flops(), 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! swapped lanes. Here one C-IR function per width applies every
 //! `LaneSel` map over `{A0.., B0.., Zero}^ν` to distinct inputs (the
 //! first source holds 1..ν, the second ν+1..2ν), plus every blend mask,
-//! every lane extract, scattered stores and a lane reduction, and stores
+//! every lane extract, scattered stores, a lane reduction and packs of
+//! scalar registers, immediates and zero lanes, and stores
 //! each result to its own output slots. The emitted C runs under a small
 //! `main` that prints every output's IEEE-754 bits, which must equal the
 //! VM's output buffer bit for bit.
@@ -16,7 +17,9 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use slingen_cir::{unparse, BufId, BufKind, Function, FunctionBuilder, LaneSel, MemRef, Target};
+use slingen_cir::{
+    unparse, BufId, BufKind, Function, FunctionBuilder, LaneSel, MemRef, SOperand, Target,
+};
 use slingen_vm::{execute, BufferSet, NullMonitor};
 use std::process::Command;
 
@@ -64,13 +67,29 @@ fn lane_function(w: usize) -> LaneFn {
         (0..w as i64).map(|l| (l % 2 == 1).then_some(l)).collect(),
         (0..w as i64).map(|l| (l == 0).then_some(0)).collect(),
     ];
-    let len = (maps.len() + masks.len() + scatters.len()) * w + 2 * w + 1;
 
     let mut b = FunctionBuilder::new("lanes", w);
     let x = b.buffer("x", 2 * w, BufKind::ParamIn);
-    let y = b.buffer("y", len, BufKind::ParamOut);
     let va = b.vload_contig(MemRef::new(x, 0));
     let vb = b.vload_contig(MemRef::new(x, w as i64));
+    // packs of the input scalars, immediates and zero lanes
+    let xs: Vec<Option<SOperand>> =
+        (0..2 * w as i64).map(|i| Some(b.sload(MemRef::new(x, i)).into())).collect();
+    let packs: Vec<Vec<Option<SOperand>>> = vec![
+        xs[..w].to_vec(),
+        xs[w..].iter().rev().copied().collect(),
+        (0..w).map(|l| if l == 0 { None } else { xs[l] }).collect(),
+        (0..w).map(|l| if l + 1 == w { Some(0.5.into()) } else { xs[2 * w - 1 - l] }).collect(),
+        (0..w)
+            .map(|l| match l % 3 {
+                0 => xs[l + 1],
+                1 => None,
+                _ => Some((-3.0).into()),
+            })
+            .collect(),
+    ];
+    let len = (maps.len() + masks.len() + scatters.len() + packs.len()) * w + 2 * w + 1;
+    let y = b.buffer("y", len, BufKind::ParamOut);
     let mut labels = Vec::with_capacity(len);
     let mut at = 0i64;
     for sel in &maps {
@@ -89,6 +108,14 @@ fn lane_function(w: usize) -> LaneFn {
     for lanes in &scatters {
         b.vstore(vb, MemRef::new(y, at), lanes.clone());
         labels.extend((0..w).map(|l| format!("scatter {lanes:?} slot {l}")));
+        at += w as i64;
+    }
+    for pack in &packs {
+        let v = b.vpack(pack.clone());
+        b.vstore_contig(v, MemRef::new(y, at));
+        let name: Vec<String> =
+            pack.iter().map(|e| e.map_or_else(|| "0".to_string(), |e| e.to_string())).collect();
+        labels.extend((0..w).map(|l| format!("pack [{}] lane {l}", name.join(" "))));
         at += w as i64;
     }
     for (src, name) in [(va, "a"), (vb, "b")] {
@@ -202,7 +229,8 @@ fn every_lane_map_matches_the_vm() {
         eprintln!("no AVX on this host; skipping the AVX lane maps");
         return;
     }
-    // 256-bit: blends as `blend_pd`, every other map through `slg_sel4`
+    // 256-bit: blends as `blend_pd`, every other map through `slg_sel4`,
+    // packs as `_mm256_set_pd`
     check(4, Target::Avx2, "-mavx");
     // 128-bit with blends and masked stores
     check(2, Target::Avx2, "-mavx");
