@@ -361,20 +361,40 @@ fn emit_unit<W: std::fmt::Write>(f: &Function, target: Target, out: &mut W) {
         let _ = write!(out, "{qual}double* restrict {}", c_ident(&b.name));
     }
     let _ = writeln!(out, ") {{");
-    for (_, b) in f.locals() {
+    // declare only the locals and registers the body uses: Stage 3 leaves
+    // dead temporaries and gaps in the register numbering, and an unused
+    // declaration draws a warning
+    let mut bused = vec![false; f.buffers.len()];
+    let (mut sused, mut vused) = (vec![false; f.n_sregs], vec![false; f.n_vregs]);
+    f.for_each_instr(&mut |i| {
+        if let Instr::SLoad { src: m, .. }
+        | Instr::SStore { dst: m, .. }
+        | Instr::VLoad { base: m, .. }
+        | Instr::VStore { base: m, .. } = i
+        {
+            bused[m.buf.0] = true;
+        }
+        i.for_each_sreg_read(|r| sused[r.0] = true);
+        i.for_each_vreg_read(|r| vused[r.0] = true);
+        if let Some(r) = i.sreg_write() {
+            sused[r.0] = true;
+        }
+        if let Some(r) = i.vreg_write() {
+            vused[r.0] = true;
+        }
+    });
+    for (_, b) in f.locals().filter(|(id, _)| bused[id.0]) {
         let _ = writeln!(out, "  double {}[{}];", c_ident(&b.name), b.len.max(1));
     }
-    if f.n_sregs > 0 {
-        let names: Vec<String> = (0..f.n_sregs).map(|i| format!("s{i}")).collect();
-        for chunk in names.chunks(16) {
-            let _ = writeln!(out, "  double {};", chunk.join(", "));
-        }
+    let used = |flags: &[bool], prefix: char| -> Vec<String> {
+        flags.iter().enumerate().filter(|(_, &u)| u).map(|(i, _)| format!("{prefix}{i}")).collect()
+    };
+    for chunk in used(&sused, 's').chunks(16) {
+        let _ = writeln!(out, "  double {};", chunk.join(", "));
     }
-    if f.n_vregs > 0 && f.width > 1 {
-        let vt = isa.vtype;
-        let names: Vec<String> = (0..f.n_vregs).map(|i| format!("v{i}")).collect();
-        for chunk in names.chunks(12) {
-            let _ = writeln!(out, "  {vt} {};", chunk.join(", "));
+    if f.width > 1 {
+        for chunk in used(&vused, 'v').chunks(12) {
+            let _ = writeln!(out, "  {} {};", isa.vtype, chunk.join(", "));
         }
     }
     emit_stmts(f, &isa, &f.body, 1, out);
@@ -1126,6 +1146,23 @@ mod tests {
             assert!(c.contains(want), "ν={w}:\n{c}");
             assert_digest_matches(&f, Target::Avx2);
         }
+    }
+
+    #[test]
+    fn declares_only_the_registers_the_body_uses() {
+        let mut b = FunctionBuilder::new("d", 4);
+        let x = b.buffer("x", 4, BufKind::ParamIn);
+        let y = b.buffer("y", 4, BufKind::ParamOut);
+        let _unused_s = b.fresh_sreg();
+        let _unused_v = b.fresh_vreg();
+        let s = b.sload(MemRef::new(x, 0));
+        let v = b.vbroadcast(s);
+        b.vstore_contig(v, MemRef::new(y, 0));
+        let f = b.finish();
+        assert_eq!((f.n_sregs, f.n_vregs), (2, 2));
+        let c = to_c_for(&f, Target::Avx2);
+        assert!(c.contains("  double s1;\n  __m256d v1;\n"), "{c}");
+        assert!(!c.contains("s0") && !c.contains("v0"), "{c}");
     }
 
     #[test]

@@ -162,15 +162,13 @@ fn c_program(lf: &LaneFn, inputs: &[f64], target: Target) -> String {
 /// and gcc needs about 20 s to inline and optimize the 6,561 `slg_sel4`
 /// calls at `-O2`, against 2.5 s here. The kernels benchmark and the
 /// measured-tuning tests run real kernels at `-O2` against the VM.
-/// `-Wno-unused-variable`: the kernel declares the whole register file,
-/// including registers Stage 3 left unused.
 fn run_c(source: &str, isa: &str, tag: &str) -> Vec<u64> {
     let dir = std::env::temp_dir().join(format!("slingen-lane-maps-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (src, bin) = (dir.join(format!("{tag}.c")), dir.join(tag));
     std::fs::write(&src, source).unwrap();
     let out = Command::new("cc")
-        .args(["-std=c99", "-O0", "-Wall", "-Wno-unused-variable", "-Werror"])
+        .args(["-std=c99", "-O0", "-Wall", "-Werror"])
         .arg(isa)
         .arg("-o")
         .arg(&bin)
