@@ -19,8 +19,9 @@
 //! decides the small-`potrf` winners.
 //!
 //! Everything here degrades gracefully: any failure (no compiler,
-//! compile error, harness crash) is an [`HwError`] with a reason, and
-//! callers fall back to the model-only flow, logging why.
+//! compile error, harness crash, a harness killed at the run deadline) is
+//! an [`HwError`] with a reason, and callers fall back to the model-only
+//! flow, logging why.
 
 use crate::workload;
 use slingen_cir::unparse::{digest_str, to_c_harness, HarnessOpts};
@@ -30,7 +31,8 @@ use slingen_perf::{Machine, MeasuredTime};
 use slingen_vm::{BufferSet, NullMonitor};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Which signal ranks variants in the autotuner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,6 +56,12 @@ const WARMUP: u32 = 20;
 const REPS: u32 = 9;
 /// Calls per repetition (minimum over these).
 const INNER: u32 = 30;
+
+/// Wall-clock limit for one harness or microbenchmark run. A harness
+/// makes a few hundred calls of one small kernel and a microbenchmark
+/// times a few hundred thousand dependent operations, both well under a
+/// second; a run still going at the deadline is hung and gets killed.
+const RUN_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Configuration for the measured-autotuning path, carried on
 /// `Options::measure`. The default is pure model mode, which
@@ -203,9 +211,7 @@ impl HardwareMeasurer {
     /// VM checksum `expected` ([`vm_checksum`]), and parse its
     /// `SLINGEN_MEASURE` line.
     fn run(&self, bin: &Path, expected: (f64, f64)) -> Result<MeasuredTime, HwError> {
-        let out = Command::new(bin)
-            .output()
-            .map_err(|e| HwError(format!("harness {} failed to run: {e}", bin.display())))?;
+        let out = run_with_deadline(bin, RUN_DEADLINE)?;
         if !out.status.success() {
             return Err(HwError(format!("harness exited with {}", out.status)));
         }
@@ -248,6 +254,34 @@ impl HardwareMeasurer {
     ) -> Result<MeasuredTime, HwError> {
         self.measure_c(function, &param_inits(program, function, seed))
     }
+}
+
+/// Run the binary `bin` to completion and collect its output, killing it
+/// once it has run for `deadline`. A killed run is an [`HwError`] naming
+/// the timeout, so callers fall back to the model instead of hanging.
+fn run_with_deadline(bin: &Path, deadline: Duration) -> Result<Output, HwError> {
+    let failed = |e: std::io::Error| HwError(format!("{} failed to run: {e}", bin.display()));
+    let mut child = Command::new(bin)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .map_err(failed)?;
+    let start = Instant::now();
+    let mut poll = Duration::from_millis(1);
+    while child.try_wait().map_err(failed)?.is_none() {
+        if start.elapsed() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(HwError(format!(
+                "timeout: {} ran past the {deadline:?} deadline and was killed",
+                bin.display()
+            )));
+        }
+        std::thread::sleep(poll);
+        poll = (poll * 2).min(Duration::from_millis(20));
+    }
+    child.wait_with_output().map_err(failed)
 }
 
 /// Initial contents for each *parameter* buffer, in `Function::params`
@@ -504,9 +538,7 @@ pub fn calibrate(target: Target, cfg: &MeasureConfig) -> Result<Calibration, HwE
             }
             let src = microbench_source(op, vector, width, 200_000);
             let bin = hw.compile(&src)?;
-            let out = Command::new(&bin)
-                .output()
-                .map_err(|e| HwError(format!("microbench run failed: {e}")))?;
+            let out = run_with_deadline(&bin, RUN_DEADLINE)?;
             if !out.status.success() {
                 return Err(HwError(format!("microbench {op} exited with {}", out.status)));
             }
@@ -570,6 +602,30 @@ mod tests {
         };
         let err = HardwareMeasurer::new(Target::Avx2, &cfg).err().expect("must fail");
         assert!(err.0.contains("not runnable"), "{err}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn hung_runs_are_killed_at_the_deadline() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("slingen-deadline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("sleeper");
+        std::fs::write(&script, "#!/bin/sh\necho started\nexec sleep 30\n").unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let start = Instant::now();
+        let err = run_with_deadline(&script, Duration::from_millis(200)).unwrap_err();
+        let waited = start.elapsed();
+        assert!(err.0.starts_with("timeout:"), "{err}");
+        assert!(waited < Duration::from_secs(10), "killed only after {waited:?}");
+
+        let quick = dir.join("quick");
+        std::fs::write(&quick, "#!/bin/sh\necho SLINGEN_CAL lat 1 thr 1\n").unwrap();
+        std::fs::set_permissions(&quick, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let out = run_with_deadline(&quick, Duration::from_secs(10)).unwrap();
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "SLINGEN_CAL lat 1 thr 1\n");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
