@@ -16,17 +16,17 @@
 //! The paper's library competitors (MKL, Cl1ck+MKL, ReLAPACK, RECSY) have
 //! no claim: none of them is available to time.
 //!
-//! Known failures, not asserted (best of three trials, 2-core Xeon,
-//! gcc 12.2):
+//! Known failures, not asserted (six runs of the suite, each side the
+//! best of three interleaved trials, 2-core Xeon, gcc 12.2, cycles):
 //!
-//! * The Eigen-style C ties or beats SLinGen's winner: potrf20 about
-//!   1000 vs 1900 cycles, potrf28 1900 vs 2100, trsyl20 a tie at 8300,
-//!   kf12 3700–5700 vs 5700–6500. The modeled Eigen claims below still
-//!   say the opposite.
-//! * trsyl20 beats icc-style C by only 1.17–1.31x (about 8000 vs 10500
-//!   cycles), so a 1.3x claim fails about one run in three.
-//! * At n = 12, icc-style C beats SLinGen on trsyl (about 2100 vs 2750)
-//!   and trlya (1100 vs 1780).
+//! * The Eigen-style C beats SLinGen's winner on potrf20 (about 860-1050
+//!   vs 1540-2090), potrf28 (1570-1880 vs 1720-1980) and kf12 (3460-4450
+//!   vs 5270-6150). The modeled Eigen claims below still say the
+//!   opposite. On trsyl20 SLinGen now wins, by 1.07-1.41x (7400-8240 vs
+//!   5270-6910).
+//! * At n = 12, SLinGen beats the icc-style C on trsyl by only
+//!   1.10-1.30x (1640-1910 vs 1900-2490), and still loses on trlya
+//!   (1460-1570 vs 990-1240, about 0.7-0.8x).
 
 use slingen::apps::{self, nominal_flops};
 use slingen::{HardwareMeasurer, MeasureConfig, Options, Target};
@@ -87,6 +87,13 @@ fn measured_potrf_beats_compilers() {
 fn measured_kalman_filter_beats_icc() {
     // 2-core Xeon, gcc 12.2: about 5900 vs 16500 cycles
     assert_measured_speedups(&apps::kf(12), &[(Flavor::Icc, 1.5)]);
+}
+
+#[test]
+fn measured_sylvester_beats_icc() {
+    // 2-core Xeon, gcc 12.2, twelve runs: 5200-7100 vs 9400-11800 cycles,
+    // 1.41-2.06x
+    assert_measured_speedups(&apps::trsyl(20), &[(Flavor::Icc, 1.3)]);
 }
 
 #[test]
