@@ -359,7 +359,7 @@ pub enum Instr {
     },
     /// Build a vector from scalars: lane `i` is `elems[i]`, and a `None`
     /// lane is 0.0. The load/store analysis emits it for a vector load
-    /// whose lanes were stored from scalar registers.
+    /// whose lanes scalar registers or immediates still hold.
     VPack {
         /// Destination.
         dst: VReg,

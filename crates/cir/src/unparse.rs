@@ -1127,7 +1127,7 @@ mod tests {
 
     #[test]
     fn packs_set_lanes_highest_first_with_zero_lanes() {
-        // lanes as (register index | immediate | zero), lane 0 first
+        // lane 0 first; `set_pd` takes them highest first
         let (r0, r1) = (Some(SOperand::Reg(SReg(0))), Some(SOperand::Reg(SReg(1))));
         for (elems, want) in [
             (vec![r1, Some(2.0.into()), None, r0], "v0 = _mm256_set_pd(s0, 0.0, 2.0, s1);"),
