@@ -64,7 +64,7 @@ fn bench_stages(c: &mut Criterion) {
 
 /// The autotuning search: Stage 1 through one shared algorithm database,
 /// Stages 2-3 + measurement fanned out on parallel threads, over the
-/// policy × ν × loop-threshold variant space.
+/// policy × ν variant space.
 fn bench_autotune(c: &mut Criterion) {
     use slingen::{SearchSpace, Strategy};
     let mut g = c.benchmark_group("autotune");
@@ -95,10 +95,8 @@ fn bench_autotune(c: &mut Criterion) {
     });
     g.bench_function("space_policy_row_potrf16", |b| {
         b.iter(|| {
-            let opts = Options {
-                search: SearchSpace::default().with_nus([4]).with_loop_thresholds([64]),
-                ..Options::default()
-            };
+            let opts =
+                Options { search: SearchSpace::default().with_nus([4]), ..Options::default() };
             slingen::generate(&potrf16, &opts).unwrap()
         })
     });

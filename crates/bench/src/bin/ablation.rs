@@ -100,7 +100,7 @@ fn main() {
             print!("{kernel:<6} n={n:<4}");
             for policy in Policy::ALL {
                 let opts = Options::default();
-                let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+                let spec = VariantSpec { policy, nu: opts.nu };
                 let g = generate_with_spec(&p, spec, &opts).unwrap();
                 print!("  {policy}: {:4.2} f/c", fl / g.report.cycles);
             }

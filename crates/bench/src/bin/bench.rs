@@ -58,7 +58,7 @@ struct Record {
 }
 
 fn measure(name: &str, program: &Program, passes_breakdown: bool) -> Record {
-    let spec = VariantSpec { policy: Policy::Lazy, nu: Options::default().nu, loop_threshold: 64 };
+    let spec = VariantSpec { policy: Policy::Lazy, nu: Options::default().nu };
     let stage1_ms = time_ms(|| {
         let mut db = AlgorithmDb::new();
         synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
@@ -117,7 +117,6 @@ struct TuneRecord {
     explored: usize,
     pruned: usize,
     deduped: usize,
-    predicted: usize,
     lb_pruned: usize,
     cold_ms: f64,
     cached_ms: f64,
@@ -152,7 +151,6 @@ fn measure_tune(name: &str, program: &Program) -> TuneRecord {
         explored: g.tuning.explored,
         pruned: g.tuning.pruned,
         deduped: g.tuning.deduped,
-        predicted: g.tuning.predicted,
         lb_pruned: g.tuning.lb_pruned,
         cold_ms,
         cached_ms,
@@ -468,13 +466,12 @@ fn main() {
             eprintln!("tuning {name} ...");
             let t = measure_tune(name, program);
             eprintln!(
-                "  winner {:16} explored {:2} (pruned {:2}, deduped {:2}, predicted {:2})  \
+                "  winner {:16} explored {:2} (pruned {:2}, deduped {:2})  \
                  cold {:8.3} ms  cached {:8.4} ms  ({:.0}x)  cache hit rate {:.2}",
                 t.spec,
                 t.explored,
                 t.pruned,
                 t.deduped,
-                t.predicted,
                 t.cold_ms,
                 t.cached_ms,
                 t.cold_ms / t.cached_ms.max(1e-9),
@@ -564,7 +561,7 @@ fn main() {
             json.push_str(&format!(
                 "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
                  \"variants_pruned\": {}, \"variants_deduped\": {}, \
-                 \"variants_predicted\": {}, \"lb_pruned\": {}, \
+                 \"lb_pruned\": {}, \
                  \"cold_ms\": {:.3}, \
                  \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
                  \"cache_hit_rate\": {:.3}, \"reps\": [{}]}}{}\n",
@@ -573,7 +570,6 @@ fn main() {
                 t.explored,
                 t.pruned,
                 t.deduped,
-                t.predicted,
                 t.lb_pruned,
                 t.cold_ms,
                 t.cached_ms,

@@ -57,7 +57,7 @@ pub fn measure_slingen_variant(
     nominal_flops: f64,
 ) -> Measurement {
     let opts = Options::default();
-    let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+    let spec = VariantSpec { policy, nu: opts.nu };
     let g = slingen::generate_with_spec(program, spec, &opts).expect("slingen variant");
     let report = run_function(program, &g.function, 7);
     Measurement {

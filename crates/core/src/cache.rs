@@ -19,7 +19,7 @@
 //! * **Persistence** — [`TuneCache::save`] writes a versioned,
 //!   length-prefixed text format atomically (write-temp + rename), one
 //!   record per entry in key order; [`TuneCache::load`] warm-loads it.
-//!   A missing, truncated, wrong-version, or garbage file yields an
+//!   A missing, truncated, old-version, or garbage file yields an
 //!   *empty* cache with a logged reason — a corrupt file is never trusted
 //!   and never panics. Loaded entries store the winning spec, emitted C,
 //!   and the exact measurement report; the C-IR function is
@@ -29,26 +29,31 @@
 //!   counted as a miss.
 //!
 //! The on-disk format is hand-rolled (this workspace is offline — no
-//! serde): a magic/version header, one length-prefixed record per entry,
-//! and a trailing `end <count>` marker so truncation is always detected:
+//! serde): a magic/version header, one length-prefixed record per entry
+//! (keys strictly ascending), and a trailing `end <count>` marker so
+//! truncation is always detected:
 //!
 //! ```text
-//! slingen-tunecache v2
+//! slingen-tunecache v3
 //! entry
 //! key <bytes>\n<key...>\n
-//! spec <policy> <nu> <threshold>
+//! spec <policy> <nu>
 //! db <hits> <misses>
-//! stats <explored> <pruned> <deduped> <predicted>
+//! stats <explored> <pruned> <deduped>
 //! report <bytes>\n<Report::to_wire line>\n
 //! code <bytes>\n<emitted C>\n
 //! end <entry-count>
 //! ```
 //!
-//! v2 differs from v1 only in that the report line may carry the
-//! optional trailing measured-time section (`... M <cycles> <ns>
-//! <reps>`) written by the measured-autotuning flow; [`TuneCache::load`]
-//! accepts both versions, so existing v1 files keep warm-loading
-//! unchanged.
+//! The report line may carry the optional trailing measured-time section
+//! (`... M <cycles> <ns> <reps>`) written by the measured-autotuning
+//! flow. Numbers are canonical decimals, so every file that loads
+//! re-saves byte for byte.
+//!
+//! v3 dropped the loop threshold from the search space: the `spec` line
+//! lost its threshold and the `stats` line its `predicted` count, which
+//! only that axis produced. Every v1/v2 key names the old space and could never hit again,
+//! so such files load empty with a reason naming their version.
 
 use crate::tuner::{TuneStats, VariantSpec};
 use crate::Error;
@@ -61,11 +66,9 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 const MAGIC: &str = "slingen-tunecache";
-/// Version written by [`TuneCache::save`].
-const VERSION: u32 = 2;
-/// Versions [`TuneCache::load`] accepts: v1 files (pre-measurement) are
-/// a strict subset of v2, so they parse unchanged.
-const ACCEPTED_VERSIONS: [u32; 2] = [1, 2];
+/// The one version [`TuneCache::save`] writes and [`TuneCache::load`]
+/// accepts.
+const VERSION: usize = 3;
 
 /// The cached outcome of one tuned generation, fully materialized and
 /// shared (behind an `Arc`) by every request that hits it.
@@ -358,13 +361,9 @@ impl TuneCache {
             };
             out.push_str("entry\n");
             let _ = write!(out, "key {}\n{key}\n", key.len());
-            let _ = writeln!(out, "spec {} {} {}", spec.policy, spec.nu, spec.loop_threshold);
+            let _ = writeln!(out, "spec {} {}", spec.policy, spec.nu);
             let _ = writeln!(out, "db {} {}", db_stats.0, db_stats.1);
-            let _ = writeln!(
-                out,
-                "stats {} {} {} {}",
-                stats.explored, stats.pruned, stats.deduped, stats.predicted
-            );
+            let _ = writeln!(out, "stats {} {} {}", stats.explored, stats.pruned, stats.deduped);
             let _ = write!(out, "report {}\n{wire}\n", wire.len());
             let _ = write!(out, "code {}\n{c_code}\n", c_code.len());
         }
@@ -507,10 +506,41 @@ impl Drop for Ticket {
     }
 }
 
+/// A canonical decimal: ASCII digits, no sign, no leading zero. The
+/// writer never produces anything else, so a file that parses re-saves
+/// byte for byte.
+fn parse_num(s: &str) -> Option<usize> {
+    let canonical =
+        !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) && (s == "0" || !s.starts_with('0'));
+    if canonical {
+        s.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// The `N` numbers of a `<tag> n1 … nN` line, exactly.
+fn parse_nums<const N: usize>(line: &str, tag: &str) -> Result<[usize; N], String> {
+    let rest = line
+        .strip_prefix(tag)
+        .and_then(|r| r.strip_prefix(' '))
+        .ok_or_else(|| format!("expected `{tag}`, got {line:?}"))?;
+    let mut out = [0; N];
+    let mut fields = rest.split(' ');
+    for slot in &mut out {
+        *slot = fields.next().and_then(parse_num).ok_or_else(|| format!("bad `{tag}` line"))?;
+    }
+    if fields.next().is_some() {
+        return Err(format!("trailing tokens on `{tag}` line"));
+    }
+    Ok(out)
+}
+
 /// Strict parser for the cache file format (see module docs). Any
-/// anomaly — bad magic, unknown version, truncation, lying lengths, a
-/// missing `end` marker, an entry-count mismatch — rejects the *whole*
-/// file with a reason: a damaged cache is never partially trusted.
+/// anomaly — bad magic, another version, truncation, lying lengths,
+/// non-canonical numbers, keys out of order, a missing `end` marker, an
+/// entry-count mismatch, bytes after it — rejects the *whole* file with a
+/// reason: a damaged cache is never partially trusted.
 fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
     let mut pos = 0usize;
 
@@ -524,8 +554,12 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
         Ok(&rest[..end])
     }
 
-    fn take_blob<'a>(src: &'a str, pos: &mut usize, len: usize) -> Result<&'a str, String> {
-        let blob = src.get(*pos..*pos + len).ok_or("truncated: blob shorter than its length")?;
+    fn take_blob<'a>(src: &'a str, pos: &mut usize, tag: &str) -> Result<&'a str, String> {
+        let [len] = parse_nums(take_line(src, pos)?, tag)?;
+        let blob = pos
+            .checked_add(len)
+            .and_then(|end| src.get(*pos..end))
+            .ok_or("truncated: blob shorter than its length")?;
         *pos += len;
         match src.as_bytes().get(*pos) {
             Some(b'\n') => {
@@ -541,20 +575,26 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
         .strip_prefix(MAGIC)
         .and_then(|r| r.strip_prefix(" v"))
         .ok_or_else(|| format!("bad magic: {header:?}"))?;
-    let v = version.parse::<u32>().map_err(|_| format!("bad version: {version:?}"))?;
-    if !ACCEPTED_VERSIONS.contains(&v) {
-        return Err(format!("unsupported version {v} (accepted {ACCEPTED_VERSIONS:?})"));
+    let v = parse_num(version).ok_or_else(|| format!("bad version: {version:?}"))?;
+    if v < VERSION {
+        return Err(format!(
+            "version {v} predates v{VERSION}: its keys name the old loop-threshold search \
+             space and can never hit"
+        ));
+    }
+    if v != VERSION {
+        return Err(format!("unsupported version {v} (this build reads v{VERSION})"));
     }
 
-    let mut entries = Vec::new();
+    let mut entries: Vec<(String, PersistedWin)> = Vec::new();
     loop {
         let line = take_line(src, &mut pos)?;
-        if let Some(n) = line.strip_prefix("end ") {
-            let n: usize = n.parse().map_err(|_| "bad end count")?;
+        if line.starts_with("end") {
+            let [n] = parse_nums(line, "end")?;
             if n != entries.len() {
                 return Err(format!("entry count mismatch: marker {n}, found {}", entries.len()));
             }
-            if !src[pos..].trim().is_empty() {
+            if pos != src.len() {
                 return Err("trailing garbage after end marker".into());
             }
             return Ok(entries);
@@ -562,53 +602,27 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
         if line != "entry" {
             return Err(format!("expected `entry` or `end`, got {line:?}"));
         }
-        let klen: usize = take_line(src, &mut pos)?
-            .strip_prefix("key ")
-            .ok_or("expected `key <len>`")?
-            .parse()
-            .map_err(|_| "bad key length")?;
-        let key = take_blob(src, &mut pos, klen)?.to_string();
+        let key = take_blob(src, &mut pos, "key")?.to_string();
+        if entries.last().is_some_and(|(prev, _)| *prev >= key) {
+            return Err("keys out of order or duplicated".into());
+        }
 
         let spec_line = take_line(src, &mut pos)?;
         let mut t = spec_line.strip_prefix("spec ").ok_or("expected `spec`")?.split(' ');
         let policy = t.next().and_then(slingen_synth::Policy::parse).ok_or("bad spec policy")?;
-        let nu: usize = t.next().and_then(|s| s.parse().ok()).ok_or("bad spec nu")?;
-        let loop_threshold: usize =
-            t.next().and_then(|s| s.parse().ok()).ok_or("bad spec threshold")?;
+        let nu = t.next().and_then(parse_num).ok_or("bad spec nu")?;
         if t.next().is_some() {
-            return Err("trailing tokens on spec line".into());
+            return Err("trailing tokens on `spec` line".into());
         }
-
-        let db_line = take_line(src, &mut pos)?;
-        let mut t = db_line.strip_prefix("db ").ok_or("expected `db`")?.split(' ');
-        let db_hits: usize = t.next().and_then(|s| s.parse().ok()).ok_or("bad db hits")?;
-        let db_misses: usize = t.next().and_then(|s| s.parse().ok()).ok_or("bad db misses")?;
-
-        let stats_line = take_line(src, &mut pos)?;
-        let mut t = stats_line.strip_prefix("stats ").ok_or("expected `stats`")?.split(' ');
-        let mut next_n = || -> Result<usize, String> {
-            t.next().and_then(|s| s.parse().ok()).ok_or_else(|| "bad stats field".into())
-        };
-        let (explored, pruned, deduped, predicted) = (next_n()?, next_n()?, next_n()?, next_n()?);
-
-        let rlen: usize = take_line(src, &mut pos)?
-            .strip_prefix("report ")
-            .ok_or("expected `report <len>`")?
-            .parse()
-            .map_err(|_| "bad report length")?;
-        let report_wire = take_blob(src, &mut pos, rlen)?.to_string();
-
-        let clen: usize = take_line(src, &mut pos)?
-            .strip_prefix("code ")
-            .ok_or("expected `code <len>`")?
-            .parse()
-            .map_err(|_| "bad code length")?;
-        let c_code = take_blob(src, &mut pos, clen)?.to_string();
+        let [db_hits, db_misses] = parse_nums(take_line(src, &mut pos)?, "db")?;
+        let [explored, pruned, deduped] = parse_nums(take_line(src, &mut pos)?, "stats")?;
+        let report_wire = take_blob(src, &mut pos, "report")?.to_string();
+        let c_code = take_blob(src, &mut pos, "code")?.to_string();
 
         entries.push((
             key,
             PersistedWin {
-                spec: VariantSpec { policy, nu, loop_threshold },
+                spec: VariantSpec { policy, nu },
                 c_code,
                 report_wire,
                 db_stats: (db_hits, db_misses),
@@ -616,7 +630,6 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
                     explored,
                     pruned,
                     deduped,
-                    predicted,
                     persisted: true,
                     ..TuneStats::default()
                 },

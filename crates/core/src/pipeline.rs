@@ -1,7 +1,7 @@
 //! The SLinGen driver: Stages 1–3 plus autotuning (paper Fig. 6).
 //!
 //! `generate()` drives the variant-space autotuner in [`crate::tuner`]:
-//! the search space (policy × ν × loop-threshold), strategy, and cache
+//! the search space (policy × ν), strategy, and cache
 //! live in [`Options`]; this module owns the option/result types.
 //! [`generate_with_spec`] evaluates one fixed point of the space through
 //! the same search code.
@@ -85,7 +85,7 @@ pub struct Generated {
     pub function: Function,
     /// The emitted single-source C code.
     pub c_code: String,
-    /// The full variant that won: policy, ν, loop threshold.
+    /// The full variant that won: policy and ν.
     pub spec: VariantSpec,
     /// The performance report of the winning variant (on the autotuning
     /// workload).
@@ -178,7 +178,7 @@ pub fn generate_with_spec(
 }
 
 /// Full generation with variant-space autotuning: search the configured
-/// [`SearchSpace`] (policy × ν × loop-threshold) with the configured
+/// [`SearchSpace`] (policy × ν) with the configured
 /// strategy, measure candidates on the machine model, and keep the
 /// fastest (paper §3.3 "Autotuning" and the dashed lines of Fig. 14).
 ///
@@ -219,7 +219,7 @@ mod tests {
         assert!(g.report.cycles > 0.0);
         assert!(g.c_code.contains("void potrf"));
         assert!(g.flops_per_cycle() > 0.0);
-        // the default search explores all three dimensions
+        // the default search explores both dimensions
         assert!(g.tuning.explored >= 3, "explored {}", g.tuning.explored);
         // the winner's width is reflected in the emitted C
         if g.spec.nu == 4 {
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn pinned_width_emits_avx() {
         let p = apps::potrf(8);
-        let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+        let spec = VariantSpec { policy: Policy::Lazy, nu: 4 };
         let g = generate_with_spec(&p, spec, &Options::default()).unwrap();
         assert!(g.c_code.contains("_mm256"), "vectorized output expected");
     }
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn policy_pinning_respected() {
         let p = apps::potrf(8);
-        let spec = VariantSpec { policy: Policy::Eager, nu: 4, loop_threshold: 64 };
+        let spec = VariantSpec { policy: Policy::Eager, nu: 4 };
         let g = generate_with_spec(&p, spec, &Options::default()).unwrap();
         assert_eq!(g.spec, spec);
     }
@@ -267,7 +267,7 @@ mod tests {
         // pipeline too, not only the tuned path
         let p = apps::kf(4);
         let opts = Options::for_target(slingen_cir::Target::Avx2Fma);
-        let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+        let spec = VariantSpec { policy: Policy::Lazy, nu: 4 };
         let g = generate_with_spec(&p, spec, &opts).unwrap();
         let mut fmas = 0;
         g.function.for_each_instr(&mut |i| {
@@ -288,7 +288,7 @@ mod tests {
         let opts = Options::default();
         let auto = generate(&p, &opts).unwrap();
         for policy in Policy::ALL {
-            let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+            let spec = VariantSpec { policy, nu: opts.nu };
             let fixed = generate_with_spec(&p, spec, &opts).unwrap();
             assert!(
                 auto.report.cycles <= fixed.report.cycles + 1e-9,

@@ -218,8 +218,13 @@ fn parse_flat_object(s: &str) -> Result<Vec<(String, Scalar)>, String> {
                 {
                     i += 1;
                 }
-                let n: f64 =
-                    s[start..i].parse().map_err(|_| format!("key {key:?}: unparsable value"))?;
+                // JSON has no infinities: an overflowing literal such as
+                // `1e999` would echo back as `inf`, which no client parses.
+                let n = s[start..i]
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|n| n.is_finite())
+                    .ok_or_else(|| format!("key {key:?}: unparsable value"))?;
                 Scalar::Num(n)
             }
             None => return Err("truncated object".into()),
@@ -597,9 +602,69 @@ mod tests {
             ("{\"app\":\"potrf\",\"n\":4,\"emit\":\"asm\"}", "bad emit"),
             ("{\"app\":\"potrf\",\"n\":{\"x\":1}}", "nested value"),
             ("{\"n\":4}", "missing app"),
+            ("{\"id\":1e999,\"app\":\"potrf\",\"n\":4}", "id overflows to infinity"),
         ] {
             assert!(Request::parse(line, Target::Avx2).is_err(), "{what}: {line}");
         }
+    }
+
+    /// Valid request lines, the seeds every fuzzed line starts from.
+    const VALID_LINES: [&str; 4] = [
+        r#"{"id": "a-1", "app": "kf", "n": 4, "k": 2, "target": "sse2", "emit": "summary"}"#,
+        r#"{"id":7,"app":"potrf","n":8}"#,
+        r#" { "id" : -1.5e2 , "app" : "tr\u0074ri" , "n" : 64 , "target" : null } "#,
+        r#"{"id":true,"app":"l1a","n":12,"emit":"c","x":"é\n"}"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// Fuzzed request lines — random bytes, truncations and
+        /// single-byte mutations of valid lines — never panic the
+        /// parsers: each line parses, or is rejected with a reason. An
+        /// echoed `id` is always a JSON scalar again, and an accepted `n`
+        /// is in range.
+        #[test]
+        fn fuzzed_request_lines_parse_or_fail_with_a_reason(
+            kind in 0u8..3,
+            at in proptest::strategy::any::<usize>(),
+            byte in proptest::strategy::any::<u8>(),
+            noise in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..96),
+        ) {
+            let valid = VALID_LINES[at % VALID_LINES.len()].as_bytes();
+            let bytes = match kind {
+                0 => noise,
+                1 => valid[..(at / VALID_LINES.len()) % (valid.len() + 1)].to_vec(),
+                _ => {
+                    let mut b = valid.to_vec();
+                    b[(at / VALID_LINES.len()) % valid.len()] = byte;
+                    b
+                }
+            };
+            // `serve_lines` answers a non-UTF-8 line before parsing.
+            if let Ok(line) = std::str::from_utf8(&bytes) {
+                check_parsers(line);
+            }
+        }
+    }
+
+    /// The parsers' contract on one arbitrary line (see the fuzz test).
+    fn check_parsers(line: &str) {
+        if let Err(reason) = parse_flat_object(line) {
+            assert!(!reason.is_empty(), "{line:?}");
+        }
+        let id = match Request::parse(line, Target::Avx2) {
+            Ok(r) => {
+                assert!((1..=MAX_N).contains(&r.n), "{line:?}");
+                r.id
+            }
+            Err((id, reason)) => {
+                assert!(!reason.is_empty(), "{line:?}");
+                id
+            }
+        };
+        let echoed = format!("{{\"id\":{id}}}");
+        assert!(parse_flat_object(&echoed).is_ok(), "{line:?} echoes {id}");
     }
 
     #[test]

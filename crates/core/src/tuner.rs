@@ -5,9 +5,11 @@
 //! subsystem instead of a hard-coded two-policy fan-out:
 //!
 //! * [`VariantSpec`] — one point of the space: loop-invariant policy
-//!   (Stage 1), vector width ν (Stage 2), and the loop-vs-straight-line
-//!   threshold (Stage 2/3);
-//! * [`SearchSpace`] — a builder over the three axes with a pluggable
+//!   (Stage 1) and vector width ν (Stage 2). Stage 2 always lowers at the
+//!   default loop threshold: Stage 3's unroll budget re-expands nearly
+//!   every loop a threshold creates, so a threshold axis rarely changes
+//!   the code;
+//! * [`SearchSpace`] — a builder over the two axes with a pluggable
 //!   [`Strategy`]: [`Strategy::Exhaustive`] measures every point,
 //!   [`Strategy::Greedy`] runs a deterministic coordinate descent that
 //!   prunes dominated variants with the machine model's cycle-budget
@@ -30,19 +32,12 @@
 //! the Stage-3 pipeline contracts multiply–add chains on FMA targets,
 //! and the target participates in the [`TuneCache`] key.
 //!
-//! Colliding variants are eliminated *before* they cost anything: the
-//! first lowering of each (policy, ν) group records a
-//! [`LowerProfile`], from which the loop-threshold equivalence class of
-//! every other threshold is computed exactly — variants predicted to
-//! produce an identical body skip Stage 2/3 entirely and share the
-//! representative's measurement ([`TuneStats::predicted`]; debug builds
-//! re-lower and assert the bodies really are equal). Unpredicted
-//! collisions (across policies) are still caught after lowering by the
-//! body's structural C-IR fingerprint ([`Function::fingerprint`],
-//! [`TuneStats::deduped`]); no body is unparsed to C during the search,
-//! only the winner, once, at emission. Representatives run lowering,
-//! optimization, fingerprint, and measurement end-to-end in one thread
-//! per variant — no cross-stage barrier.
+//! Colliding variants (two policies that lower to one body) are caught
+//! after lowering by the body's structural C-IR fingerprint
+//! ([`Function::fingerprint`], [`TuneStats::deduped`]) and measured once;
+//! no body is unparsed to C during the search, only the winner, once, at
+//! emission. Each variant runs lowering, optimization, fingerprint, and
+//! measurement end-to-end in its own thread — no cross-stage barrier.
 
 pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
@@ -51,7 +46,7 @@ use crate::{workload, Error};
 use slingen_cir::passes::optimize;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
-use slingen_lgen::{lower_program_profiled, LowerOptions, LowerProfile};
+use slingen_lgen::{lower_program, LowerOptions};
 use slingen_perf::{pressure_lower_bound, Report};
 use slingen_synth::{synthesize_program, AlgorithmDb, BasicProgram, Policy};
 use std::collections::hash_map::Entry;
@@ -66,20 +61,19 @@ pub struct VariantSpec {
     pub policy: Policy,
     /// Vector width ν (4 = AVX double, 2 = SSE2, 1 = scalar).
     pub nu: usize,
-    /// Stage-2 loop threshold (see [`LowerOptions`]).
-    pub loop_threshold: usize,
 }
 
 impl VariantSpec {
-    /// The Stage-2 lowering options for this variant.
+    /// The Stage-2 lowering options for this variant: its ν at the
+    /// default loop threshold.
     pub fn lower_options(&self) -> LowerOptions {
-        LowerOptions::new(self.nu, self.loop_threshold)
+        LowerOptions { nu: self.nu, ..LowerOptions::default() }
     }
 }
 
 impl fmt::Display for VariantSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/nu{}/t{}", self.policy, self.nu, self.loop_threshold)
+        write!(f, "{}/nu{}", self.policy, self.nu)
     }
 }
 
@@ -89,32 +83,28 @@ pub enum Strategy {
     /// Measure every point of the space (one parallel batch).
     Exhaustive,
     /// Deterministic coordinate descent: seed with a full policy sweep at
-    /// the default (ν, threshold), then improve one coordinate at a time,
-    /// pruning candidates that the machine model proves slower than the
-    /// incumbent (cycle-budget early-cutoff). Explores all three
-    /// dimensions at a fraction of the exhaustive cost, and can never do
-    /// worse than the seed sweep — i.e. never worse than the historical
+    /// the widest ν, then improve one coordinate at a time (ν, then
+    /// policy), pruning candidates that the machine model proves slower
+    /// than the incumbent (cycle-budget early-cutoff). Can never do worse
+    /// than the seed sweep — i.e. never worse than the historical
     /// two-policy autotuner.
     Greedy,
 }
 
-/// The autotuner's search space: three axes plus a strategy.
+/// The autotuner's search space: two axes plus a strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     policies: Vec<Policy>,
     nus: Vec<usize>,
-    loop_thresholds: Vec<usize>,
     strategy: Strategy,
 }
 
 impl Default for SearchSpace {
-    /// `Policy::ALL` × ν ∈ {1, 2, 4} × loop-threshold ∈ {16, 64, 256},
-    /// explored greedily.
+    /// `Policy::ALL` × ν ∈ {1, 2, 4}, explored greedily.
     fn default() -> Self {
         SearchSpace {
             policies: Policy::ALL.to_vec(),
             nus: vec![1, 2, 4],
-            loop_thresholds: vec![16, 64, 256],
             strategy: Strategy::Greedy,
         }
     }
@@ -135,12 +125,6 @@ impl SearchSpace {
     /// Restrict the ν axis.
     pub fn with_nus(mut self, nus: impl Into<Vec<usize>>) -> Self {
         self.nus = nus.into();
-        self
-    }
-
-    /// Restrict the loop-threshold axis.
-    pub fn with_loop_thresholds(mut self, thresholds: impl Into<Vec<usize>>) -> Self {
-        self.loop_thresholds = thresholds.into();
         self
     }
 
@@ -170,30 +154,26 @@ impl SearchSpace {
         }
     }
 
-    /// All points, in canonical enumeration order (policy-major, then ν,
-    /// then threshold). The ν axis is derived from [`Target::widths`]
-    /// bounded by `max_nu`. Tie-breaks during selection follow this
-    /// order.
+    /// All points, in canonical enumeration order (policy-major, then ν).
+    /// The ν axis is derived from [`Target::widths`] bounded by `max_nu`.
+    /// Tie-breaks during selection follow this order.
     pub fn enumerate(&self, target: Target, max_nu: usize) -> Vec<VariantSpec> {
-        let mut out = Vec::new();
-        for &policy in &self.policies {
-            for &nu in &self.nus_for(target, max_nu) {
-                for &loop_threshold in &self.loop_thresholds {
-                    out.push(VariantSpec { policy, nu, loop_threshold });
-                }
-            }
-        }
-        out
+        let nus = self.nus_for(target, max_nu);
+        self.policies
+            .iter()
+            .flat_map(|&policy| nus.iter().map(move |&nu| VariantSpec { policy, nu }))
+            .collect()
     }
 
     /// Number of points for a given target and machine width.
     pub fn len(&self, target: Target, max_nu: usize) -> usize {
-        self.policies.len() * self.nus_for(target, max_nu).len() * self.loop_thresholds.len()
+        self.policies.len() * self.nus_for(target, max_nu).len()
     }
 
-    /// Whether the space has no points.
+    /// Whether the space has no points (the ν axis never empties: see
+    /// [`SearchSpace::nus_for`]).
     pub fn is_empty(&self) -> bool {
-        self.policies.is_empty() || self.loop_thresholds.is_empty()
+        self.policies.is_empty()
     }
 
     /// A stable fingerprint for cache keys.
@@ -207,31 +187,24 @@ impl SearchSpace {
         for n in &self.nus {
             let _ = write!(out, "{n},");
         }
-        out.push(';');
-        for t in &self.loop_thresholds {
-            let _ = write!(out, "{t},");
-        }
     }
 }
 
 /// How the winner of one `generate()` call was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TuneStats {
-    /// Variants evaluated against a measurement (including cut-off,
-    /// deduplicated, and predicted variants).
+    /// Variants evaluated against a measurement (including cut-off and
+    /// deduplicated variants).
     pub explored: usize,
     /// Variants abandoned by the cycle-budget early-cutoff.
     pub pruned: usize,
     /// Variants that were lowered and whose Stage-3 output turned out
     /// identical (equal C-IR fingerprint) to an already-measured
-    /// variant's; their measurement was reused, not repeated. Disjoint
-    /// from `predicted`: `explored = measured + cut-off representatives +
-    /// deduped + predicted`.
+    /// variant's; their measurement was reused, not repeated.
     pub deduped: usize,
-    /// Variants *predicted* byte-identical to an already-lowered variant
-    /// from its group's [`LowerProfile`] (equal loop-threshold class at
-    /// the same policy and ν); they skipped Stage 2/3 entirely and share
-    /// the representative's measurement.
+    /// Always 0: the search no longer has a loop-threshold axis whose
+    /// colliding members could be predicted. Kept because the external
+    /// benchmark under `perfbench/` reads it.
     pub predicted: usize,
     /// Whether the result came from the [`TuneCache`].
     pub cache_hit: bool,
@@ -270,15 +243,14 @@ pub struct HwTrial {
     pub measured: slingen_perf::MeasuredTime,
 }
 
-/// Where one representative's cold time went, in milliseconds: Stage 2
+/// Where one variant's cold time went, in milliseconds: Stage 2
 /// lowering, Stage 3 optimization, and the modeled-cycle measurement
 /// (`measure_ms == 0.0` when the lowered body fingerprinted onto an
-/// already-measured sibling). Representatives are the only variants that
-/// pay these costs — predicted and deduped variants ride along for free.
-/// The list is not the whole cold time of a search: Stage 1, which runs
-/// serially before the representatives, the body fingerprint, and the
-/// winner's unparse to C after the search are not in it. Cache hits carry
-/// an empty list.
+/// already-measured sibling). Every variant the search evaluates is its
+/// own representative and has one entry. The list is not the whole cold
+/// time of a search: Stage 1, which runs serially before the variants,
+/// the body fingerprint, and the winner's unparse to C after the search
+/// are not in it. Cache hits carry an empty list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepCost {
     /// The representative's variant.
@@ -289,17 +261,6 @@ pub struct RepCost {
     pub opt_ms: f64,
     /// Modeled-cycle measurement (VM run + scheduler).
     pub measure_ms: f64,
-}
-
-/// The canonical greedy seed threshold: the tuned search always seeds at
-/// the loop-threshold axis member nearest this value.
-const SEED_LOOP_THRESHOLD: usize = 64;
-
-/// The member of `values` nearest to `target` (ties toward the smaller
-/// value). Used by the greedy seed selection to snap the canonical seed
-/// threshold into an arbitrary axis.
-fn nearest(values: &[usize], target: usize) -> usize {
-    values.iter().copied().min_by_key(|v| (v.abs_diff(target), *v)).expect("non-empty axis")
 }
 
 /// Everything that determines the tuned output, flattened into a string.
@@ -379,14 +340,11 @@ fn measure(
     Ok(slingen_perf::measure_budgeted(function, &mut bufs, &options.machine, budget)?)
 }
 
-/// One variant after Stages 2–3: the optimized function, the
-/// [`LowerProfile`] recorded while Stage 2 ran (the basis of the tuner's
-/// predictive threshold dedupe), and how long lowering and the
-/// optimization pipeline took, in milliseconds (the [`RepCost`]
-/// breakdown).
+/// One variant after Stages 2–3: the optimized function, and how long
+/// lowering and the optimization pipeline took, in milliseconds (the
+/// [`RepCost`] breakdown).
 struct Lowered {
     function: Function,
-    profile: LowerProfile,
     lower_ms: f64,
     opt_ms: f64,
 }
@@ -401,13 +359,12 @@ fn lower_variant(
     options: &Options,
 ) -> Result<Lowered, Error> {
     let t0 = std::time::Instant::now();
-    let (mut function, profile) =
-        lower_program_profiled(program, basic, program.name(), &spec.lower_options())?;
+    let mut function = lower_program(program, basic, program.name(), &spec.lower_options())?;
     let lower_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
     optimize(&mut function, &options.passes_for_target());
     let opt_ms = t1.elapsed().as_secs_f64() * 1e3;
-    Ok(Lowered { function, profile, lower_ms, opt_ms })
+    Ok(Lowered { function, lower_ms, opt_ms })
 }
 
 /// The dedupe key of one lowered body: its structural C-IR fingerprint
@@ -431,20 +388,9 @@ enum MeasureOutcome {
     Failed,
 }
 
-/// The resolution of one batch item, filled in as the waves of
-/// [`Search::evaluate`] complete.
-enum Slot {
-    /// Synthesis, lowering, or the debug backstop failed.
-    Err(Error),
-    /// The variant resolved to a lowered body. `predicted` variants never
-    /// ran Stage 2/3 — their key came from the group's [`LowerProfile`]
-    /// classification.
-    Done { key: BodyKey, predicted: bool },
-}
-
-/// What one representative thread produces: the lowered variant, the
-/// body fingerprint, and the measurement it ran inline (`None` when the
-/// body was already measured).
+/// What one variant thread produces: the lowered variant, the body
+/// fingerprint, and the measurement it ran inline (`None` when the body
+/// was already measured).
 struct RepOut {
     lowered: Lowered,
     key: BodyKey,
@@ -457,7 +403,42 @@ struct RepOut {
     lb_pruned: bool,
 }
 
-type RepResult = Result<RepOut, Error>;
+/// One variant end-to-end, on its own thread: lower → optimize →
+/// fingerprint → measure. Measurement is skipped when `measured` already
+/// knows the body.
+fn run_variant(
+    program: &Program,
+    spec: VariantSpec,
+    basic: &BasicProgram,
+    options: &Options,
+    measured: &HashMap<BodyKey, MeasureOutcome>,
+    budget: Option<f64>,
+) -> Result<RepOut, Error> {
+    let lowered = lower_variant(program, spec, basic, options)?;
+    let key = lowered.function.fingerprint();
+    if measured.contains_key(&key) {
+        return Ok(RepOut { lowered, key, measured: None, measure_ms: 0.0, lb_pruned: false });
+    }
+    let f = &lowered.function;
+    let t = std::time::Instant::now();
+    // Incumbent fast path: when a cycle budget is set and the static
+    // pressure bound already exceeds it, the budgeted VM run is
+    // guaranteed to be abandoned — skip it. Debug builds run the VM
+    // anyway and prove the prediction.
+    let lb_pruned = budget.is_some_and(|b| pressure_lower_bound(f, &options.machine) > b);
+    let m = if lb_pruned {
+        debug_assert!(
+            matches!(measure(program, f, options, budget), Ok(None)),
+            "pressure_lower_bound exceeded the budget but the budgeted VM run was not cut \
+             off for {spec}"
+        );
+        Ok(None)
+    } else {
+        measure(program, f, options, budget)
+    };
+    let measure_ms = t.elapsed().as_secs_f64() * 1e3;
+    Ok(RepOut { lowered, key, measured: Some(m), measure_ms, lb_pruned })
+}
 
 /// The incumbent: the winning spec plus the fingerprint under which its
 /// lowered body is retained in [`Search::body_fns`]. The `Function`
@@ -484,16 +465,8 @@ pub(crate) struct Search<'p> {
     visited: HashSet<VariantSpec>,
     /// Measurements by lowered-body fingerprint ([`BodyKey`]): variants
     /// whose Stage-3 output is identical are measured once and share the
-    /// outcome (equal-threshold variants often collapse at small sizes).
+    /// outcome.
     measured: HashMap<BodyKey, MeasureOutcome>,
-    /// First recorded Stage-2 profile per (policy, ν) group. The works
-    /// values are threshold-independent, so one profile classifies every
-    /// loop threshold of its group exactly.
-    profiles: HashMap<(Policy, usize), LowerProfile>,
-    /// Lowered-body fingerprint per (policy, ν, loop-threshold class): a
-    /// variant landing on a recorded class is a *predicted* collision and
-    /// skips Stage 2/3 entirely.
-    class_bodies: HashMap<(Policy, usize, usize), BodyKey>,
     /// One retained `Function` per distinct lowered body, so the winner
     /// is materialized without re-lowering and without per-improvement
     /// clones.
@@ -503,7 +476,7 @@ pub(crate) struct Search<'p> {
     /// hardware ranking labels each distinct kernel with this spec.
     body_best: HashMap<BodyKey, (usize, VariantSpec)>,
     stats: TuneStats,
-    /// Per-representative cost ledger, in wave completion order.
+    /// Per-variant cost ledger, in evaluation order.
     rep_costs: Vec<RepCost>,
     /// Stage-two hardware timings (empty unless hardware ranking ran).
     hw_trials: Vec<HwTrial>,
@@ -526,8 +499,6 @@ impl<'p> Search<'p> {
             order,
             visited: HashSet::new(),
             measured: HashMap::new(),
-            profiles: HashMap::new(),
-            class_bodies: HashMap::new(),
             body_fns: HashMap::new(),
             best: None,
             body_best: HashMap::new(),
@@ -539,258 +510,102 @@ impl<'p> Search<'p> {
     }
 
     /// Evaluate a batch of specs: Stage 1 serially through the shared
-    /// database, then waves of *representatives*. Each wave classifies
-    /// every pending variant against the recorded [`LowerProfile`]s —
-    /// predicted collisions resolve instantly without Stage 2/3 — and
-    /// claims one representative per unresolved (policy, ν) group or
-    /// unseen loop-threshold class. Representatives run lowering,
-    /// Stage-3 optimization, fingerprint, and (if the body is new)
-    /// measurement end-to-end in one thread each, with no cross-stage
-    /// barrier. Updates the incumbent deterministically (strict min
-    /// cycles, ties broken by canonical enumeration order): accounting
-    /// runs in batch order regardless of wave scheduling.
+    /// database, then one thread per unvisited variant running
+    /// [`run_variant`]. Updates the incumbent deterministically (strict
+    /// min cycles, ties broken by canonical enumeration order): results
+    /// are accounted in batch order, whatever order the threads finish
+    /// in.
     pub(crate) fn evaluate(&mut self, specs: &[VariantSpec], budget: Option<f64>) {
-        let fresh: Vec<VariantSpec> =
-            specs.iter().copied().filter(|s| self.visited.insert(*s)).collect();
-        let todo: Vec<(VariantSpec, Result<Arc<BasicProgram>, Error>)> =
-            fresh.into_iter().map(|s| (s, self.synth.basic(s.policy, s.nu))).collect();
-        if todo.is_empty() {
-            return;
-        }
-        let program = self.program;
-        let options = self.options;
-        // Bodies that were already measured before this batch started:
-        // any variant landing on one of them is shared, never a
-        // representative, matching the historical accounting.
-        let pre_batch: HashSet<BodyKey> = self.measured.keys().copied().collect();
-
-        let mut batch_specs: Vec<VariantSpec> = Vec::with_capacity(todo.len());
-        let mut basics: Vec<Option<Arc<BasicProgram>>> = Vec::with_capacity(todo.len());
-        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(todo.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, (spec, basic)) in todo.into_iter().enumerate() {
-            batch_specs.push(spec);
-            match basic {
-                Ok(b) => {
-                    basics.push(Some(b));
-                    slots.push(None);
-                    pending.push(i);
-                }
-                Err(e) => {
-                    basics.push(None);
-                    slots.push(Some(Slot::Err(e)));
-                }
-            }
-        }
-
-        // Wave loop: every wave resolves all predictable variants for
-        // free and spends threads only on representatives. Deferred
-        // variants wait for a representative of their group/class to
-        // land; each wave resolves at least its representatives, so the
-        // loop terminates.
-        while !pending.is_empty() {
-            let mut defer: Vec<usize> = Vec::new();
-            let mut reps: Vec<usize> = Vec::new();
-            let mut claimed_groups: HashSet<(Policy, usize)> = HashSet::new();
-            let mut claimed_classes: HashSet<(Policy, usize, usize)> = HashSet::new();
-            for &i in &pending {
-                let spec = batch_specs[i];
-                let group = (spec.policy, spec.nu);
-                match self.profiles.get(&group) {
-                    Some(profile) => {
-                        let class = profile.loop_class(spec.loop_threshold);
-                        if let Some(&key) = self.class_bodies.get(&(spec.policy, spec.nu, class)) {
-                            // Predicted collision: skip Stage 2/3. Debug
-                            // builds re-lower and prove the prediction.
-                            #[cfg(debug_assertions)]
-                            {
-                                let basic = basics[i].as_ref().expect("pending items have basics");
-                                let l = lower_variant(program, spec, basic, options)
-                                    .expect("predicted variant must lower like its representative");
-                                debug_assert_eq!(
-                                    l.function.fingerprint(),
-                                    key,
-                                    "LowerProfile predicted a collision that does not hold for {spec}"
-                                );
-                                debug_assert!(
-                                    self.body_fns.get(&key) == Some(&l.function),
-                                    "predicted body differs from its representative's for {spec}"
-                                );
-                                debug_assert_eq!(
-                                    &l.profile, profile,
-                                    "LowerProfile differs across thresholds of one (policy, ν) group"
-                                );
-                            }
-                            slots[i] = Some(Slot::Done { key, predicted: true });
-                        } else if claimed_classes.insert((spec.policy, spec.nu, class)) {
-                            reps.push(i);
-                        } else {
-                            defer.push(i);
-                        }
-                    }
-                    None => {
-                        if claimed_groups.insert(group) {
-                            reps.push(i);
-                        } else {
-                            defer.push(i);
-                        }
-                    }
-                }
-            }
-            // One thread per representative: lower → fingerprint → measure
-            // (measurement is skipped when the body is already known).
-            let measured = &self.measured;
-            let results: Vec<(usize, RepResult)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = reps
-                    .iter()
-                    .map(|&i| {
-                        let spec = batch_specs[i];
-                        let basic = basics[i].clone().expect("pending items have basics");
-                        scope.spawn(move || {
-                            let r = lower_variant(program, spec, &basic, options).map(|lowered| {
-                                let f = &lowered.function;
-                                let key = f.fingerprint();
-                                let mut lb_pruned = false;
-                                let (m, measure_ms) = if measured.contains_key(&key) {
-                                    (None, 0.0)
-                                } else {
-                                    let t = std::time::Instant::now();
-                                    // Incumbent fast path: when a cycle
-                                    // budget is set and the static
-                                    // pressure bound already exceeds it,
-                                    // the budgeted VM run is guaranteed
-                                    // to be abandoned — skip it. Debug
-                                    // builds run the VM anyway and
-                                    // prove the prediction.
-                                    let m = match budget {
-                                        Some(b)
-                                            if pressure_lower_bound(f, &options.machine) > b =>
-                                        {
-                                            lb_pruned = true;
-                                            #[cfg(debug_assertions)]
-                                            debug_assert!(
-                                                matches!(
-                                                    measure(program, f, options, budget),
-                                                    Ok(None)
-                                                ),
-                                                "pressure_lower_bound exceeded the budget \
-                                                     but the budgeted VM run was not cut off \
-                                                     for {spec}"
-                                            );
-                                            Ok(None)
-                                        }
-                                        _ => measure(program, f, options, budget),
-                                    };
-                                    (Some(m), t.elapsed().as_secs_f64() * 1e3)
-                                };
-                                RepOut { lowered, key, measured: m, measure_ms, lb_pruned }
-                            });
-                            (i, r)
-                        })
+        let todo: Vec<(VariantSpec, Result<Arc<BasicProgram>, Error>)> = specs
+            .iter()
+            .copied()
+            .filter(|s| self.visited.insert(*s))
+            .map(|s| (s, self.synth.basic(s.policy, s.nu)))
+            .collect();
+        let (program, options, measured) = (self.program, self.options, &self.measured);
+        let results: Vec<(VariantSpec, Result<RepOut, Error>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = todo
+                .into_iter()
+                .map(|(spec, basic)| {
+                    scope.spawn(move || {
+                        let out = basic.and_then(|b| {
+                            run_variant(program, spec, &b, options, measured, budget)
+                        });
+                        (spec, out)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("autotune variant thread panicked"))
-                    .collect()
-            });
-            // Join in wave order (ascending batch index): the first
-            // writer wins on every shared map, which is deterministic
-            // because wave membership follows batch order.
-            for (i, r) in results {
-                let spec = batch_specs[i];
-                match r {
-                    Err(e) => slots[i] = Some(Slot::Err(e)),
-                    Ok(RepOut { lowered, key, measured: m, measure_ms, lb_pruned }) => {
-                        let Lowered { function: f, profile, lower_ms, opt_ms } = lowered;
-                        self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
-                        if lb_pruned {
-                            self.stats.lb_pruned += 1;
-                        }
-                        let class = profile.loop_class(spec.loop_threshold);
-                        self.profiles.entry((spec.policy, spec.nu)).or_insert(profile);
-                        self.class_bodies.entry((spec.policy, spec.nu, class)).or_insert(key);
-                        match self.body_fns.entry(key) {
-                            Entry::Occupied(kept) => debug_assert!(
-                                *kept.get() == f,
-                                "two different bodies share the fingerprint {key:?} ({spec})"
-                            ),
-                            Entry::Vacant(slot) => {
-                                slot.insert(f);
-                            }
-                        }
-                        if let Some(m) = m {
-                            let outcome = match m {
-                                Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
-                                Ok(None) => MeasureOutcome::CutOff,
-                                Err(e) => {
-                                    self.last_err = Some(e);
-                                    MeasureOutcome::Failed
-                                }
-                            };
-                            self.measured.entry(key).or_insert(outcome);
-                        }
-                        slots[i] = Some(Slot::Done { key, predicted: false });
-                    }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("autotune variant thread panicked"))
+                .collect()
+        });
+        // The first variant (earlier batches first, then batch order) to
+        // surface a body keeps it and its measurement; every later variant
+        // landing on that body is deduped.
+        for (spec, out) in results {
+            let RepOut { lowered, key, measured: m, measure_ms, lb_pruned } = match out {
+                Ok(out) => out,
+                Err(e) => {
+                    self.last_err = Some(e);
+                    continue;
+                }
+            };
+            let Lowered { function: f, lower_ms, opt_ms } = lowered;
+            self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
+            self.stats.lb_pruned += usize::from(lb_pruned);
+            match self.body_fns.entry(key) {
+                Entry::Occupied(kept) => debug_assert!(
+                    *kept.get() == f,
+                    "two different bodies share the fingerprint {key:?} ({spec})"
+                ),
+                Entry::Vacant(slot) => {
+                    slot.insert(f);
                 }
             }
-            pending = defer;
-        }
-
-        // Account every variant of the batch, in canonical batch order,
-        // against the shared measurements. The first variant in batch
-        // order to surface each new body is its accounting
-        // representative; everything else on that body is shared.
-        let mut batch_first: HashSet<BodyKey> = HashSet::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every batch item resolves to a slot") {
-                Slot::Err(e) => self.last_err = Some(e),
-                Slot::Done { key, predicted } => {
-                    let spec = batch_specs[i];
-                    let shared = pre_batch.contains(&key) || !batch_first.insert(key);
-                    match self.measured.get(&key) {
-                        Some(MeasureOutcome::Measured(report)) => {
-                            self.stats.explored += 1;
-                            if predicted {
-                                self.stats.predicted += 1;
-                            } else if shared {
-                                self.stats.deduped += 1;
+            let shared = self.measured.contains_key(&key);
+            if let Some(m) = m {
+                let outcome = match m {
+                    Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
+                    Ok(None) => MeasureOutcome::CutOff,
+                    Err(e) => {
+                        self.last_err = Some(e);
+                        MeasureOutcome::Failed
+                    }
+                };
+                self.measured.entry(key).or_insert(outcome);
+            }
+            match self.measured.get(&key) {
+                Some(MeasureOutcome::Measured(report)) => {
+                    self.stats.explored += 1;
+                    self.stats.deduped += usize::from(shared);
+                    let cycles = report.cycles;
+                    let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
+                    self.body_best
+                        .entry(key)
+                        .and_modify(|e| {
+                            if ord < e.0 {
+                                *e = (ord, spec);
                             }
-                            let cycles = report.cycles;
-                            let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
-                            self.body_best
-                                .entry(key)
-                                .and_modify(|e| {
-                                    if ord < e.0 {
-                                        *e = (ord, spec);
-                                    }
-                                })
-                                .or_insert((ord, spec));
-                            let better = match &self.best {
-                                None => true,
-                                Some(b) => {
-                                    cycles < b.report.cycles
-                                        || (cycles == b.report.cycles && ord < b.ord)
-                                }
-                            };
-                            if better {
-                                self.best =
-                                    Some(Best { spec, report: (**report).clone(), ord, key });
-                            }
+                        })
+                        .or_insert((ord, spec));
+                    let better = match &self.best {
+                        None => true,
+                        Some(b) => {
+                            cycles < b.report.cycles || (cycles == b.report.cycles && ord < b.ord)
                         }
-                        Some(MeasureOutcome::CutOff) => {
-                            // cut off: provably slower than the incumbent
-                            self.stats.explored += 1;
-                            self.stats.pruned += 1;
-                            if predicted {
-                                self.stats.predicted += 1;
-                            } else if shared {
-                                self.stats.deduped += 1;
-                            }
-                        }
-                        Some(MeasureOutcome::Failed) | None => {}
+                    };
+                    if better {
+                        self.best = Some(Best { spec, report: (**report).clone(), ord, key });
                     }
                 }
+                Some(MeasureOutcome::CutOff) => {
+                    // cut off: provably slower than the incumbent
+                    self.stats.explored += 1;
+                    self.stats.pruned += 1;
+                    self.stats.deduped += usize::from(shared);
+                }
+                Some(MeasureOutcome::Failed) | None => {}
             }
         }
     }
@@ -922,53 +737,40 @@ fn run_greedy(search: &mut Search<'_>) {
     let space = &search.options.search;
     let policies = space.policies.clone();
     let nus = space.nus_for(search.options.target, search.options.nu);
-    let thresholds = space.loop_thresholds.clone();
 
-    // Canonical seed coordinates, a pure function of the space: the
-    // widest ν the axis offers, and the axis member nearest the canonical
-    // seed threshold.
-    let seed_nu = nearest(&nus, search.options.nu);
-    let seed_thr = nearest(&thresholds, SEED_LOOP_THRESHOLD);
-
-    // Round 0: full policy sweep at the seed point — exactly the
-    // historical two-policy fan-out, so the greedy winner can never lose
-    // to it.
-    let seed_batch: Vec<VariantSpec> = policies
-        .iter()
-        .map(|&policy| VariantSpec { policy, nu: seed_nu, loop_threshold: seed_thr })
-        .collect();
+    // Round 0: full policy sweep at the widest ν the axis offers (a pure
+    // function of the space) — exactly the historical two-policy fan-out,
+    // so the greedy winner can never lose to it.
+    let seed_nu = nus.iter().copied().max().expect("the ν axis is never empty");
+    let seed_batch: Vec<VariantSpec> =
+        policies.iter().map(|&policy| VariantSpec { policy, nu: seed_nu }).collect();
     search.evaluate(&seed_batch, None);
 
-    // Coordinate descent: sweep ν, threshold, then policy around the
-    // incumbent; repeat until a full sweep improves nothing. Candidates
-    // run under the incumbent's cycle budget, so dominated variants are
-    // abandoned mid-measurement.
+    // Coordinate descent: sweep ν, then policy around the incumbent;
+    // repeat until a full sweep improves nothing. Candidates run under the
+    // incumbent's cycle budget, so dominated variants are abandoned
+    // mid-measurement.
     const MAX_SWEEPS: usize = 3;
     for _ in 0..MAX_SWEEPS {
         let Some((best_spec, before)) = search.best.as_ref().map(|b| (b.spec, b.report.cycles))
         else {
             return; // every seed failed; nothing to descend from
         };
-        for coord in 0..3 {
+        for sweep_nu in [true, false] {
             let Some(cur) = search.best.as_ref().map(|b| b.spec) else {
                 return;
             };
-            let batch: Vec<VariantSpec> = match coord {
-                0 => nus
-                    .iter()
+            let batch: Vec<VariantSpec> = if sweep_nu {
+                nus.iter()
                     .filter(|&&nu| nu != cur.nu)
                     .map(|&nu| VariantSpec { nu, ..cur })
-                    .collect(),
-                1 => thresholds
-                    .iter()
-                    .filter(|&&t| t != cur.loop_threshold)
-                    .map(|&t| VariantSpec { loop_threshold: t, ..cur })
-                    .collect(),
-                _ => policies
+                    .collect()
+            } else {
+                policies
                     .iter()
                     .filter(|&&p| p != cur.policy)
                     .map(|&p| VariantSpec { policy: p, ..cur })
-                    .collect(),
+                    .collect()
             };
             let budget = search.incumbent_cycles();
             search.evaluate(&batch, budget);
@@ -996,6 +798,9 @@ fn materialize_persisted(
     p: &PersistedWin,
 ) -> Result<CachedWin, String> {
     let spec = p.spec;
+    if !options.target.supports_width(spec.nu) {
+        return Err(format!("persisted spec {spec} is not a width of target {}", options.target));
+    }
     let mut db = AlgorithmDb::new();
     let basic = synthesize_program(program, spec.policy, spec.nu, &mut db)
         .map_err(|e| format!("persisted spec no longer synthesizes: {e}"))?;

@@ -141,7 +141,7 @@ mod tests {
             ("l1a", apps::l1a(8)),
         ] {
             for policy in Policy::ALL {
-                let spec = VariantSpec { policy, nu: 4, loop_threshold: 64 };
+                let spec = VariantSpec { policy, nu: 4 };
                 let g = generate_with_spec(&program, spec, &Options::default())
                     .unwrap_or_else(|e| panic!("{name} {policy}: {e}"));
                 let diff = verify(&program, &g.function, policy, 4, 1234)

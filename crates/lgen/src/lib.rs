@@ -30,7 +30,7 @@ pub mod layout;
 pub mod lower;
 
 pub use layout::BufferMap;
-pub use lower::{lower_program, lower_program_profiled, LowerOptions, LowerProfile};
+pub use lower::{lower_program, LowerOptions};
 
 use std::fmt;
 

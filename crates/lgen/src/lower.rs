@@ -16,14 +16,13 @@ pub struct LowerOptions {
     pub nu: usize,
     /// Statements whose estimated tile work exceeds this emit affine loops
     /// instead of straight-line code (the Stage-3 unroller may re-expand
-    /// them within its budget).
+    /// them within its budget). The autotuner always lowers at the
+    /// default 64; the baselines keep loops (8) or never emit them.
     pub loop_threshold: usize,
 }
 
 impl LowerOptions {
-    /// Options for one point of the autotuner's variant space: vector
-    /// width ν and the loop-vs-straight-line threshold are exactly the
-    /// code-level coordinates of a `VariantSpec`.
+    /// Options at vector width ν and the given loop threshold.
     pub fn new(nu: usize, loop_threshold: usize) -> Self {
         LowerOptions { nu, loop_threshold }
     }
@@ -32,43 +31,6 @@ impl LowerOptions {
 impl Default for LowerOptions {
     fn default() -> Self {
         LowerOptions::new(4, 64)
-    }
-}
-
-/// The loop-decision profile of one lowering: the estimated tile-work
-/// value of every statement eligible for the loop-vs-straight-line
-/// decision, in lowering order.
-///
-/// Eligibility and the work estimate depend only on the basic program
-/// and ν — never on the loop threshold (the threshold only picks which
-/// emitter runs, and no emitter changes the statement sequence) — so a
-/// profile recorded at one threshold predicts the decisions at *every*
-/// threshold: two thresholds that induce the same [`loop
-/// count`](LowerProfile::loop_class) produce byte-identical lowerings.
-/// The autotuner uses this to skip Stage 2/3 for provably-colliding
-/// variants.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LowerProfile {
-    works: Vec<usize>,
-}
-
-impl LowerProfile {
-    /// How many eligible statements emit loops at `loop_threshold` — the
-    /// canonical equivalence class of the threshold for this (program,
-    /// policy, ν): equal class ⇒ identical decisions everywhere ⇒
-    /// byte-identical generated code.
-    pub fn loop_class(&self, loop_threshold: usize) -> usize {
-        self.works.iter().filter(|&&w| w > loop_threshold).count()
-    }
-
-    /// Number of loop-eligible statements recorded.
-    pub fn len(&self) -> usize {
-        self.works.len()
-    }
-
-    /// Whether no statement was loop-eligible (every threshold collides).
-    pub fn is_empty(&self) -> bool {
-        self.works.is_empty()
     }
 }
 
@@ -84,26 +46,13 @@ pub fn lower_program(
     name: &str,
     opts: &LowerOptions,
 ) -> Result<Function, LgenError> {
-    lower_program_profiled(program, basic, name, opts).map(|(f, _)| f)
-}
-
-/// [`lower_program`], additionally returning the [`LowerProfile`]
-/// recorded during this (real) lowering — profile and function cannot
-/// drift apart because they come from the same walk.
-pub fn lower_program_profiled(
-    program: &Program,
-    basic: &BasicProgram,
-    name: &str,
-    opts: &LowerOptions,
-) -> Result<(Function, LowerProfile), LgenError> {
     let mut fb = FunctionBuilder::new(name, opts.nu);
     let bufs = BufferMap::build(program, &mut fb);
-    let mut ctx =
-        Ctx { program, fb, bufs, opts: *opts, temp_count: 0, profile: LowerProfile::default() };
+    let mut ctx = Ctx { program, fb, bufs, opts: *opts, temp_count: 0 };
     for stmt in &basic.stmts {
         ctx.lower_stmt(stmt)?;
     }
-    Ok((ctx.fb.finish(), ctx.profile))
+    Ok(ctx.fb.finish())
 }
 
 /// A scalar multiplicative factor of a product term.
@@ -129,7 +78,6 @@ struct Ctx<'p> {
     bufs: BufferMap,
     opts: LowerOptions,
     temp_count: usize,
-    profile: LowerProfile,
 }
 
 impl<'p> Ctx<'p> {
@@ -541,12 +489,6 @@ impl<'p> Ctx<'p> {
                 })
                 .sum::<usize>()
                 .max(1);
-        if dense && nu > 1 && cols > 1 {
-            // loop-eligible: the threshold decides below; record the work
-            // value so the profile can replay this decision at any
-            // threshold (see `LowerProfile`)
-            self.profile.works.push(work);
-        }
         if dense && nu > 1 && work > self.opts.loop_threshold && cols > 1 {
             self.emit_looped(lhs, &terms, &coeffs)?;
         } else if cols == 1 && rows > 1 && nu > 1 {

@@ -1,5 +1,5 @@
 //! Variant-space autotuning on the paper's running example (eq. 5):
-//! search policy × ν × loop-threshold for the Cholesky factorization,
+//! search policy × ν for the Cholesky factorization,
 //! compare strategies, and show the Stage-1a algorithm reuse plus the
 //! tuning cache.
 //!
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
 
-        // the default greedy search: all three dimensions, pruned by the
+        // the default greedy search: both dimensions, pruned by the
         // machine model's cycle budget, byte-identical variants deduped
         let auto = slingen::generate(&program, &opts)?;
         println!(
@@ -46,10 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // a restricted space pins single axes (here: the historical
         // 2-policy fan-out as a 2-point space)
         let row = Options {
-            search: SearchSpace::default()
-                .with_policies(Policy::ALL)
-                .with_nus([4])
-                .with_loop_thresholds([64]),
+            search: SearchSpace::default().with_policies(Policy::ALL).with_nus([4]),
             ..Options::default()
         };
         let old = slingen::generate(&program, &row)?;

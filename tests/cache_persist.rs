@@ -3,6 +3,7 @@
 //! stale, or wrong-version file as empty — logged, never trusted, never
 //! a panic.
 
+use proptest::prelude::*;
 use slingen::{apps, Options, TuneCache};
 use slingen_ir::Program;
 use std::fs;
@@ -91,8 +92,8 @@ fn corrupt_files_load_empty_and_never_panic() {
     let _ = fs::remove_file(&valid_path);
 
     let truncated = &valid[..valid.len() / 2];
-    assert!(valid.starts_with("slingen-tunecache v2\n"), "saves write the v2 header");
-    let wrong_version = valid.replacen("slingen-tunecache v2", "slingen-tunecache v99", 1);
+    assert!(valid.starts_with("slingen-tunecache v3\n"), "saves write the v3 header");
+    let wrong_version = valid.replacen("slingen-tunecache v3", "slingen-tunecache v99", 1);
     let lying_length = valid.replacen("code ", "code 9", 1); // inflates the blob length
     let no_end_marker = valid[..valid.rfind("end ").unwrap()].to_string();
     let trailing_garbage = format!("{valid}junk after the end marker\n");
@@ -234,41 +235,92 @@ fn save_capped_evicts_least_recently_hit() {
     let _ = fs::remove_file(&path);
 }
 
-/// Mixed-version compatibility: a v1-headed file (the pre-measured
-/// format) still loads and replays. Model-only entries carry no `M`
-/// report section, so rewriting the header is exactly what an old
-/// writer would have produced.
-#[test]
-fn v1_files_still_load_and_replay() {
-    let opts = Options::default();
-    let cold = slingen::generate(&apps::potrf(4), &opts).unwrap();
-    let path = tmp("v1-compat");
-    opts.cache.save(&path).unwrap();
-
-    let contents = fs::read_to_string(&path).unwrap();
-    assert!(
-        !contents.contains(" M "),
-        "model-only reports must serialize without a measured section"
-    );
-    let v1 = contents.replacen("slingen-tunecache v2", "slingen-tunecache v1", 1);
-    assert_ne!(v1, contents, "the header must actually have been rewritten");
-    fs::write(&path, v1).unwrap();
-
-    let loaded = TuneCache::load_checked(&path).unwrap();
-    assert_eq!(loaded.len(), 1, "a v1 file is accepted");
-    let replay = Options { cache: loaded, ..Options::default() };
-    let g = slingen::generate(&apps::potrf(4), &replay).unwrap();
-    assert!(g.tuning.cache_hit && g.tuning.persisted);
-    assert_eq!(g.c_code, cold.c_code);
-    assert_eq!(g.report.measured, None);
-
-    // and re-saving upgrades the file to the current header
-    assert_eq!(replay.cache.save(&path).unwrap(), 1);
-    assert!(fs::read_to_string(&path).unwrap().starts_with("slingen-tunecache v2\n"));
-    let _ = fs::remove_file(&path);
+/// A cache file in the previous format (v2), one entry: its key ends in
+/// the old space fingerprint's loop-threshold list, its `spec` line
+/// carries the winner's threshold and its `stats` line the `predicted`
+/// count.
+fn v2_file() -> String {
+    let key = "potrf(4)|target:avx2|nus:[1, 2, 4]|space:Greedy;lazy,eager,;1,2,4,;16,64,256,";
+    let report = "1520.5 84 0";
+    let code = "void potrf(double *S, double *U) {\n}";
+    format!(
+        "slingen-tunecache v2\nentry\nkey {}\n{key}\nspec eager 1 16\ndb 3 5\n\
+         stats 9 3 0 4\nreport {}\n{report}\ncode {}\n{code}\nend 1\n",
+        key.len(),
+        report.len(),
+        code.len()
+    )
 }
 
-/// v2 round trip with a *measured* report: the optional `M` section
+/// Files of an older format degrade, never die: their keys name the old
+/// search space and could never hit, so `load_checked` rejects them with
+/// a reason naming the version and `load` starts empty. `slingen-serve`
+/// over such a file answers every request as a miss and then saves a v3
+/// file, which reloads and re-saves byte for byte and replays every
+/// request from disk.
+#[test]
+fn old_version_files_load_empty_and_serve_resaves_them_as_v3() {
+    let path = tmp("v2-fixture");
+    for version in ["v1", "v2"] {
+        fs::write(&path, v2_file().replacen("v2", version, 1)).unwrap();
+        let reason = TuneCache::load_checked(&path).expect_err("old versions are rejected");
+        assert!(reason.contains(&format!("version {}", &version[1..])), "{reason}");
+        assert!(TuneCache::load(&path).is_empty(), "{version}: load degrades to empty");
+    }
+    // Nor is a v2 body a valid v3 one under a rewritten header.
+    fs::write(&path, v2_file().replacen("v2", "v3", 1)).unwrap();
+    assert!(TuneCache::load_checked(&path).is_err(), "v2 spec/stats lines are not v3 lines");
+
+    fs::write(&path, v2_file()).unwrap();
+    let requests = [
+        r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#,
+        r#"{"id":2,"app":"trtri","n":4,"emit":"summary"}"#,
+        r#"{"id":3,"app":"potrf","n":4,"target":"sse2"}"#,
+    ];
+    assert_eq!(serve_markers(&path, &requests), ["miss"; 3]);
+    let saved = fs::read(&path).unwrap();
+    assert!(saved.starts_with(b"slingen-tunecache v3\n") && saved.ends_with(b"end 3\n"));
+
+    let loaded = TuneCache::load_checked(&path).unwrap();
+    let resaved = tmp("v2-fixture-resaved");
+    assert_eq!(loaded.save(&resaved).unwrap(), 3);
+    assert!(fs::read(&resaved).unwrap() == saved, "v3 save -> load -> save is byte-identical");
+    assert_eq!(serve_markers(&path, &requests), ["persisted"; 3]);
+    let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(&resaved);
+}
+
+/// Run `slingen-serve --cache-file path` over `requests` (one worker, so
+/// responses come back in order) and return each response's cache marker.
+fn serve_markers(path: &std::path::Path, requests: &[&str]) -> Vec<String> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slingen-serve"))
+        .args(["--workers", "1", "--cache-file"])
+        .arg(path)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("slingen-serve starts");
+    let mut stdin = child.stdin.take().unwrap();
+    for r in requests {
+        writeln!(stdin, "{r}").unwrap();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "slingen-serve exits cleanly");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    stdout
+        .lines()
+        .map(|resp| {
+            let rest = &resp[resp.find("\"cache\":\"").expect("a cache marker") + 9..];
+            rest[..rest.find('"').unwrap()].to_string()
+        })
+        .collect()
+}
+
+/// Round trip with a *measured* report: the optional `M` section
 /// survives save → load bit-exactly. Needs a working C compiler; skips
 /// (trivially passes) without one.
 #[test]
@@ -284,7 +336,7 @@ fn measured_reports_round_trip_through_the_cache() {
         return;
     };
 
-    let path = tmp("v2-measured");
+    let path = tmp("measured");
     opts.cache.save(&path).unwrap();
     assert!(
         fs::read_to_string(&path).unwrap().contains(" M "),
@@ -327,4 +379,86 @@ fn save_capped_above_len_is_uncapped() {
     );
     let _ = fs::remove_file(&capped);
     let _ = fs::remove_file(&plain);
+}
+
+/// A valid two-entry v3 file: the seed every fuzzed cache file starts
+/// from.
+fn valid_v3_file() -> &'static [u8] {
+    static FILE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    FILE.get_or_init(|| {
+        let opts = Options::default();
+        slingen::generate(&apps::potrf(3), &opts).unwrap();
+        slingen::generate(&apps::trtri(3), &opts).unwrap();
+        let path = tmp("fuzz-seed");
+        opts.cache.save(&path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let _ = fs::remove_file(&path);
+        bytes
+    })
+}
+
+/// Byte offsets of the file's framing lines (header, tags, `end`), where
+/// a mutation exercises the parser rather than a verbatim blob.
+fn framing_offsets(file: &[u8]) -> Vec<usize> {
+    const TAGS: [&[u8]; 9] =
+        [b"slingen", b"entry", b"key ", b"spec ", b"db ", b"stats ", b"report ", b"code ", b"end "];
+    let mut out = Vec::new();
+    let mut start = 0;
+    for line in file.split_inclusive(|&b| b == b'\n') {
+        if TAGS.iter().any(|t| line.starts_with(t)) {
+            out.extend(start..start + line.len());
+        }
+        start += line.len();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Fuzzed cache files — random bytes (bare or behind a valid header),
+    /// truncations and single-byte mutations of a valid v3 file — never
+    /// panic `load_checked`: a file either loads and re-saves byte for
+    /// byte, or is rejected with a reason.
+    #[test]
+    fn fuzzed_cache_files_load_and_resave_exactly_or_fail_with_a_reason(
+        kind in 0u8..5,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let valid = valid_v3_file();
+        let input: Vec<u8> = match kind {
+            0 => noise,
+            1 => [&b"slingen-tunecache v3\n"[..], &noise].concat(),
+            2 => valid[..at % (valid.len() + 1)].to_vec(),
+            3 => {
+                let mut b = valid.to_vec();
+                b[at % valid.len()] = byte;
+                b
+            }
+            _ => {
+                let framing = framing_offsets(valid);
+                let mut b = valid.to_vec();
+                b[framing[at % framing.len()]] = byte;
+                b
+            }
+        };
+        let path = tmp("fuzz-case");
+        fs::write(&path, &input).unwrap();
+        match TuneCache::load_checked(&path) {
+            Ok(cache) => {
+                let resaved = tmp("fuzz-resaved");
+                cache.save(&resaved).unwrap();
+                prop_assert!(
+                    fs::read(&resaved).unwrap() == input,
+                    "a loaded file must re-save byte for byte: {:?}",
+                    String::from_utf8_lossy(&input)
+                );
+                let _ = fs::remove_file(&resaved);
+            }
+            Err(reason) => prop_assert!(!reason.is_empty()),
+        }
+        let _ = fs::remove_file(&path);
+    }
 }

@@ -15,7 +15,7 @@ fn execute(
     policy: Policy,
     inputs: &[(OpId, Vec<f64>)],
 ) -> Vec<Vec<f64>> {
-    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+    let spec = VariantSpec { policy, nu };
     let g = generate_with_spec(program, spec, &Options::default()).expect("generate");
     let mut fb = slingen_cir::FunctionBuilder::new("probe", nu);
     let map = BufferMap::build(program, &mut fb);

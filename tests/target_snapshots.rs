@@ -23,16 +23,16 @@ use slingen::{apps, generate_with_spec, Options, Target, VariantSpec};
 use slingen_cir::passes::{optimize_with_stats, PipelineStats};
 use slingen_cir::{Function, Instr};
 use slingen_ir::Program;
-use slingen_lgen::lower_program;
+use slingen_lgen::{lower_program, LowerOptions};
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 use slingen_vm::{execute, BufferSet, Event, Monitor};
 use std::collections::HashMap;
 
 /// The pinned variant each snapshot was generated from: Lazy policy at
-/// the target's widest ν, loop threshold 64.
+/// the target's widest ν.
 fn snapshot_generated(target: Target) -> slingen::Generated {
     let opts = Options::for_target(target);
-    let spec = VariantSpec { policy: Policy::Lazy, nu: target.max_width(), loop_threshold: 64 };
+    let spec = VariantSpec { policy: Policy::Lazy, nu: target.max_width() };
     generate_with_spec(&apps::potrf(8), spec, &opts).expect("potrf8 generates")
 }
 
@@ -185,8 +185,8 @@ fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Golden output digests: for every paper app × target × ν × policy at
-/// loop threshold 64, the emitted C (`digest_c_for`: hash and byte
+/// Golden output digests: for every paper app × target × ν × policy, the
+/// emitted C (`digest_c_for`: hash and byte
 /// length) and the exact IEEE-754 wire form of the measured `Report` must
 /// match the committed table. Any change to Stage 1-3, the unparser, or
 /// the machine model that alters a single byte or bit fails here; on a
@@ -204,7 +204,7 @@ fn golden_digests_are_stable_everywhere() {
             let opts = Options::for_target(target);
             for &nu in target.widths() {
                 for policy in Policy::ALL {
-                    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+                    let spec = VariantSpec { policy, nu };
                     let g = generate_with_spec(&program, spec, &opts)
                         .unwrap_or_else(|e| panic!("{name}/{target}/nu{nu}/{policy}: {e}"));
                     let (c_hash, c_len) = slingen_cir::unparse::digest_c_for(&g.function, target);
@@ -232,25 +232,42 @@ fn golden_digests_are_stable_everywhere() {
     );
 }
 
-/// Lower one variant and run the target's Stage-3 pipeline over it,
+/// One point of the Stage-3 grid: policy, ν and the Stage-2 loop
+/// threshold. The grid lowers at thresholds the tuner no longer searches,
+/// so Stage 3 also meets the loops they leave behind.
+#[derive(Debug, Clone, Copy)]
+struct GridPoint {
+    policy: Policy,
+    nu: usize,
+    loop_threshold: usize,
+}
+
+impl std::fmt::Display for GridPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/nu{}/t{}", self.policy, self.nu, self.loop_threshold)
+    }
+}
+
+/// Lower one grid point and run the target's Stage-3 pipeline over it,
 /// returning the optimized body and the fixpoint telemetry.
-fn stage3(program: &Program, target: Target, spec: VariantSpec) -> (Function, PipelineStats) {
+fn stage3(program: &Program, target: Target, point: GridPoint) -> (Function, PipelineStats) {
     let mut db = AlgorithmDb::new();
-    let basic = synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
-    let mut f = lower_program(program, &basic, program.name(), &spec.lower_options()).unwrap();
+    let basic = synthesize_program(program, point.policy, point.nu, &mut db).unwrap();
+    let opts = LowerOptions::new(point.nu, point.loop_threshold);
+    let mut f = lower_program(program, &basic, program.name(), &opts).unwrap();
     let passes = Options::for_target(target).passes.for_target(target);
     let stats = optimize_with_stats(&mut f, &passes, &mut |_, _| {});
     (f, stats)
 }
 
-/// Every spec of the golden grid for one target: ν × policy × loop
+/// Every point of the golden grid for one target: ν × policy × loop
 /// threshold 16/64/256.
-fn grid_specs(target: Target) -> Vec<VariantSpec> {
+fn grid_specs(target: Target) -> Vec<GridPoint> {
     let mut specs = Vec::new();
     for &nu in target.widths() {
         for policy in Policy::ALL {
             for loop_threshold in [16, 64, 256] {
-                specs.push(VariantSpec { policy, nu, loop_threshold });
+                specs.push(GridPoint { policy, nu, loop_threshold });
             }
         }
     }
@@ -346,7 +363,7 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
     const MAX_ROUNDS: usize = 3;
     let mut fresh = String::new();
     let (mut total_bodies, mut total_rounds, mut total_keyed, mut total_stalled) = (0, 0, 0, 0);
-    let mut row = |label: &str, program: &Program, runs: &[(Target, VariantSpec)]| {
+    let mut row = |label: &str, program: &Program, runs: &[(Target, GridPoint)]| {
         let (mut rounds, mut keyed, mut stalled) = (0, 0, 0);
         for &(target, spec) in runs {
             let (f, stats) = stage3(program, target, spec);
@@ -367,14 +384,14 @@ fn stage3_converges_within_three_rounds_and_its_work_is_pinned() {
         total_stalled += stalled;
     };
     for (name, program) in paper_apps() {
-        let runs: Vec<(Target, VariantSpec)> = Target::ALL
+        let runs: Vec<(Target, GridPoint)> = Target::ALL
             .into_iter()
             .flat_map(|target| grid_specs(target).into_iter().map(move |spec| (target, spec)))
             .collect();
         row(name, &program, &runs);
     }
-    let spec = VariantSpec { policy: Policy::Lazy, nu: 1, loop_threshold: 64 };
-    row("trlya24", &apps::trlya(24), &[(Target::Avx2, spec)]);
+    let point = GridPoint { policy: Policy::Lazy, nu: 1, loop_threshold: 64 };
+    row("trlya24", &apps::trlya(24), &[(Target::Avx2, point)]);
     let _ = writeln!(fresh, "total {total_bodies} {total_rounds} {total_keyed} {total_stalled}");
     let path = format!("{}/../../tests/snapshots/stage3_counters.txt", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(&path).unwrap_or_default();

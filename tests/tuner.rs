@@ -52,7 +52,7 @@ fn pressure_lower_bound_holds_on_every_point() {
             let opts = Options::for_target(target);
             for &nu in target.widths() {
                 for policy in Policy::ALL {
-                    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+                    let spec = VariantSpec { policy, nu };
                     let g = generate_with_spec(&program, spec, &opts).unwrap();
                     let lb = pressure_lower_bound(&g.function, &opts.machine);
                     assert!(
@@ -69,14 +69,14 @@ fn pressure_lower_bound_holds_on_every_point() {
 
 /// The acceptance bound of the search refactor: the default tuner can
 /// never lose to the historical 2-policy autotuner (both policies at the
-/// options' ν and loop threshold 64).
+/// options' ν).
 #[test]
 fn tuned_winner_never_loses_to_the_two_policy_fanout() {
     for (name, program) in paper_apps() {
         let opts = Options::default();
         let tuned = slingen::generate(&program, &opts).unwrap();
         for policy in Policy::ALL {
-            let spec = VariantSpec { policy, nu: opts.nu, loop_threshold: 64 };
+            let spec = VariantSpec { policy, nu: opts.nu };
             let old = generate_with_spec(&program, spec, &opts).unwrap();
             assert!(
                 tuned.report.cycles <= old.report.cycles + 1e-9,
@@ -155,7 +155,7 @@ fn cache_replays_identical_artifacts() {
     assert_eq!(opts.cache.len(), 2);
     // options that genuinely change the searched space still miss
     let narrowed = Options {
-        search: SearchSpace::default().with_loop_thresholds(vec![16, 64]),
+        search: SearchSpace::default().with_nus(vec![2, 4]),
         cache: opts.cache.clone(),
         ..Options::default()
     };
@@ -186,8 +186,9 @@ fn cache_canonicalizes_equivalent_seed_options() {
 }
 
 /// Exploration statistics reconcile: every point of an exhaustive search
-/// is accounted exactly once, and the predicted/deduped counters are
-/// disjoint parts of that total.
+/// is accounted exactly once, at least one of them is a measured body
+/// rather than a dedupe, and nothing is predicted (the search has no
+/// threshold axis left to predict collisions on).
 #[test]
 fn exhaustive_stats_reconcile_with_the_space() {
     for (name, program) in paper_apps() {
@@ -202,13 +203,10 @@ fn exhaustive_stats_reconcile_with_the_space() {
             "{name}: every point of the space must be accounted exactly once"
         );
         assert!(
-            g.tuning.predicted + g.tuning.deduped < g.tuning.explored,
+            g.tuning.deduped < g.tuning.explored,
             "{name}: at least one variant must be a measured representative"
         );
-        // The threshold axis has 3 members per (policy, ν) group; any
-        // group whose profile separates fewer than 3 classes yields
-        // predicted collisions. All 7 paper apps have at least one.
-        assert!(g.tuning.predicted > 0, "{name}: expected predicted collisions, got none");
+        assert_eq!(g.tuning.predicted, 0, "{name}: nothing is predicted");
     }
 }
 
@@ -218,7 +216,7 @@ fn exhaustive_stats_reconcile_with_the_space() {
 fn pinned_policy_skips_search() {
     let program = apps::potrf(6);
     let opts = Options::default();
-    let spec = VariantSpec { policy: Policy::Lazy, nu: 4, loop_threshold: 64 };
+    let spec = VariantSpec { policy: Policy::Lazy, nu: 4 };
     let g = generate_with_spec(&program, spec, &opts).unwrap();
     assert_eq!(g.spec, spec);
     assert_eq!(g.tuning.explored, 1);
@@ -236,7 +234,7 @@ fn pinned_width_must_be_a_target_width() {
     for (target, nu) in
         [(Target::Sse2, 4), (Target::Scalar, 4), (Target::Avx2, 8), (Target::Avx2, 3)]
     {
-        let spec = VariantSpec { policy: Policy::Lazy, nu, loop_threshold: 64 };
+        let spec = VariantSpec { policy: Policy::Lazy, nu };
         let opts = Options::for_target(target);
         match std::panic::catch_unwind(|| generate_with_spec(&program, spec, &opts).is_ok()) {
             Ok(false) => {}
@@ -253,11 +251,6 @@ fn pinned_width_must_be_a_target_width() {
 fn empty_search_space_errors() {
     let program = apps::potrf(6);
     for strategy in [Strategy::Greedy, Strategy::Exhaustive] {
-        let opts = Options {
-            search: SearchSpace::default().with_loop_thresholds(Vec::new()).with_strategy(strategy),
-            ..Options::default()
-        };
-        assert!(slingen::generate(&program, &opts).is_err(), "{strategy:?} must error");
         let opts = Options {
             search: SearchSpace::default().with_policies(Vec::new()).with_strategy(strategy),
             ..Options::default()
