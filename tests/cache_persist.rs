@@ -124,34 +124,37 @@ fn corrupt_files_load_empty_and_never_panic() {
 }
 
 /// A well-formed but *stale* file — the persisted C no longer matches
-/// what the generator emits for the recorded spec — is rejected at
-/// materialization time and falls back to a fresh search.
+/// what the generator emits for the recorded spec, or the spec names a
+/// width the target lacks — is rejected at materialization time and
+/// falls back to a fresh search.
 #[test]
 fn stale_persisted_code_falls_back_to_a_fresh_search() {
     let opts = Options::default();
     let cold = slingen::generate(&apps::potrf(4), &opts).unwrap();
     let path = tmp("stale");
     opts.cache.save(&path).unwrap();
-
-    // Doctor one byte inside the C blob, keeping the length intact, so
-    // the file parses cleanly but no longer matches the generator.
     let contents = fs::read_to_string(&path).unwrap();
-    assert!(contents.contains("void potrf"));
-    fs::write(&path, contents.replacen("void potrf", "woid potrf", 1)).unwrap();
+    assert!(contents.contains("void potrf") && contents.contains("\nspec eager 1\n"));
 
-    let loaded = TuneCache::load_checked(&path).unwrap();
-    assert_eq!(loaded.len(), 1, "the doctored file still parses");
-    let replay = Options { cache: loaded.clone(), ..Options::default() };
-    let g = slingen::generate(&apps::potrf(4), &replay).unwrap();
-    assert!(!g.tuning.cache_hit, "a stale entry must not be replayed");
-    assert_eq!(g.c_code, cold.c_code, "the fresh search must reproduce the true artifact");
-    assert_eq!(loaded.searches(), 1, "the fallback runs exactly one search");
-    let t = loaded.totals();
-    assert_eq!((t.hits, t.misses), (0, 1), "a rejected entry counts as a miss, not a hit");
-    // and the repaired entry replays normally from now on
-    let again = slingen::generate(&apps::potrf(4), &replay).unwrap();
-    assert!(again.tuning.cache_hit);
-    assert_eq!(loaded.totals().hits, 1);
+    // Each doctoring keeps every length intact, so the file parses
+    // cleanly but no longer matches the generator. ν = 3 is no width of
+    // any target; re-materializing it used to panic in the unparser.
+    for (from, to) in [("void potrf", "woid potrf"), ("\nspec eager 1\n", "\nspec eager 3\n")] {
+        fs::write(&path, contents.replacen(from, to, 1)).unwrap();
+        let loaded = TuneCache::load_checked(&path).unwrap();
+        assert_eq!(loaded.len(), 1, "{to:?}: the doctored file still parses");
+        let replay = Options { cache: loaded.clone(), ..Options::default() };
+        let g = slingen::generate(&apps::potrf(4), &replay).unwrap();
+        assert!(!g.tuning.cache_hit, "{to:?}: a stale entry must not be replayed");
+        assert_eq!(g.c_code, cold.c_code, "the fresh search must reproduce the true artifact");
+        assert_eq!(loaded.searches(), 1, "the fallback runs exactly one search");
+        let t = loaded.totals();
+        assert_eq!((t.hits, t.misses), (0, 1), "a rejected entry counts as a miss, not a hit");
+        // and the repaired entry replays normally from now on
+        let again = slingen::generate(&apps::potrf(4), &replay).unwrap();
+        assert!(again.tuning.cache_hit);
+        assert_eq!(loaded.totals().hits, 1);
+    }
     let _ = fs::remove_file(&path);
 }
 
@@ -397,34 +400,49 @@ fn valid_v3_file() -> &'static [u8] {
     })
 }
 
-/// Byte offsets of the file's framing lines (header, tags, `end`), where
-/// a mutation exercises the parser rather than a verbatim blob.
-fn framing_offsets(file: &[u8]) -> Vec<usize> {
-    const TAGS: [&[u8]; 9] =
-        [b"slingen", b"entry", b"key ", b"spec ", b"db ", b"stats ", b"report ", b"code ", b"end "];
+/// Byte offsets of the values on the file's framing lines (version,
+/// lengths, spec, counters, entry count) and of each key's first line
+/// (its program name, which orders the entries), newlines included:
+/// where a mutation exercises the parser rather than a verbatim blob.
+fn field_offsets(file: &[u8]) -> Vec<usize> {
+    const TAGS: [&[u8]; 9] = [
+        b"slingen-tunecache ",
+        b"key ",
+        b"program ",
+        b"spec ",
+        b"db ",
+        b"stats ",
+        b"report ",
+        b"code ",
+        b"end ",
+    ];
     let mut out = Vec::new();
     let mut start = 0;
     for line in file.split_inclusive(|&b| b == b'\n') {
-        if TAGS.iter().any(|t| line.starts_with(t)) {
-            out.extend(start..start + line.len());
+        if let Some(tag) = TAGS.iter().find(|t| line.starts_with(t)) {
+            out.extend(start + tag.len()..start + line.len());
         }
         start += line.len();
     }
     out
 }
 
+/// Bytes that turn a canonical field into a near miss: a leading zero, a
+/// sign, a doubled separator, a split line.
+const NEAR_MISSES: &[u8] = b"0+- \n";
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     /// Fuzzed cache files — random bytes (bare or behind a valid header),
-    /// truncations and single-byte mutations of a valid v3 file — never
-    /// panic `load_checked`: a file either loads and re-saves byte for
-    /// byte, or is rejected with a reason.
+    /// truncations and single-byte mutations of a valid v3 file, anywhere
+    /// or on its fields — never panic `load_checked`: a file either loads
+    /// and re-saves byte for byte, or is rejected with a reason.
     #[test]
     fn fuzzed_cache_files_load_and_resave_exactly_or_fail_with_a_reason(
         kind in 0u8..5,
         at in any::<usize>(),
-        byte in any::<u8>(),
+        byte in prop_oneof![any::<u8>(), (0..NEAR_MISSES.len()).prop_map(|i| NEAR_MISSES[i])],
         noise in prop::collection::vec(any::<u8>(), 0..96),
     ) {
         let valid = valid_v3_file();
@@ -438,9 +456,9 @@ proptest! {
                 b
             }
             _ => {
-                let framing = framing_offsets(valid);
+                let fields = field_offsets(valid);
                 let mut b = valid.to_vec();
-                b[framing[at % framing.len()]] = byte;
+                b[fields[at % fields.len()]] = byte;
                 b
             }
         };
@@ -452,8 +470,7 @@ proptest! {
                 cache.save(&resaved).unwrap();
                 prop_assert!(
                     fs::read(&resaved).unwrap() == input,
-                    "a loaded file must re-save byte for byte: {:?}",
-                    String::from_utf8_lossy(&input)
+                    "kind {kind}, at {at}, byte {byte}: a loaded file must re-save byte for byte"
                 );
                 let _ = fs::remove_file(&resaved);
             }

@@ -233,8 +233,8 @@ fn golden_digests_are_stable_everywhere() {
 }
 
 /// One point of the Stage-3 grid: policy, ν and the Stage-2 loop
-/// threshold. The grid lowers at thresholds the tuner no longer searches,
-/// so Stage 3 also meets the loops they leave behind.
+/// threshold. The grid also lowers at thresholds the tuner does not
+/// search, so Stage 3 meets the loops they leave behind.
 #[derive(Debug, Clone, Copy)]
 struct GridPoint {
     policy: Policy,
