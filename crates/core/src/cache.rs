@@ -52,8 +52,9 @@
 //!
 //! v3 dropped the loop threshold from the search space: the `spec` line
 //! lost its threshold and the `stats` line its `predicted` count, which
-//! only that axis produced. Every v1/v2 key names the old space and could never hit again,
-//! so such files load empty with a reason naming their version.
+//! only that axis produced. Every v1/v2 key names the old space and could
+//! never hit again, so such files load empty with a reason naming their
+//! version.
 
 use crate::tuner::{TuneStats, VariantSpec};
 use crate::Error;

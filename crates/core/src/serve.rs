@@ -567,6 +567,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_a_full_request() {
@@ -616,8 +617,8 @@ mod tests {
         r#"{"id":true,"app":"l1a","n":12,"emit":"c","x":"é\n"}"#,
     ];
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Fuzzed request lines — random bytes, truncations and
         /// single-byte mutations of valid lines — never panic the
@@ -627,9 +628,9 @@ mod tests {
         #[test]
         fn fuzzed_request_lines_parse_or_fail_with_a_reason(
             kind in 0u8..3,
-            at in proptest::strategy::any::<usize>(),
-            byte in proptest::strategy::any::<u8>(),
-            noise in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..96),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            noise in prop::collection::vec(any::<u8>(), 0..96),
         ) {
             let valid = VALID_LINES[at % VALID_LINES.len()].as_bytes();
             let bytes = match kind {
