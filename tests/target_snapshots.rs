@@ -186,12 +186,12 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// Golden output digests: for every paper app × target × ν × policy, the
-/// emitted C (`digest_c_for`: hash and byte
-/// length) and the exact IEEE-754 wire form of the measured `Report` must
-/// match the committed table. Any change to Stage 1-3, the unparser, or
-/// the machine model that alters a single byte or bit fails here; on a
-/// mismatch the fresh table is printed so an intentional change can be
-/// reviewed and committed.
+/// emitted C (`digest_c_for`: hash and byte length) and the exact
+/// IEEE-754 wire form of the measured `Report` must match the committed
+/// table. Any change to Stage 1-3, the unparser, or the machine model
+/// that alters a single byte or bit fails here; on a mismatch the fresh
+/// table is printed so an intentional change can be reviewed and
+/// committed.
 ///
 /// Every lane movement of the grid's kernels is a call to a lane helper:
 /// no kernel body holds a stack array, only the helpers ahead of it do.

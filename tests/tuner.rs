@@ -187,8 +187,7 @@ fn cache_canonicalizes_equivalent_seed_options() {
 
 /// Exploration statistics reconcile: every point of an exhaustive search
 /// is accounted exactly once, at least one of them is a measured body
-/// rather than a dedupe, and nothing is predicted (the search has no
-/// threshold axis left to predict collisions on).
+/// rather than a dedupe, and `predicted` stays 0.
 #[test]
 fn exhaustive_stats_reconcile_with_the_space() {
     for (name, program) in paper_apps() {
