@@ -66,7 +66,7 @@ fn bench_stages(c: &mut Criterion) {
 /// Stages 2-3 + measurement fanned out on parallel threads, over the
 /// policy × ν variant space.
 fn bench_autotune(c: &mut Criterion) {
-    use slingen::{SearchSpace, Strategy};
+    use slingen::SearchSpace;
     let mut g = c.benchmark_group("autotune");
     g.sample_size(10);
     let potrf = apps::potrf(24);
@@ -77,21 +77,11 @@ fn bench_autotune(c: &mut Criterion) {
     g.bench_function("autotune_fanout_kf8", |b| {
         b.iter(|| slingen::generate(&kf, &Options::default()).unwrap())
     });
-    // the variant-space strategies head-to-head on one workload: greedy
-    // coordinate descent (the default), the exhaustive sweep, and the
-    // historical 2-policy row of the space
+    // the search over the full space against the historical 2-policy row
+    // of the space, on one workload
     let potrf16 = apps::potrf(16);
     g.bench_function("space_greedy_potrf16", |b| {
         b.iter(|| slingen::generate(&potrf16, &Options::default()).unwrap())
-    });
-    g.bench_function("space_exhaustive_potrf16", |b| {
-        b.iter(|| {
-            let opts = Options {
-                search: SearchSpace::default().with_strategy(Strategy::Exhaustive),
-                ..Options::default()
-            };
-            slingen::generate(&potrf16, &opts).unwrap()
-        })
     });
     g.bench_function("space_policy_row_potrf16", |b| {
         b.iter(|| {

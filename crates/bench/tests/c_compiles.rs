@@ -12,22 +12,26 @@ fn cc_available() -> bool {
 
 static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
+/// Compile `c_code` to an object file in a directory of its own, removed
+/// once `cc` returns: the tests run concurrently, so no directory is
+/// shared between two calls.
 fn compile(c_code: &str, extra: &[&str]) -> Result<(), String> {
-    let dir = std::env::temp_dir().join(format!("slingen_cc_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let id = UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let src = dir.join(format!("gen_{id}.c"));
-    std::fs::write(&src, c_code).map_err(|e| e.to_string())?;
-    let obj = dir.join(format!("gen_{id}.o"));
-    let out = Command::new("cc")
-        .arg("-std=c99")
-        .arg("-c")
-        .args(extra)
-        .arg("-o")
-        .arg(&obj)
-        .arg(&src)
-        .output()
-        .map_err(|e| e.to_string())?;
+    let dir = std::env::temp_dir().join(format!("slingen_cc_{}_{id}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    let src = dir.join("gen.c");
+    let out = std::fs::write(&src, c_code).and_then(|()| {
+        Command::new("cc")
+            .arg("-std=c99")
+            .arg("-c")
+            .args(extra)
+            .arg("-o")
+            .arg(dir.join("gen.o"))
+            .arg(&src)
+            .output()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = out.map_err(|e| e.to_string())?;
     if out.status.success() {
         Ok(())
     } else {

@@ -44,7 +44,7 @@ pub use measure::{
 };
 pub use pipeline::{generate, generate_with_spec, Generated, Options};
 pub use slingen_cir::Target;
-pub use tuner::{HwTrial, RepCost, SearchSpace, Strategy, TuneStats, VariantSpec};
+pub use tuner::{HwTrial, RepCost, SearchSpace, TuneStats, VariantSpec};
 pub use verify::verify;
 
 use std::fmt;

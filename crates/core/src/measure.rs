@@ -7,9 +7,10 @@
 //! (`slingen_cir::unparse::to_c_harness`) with a C compiler shelled out
 //! per target, runs it, and parses a median-of-min cycle estimate back.
 //! It times the same workload as the model (`workload::buffers`).
-//! Compiled artifacts are cached on disk by a digest of the full harness
-//! source, so identical variants never recompile — within a search *and*
-//! across runs.
+//! Each measurer compiles into a directory of its own, keyed by a digest
+//! of the full harness source, so a kernel timed again through the same
+//! measurer never recompiles; the directory is removed when the measurer
+//! is dropped, so nothing is left behind.
 //!
 //! The tuner uses these in a two-stage flow (model pruning, hardware
 //! re-ranking of the top-K survivors; see `tuner::tune`), and
@@ -27,11 +28,12 @@ use crate::workload;
 use slingen_cir::unparse::{digest_str, to_c_harness, HarnessOpts};
 use slingen_cir::{BufKind, Function, Target};
 use slingen_ir::Program;
-use slingen_perf::{Machine, MeasuredTime};
+use slingen_perf::MeasuredTime;
 use slingen_vm::{BufferSet, NullMonitor};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which signal ranks variants in the autotuner.
@@ -72,8 +74,9 @@ pub struct MeasureConfig {
     pub mode: MeasureMode,
     /// C compiler to shell out to; `None` uses `cc` from `PATH`.
     pub compiler: Option<PathBuf>,
-    /// Directory for cached compiled harnesses; `None` uses
-    /// `$TMPDIR/slingen-artifacts`.
+    /// Directory under which each [`HardwareMeasurer`] makes (and, on
+    /// drop, removes) its own subdirectory of compiled harnesses; `None`
+    /// uses [`std::env::temp_dir`].
     pub artifact_dir: Option<PathBuf>,
 }
 
@@ -119,7 +122,9 @@ impl std::error::Error for HwError {}
 ///
 /// Construction probes the compiler once (`--version`); a failing probe
 /// is an immediate [`HwError`], so searches discover "no compiler" once
-/// instead of per candidate.
+/// instead of per candidate. Harnesses are compiled into a fresh
+/// `slingen-artifacts-*` directory private to this measurer, which
+/// dropping the measurer removes.
 pub struct HardwareMeasurer {
     target: Target,
     compiler: PathBuf,
@@ -127,7 +132,7 @@ pub struct HardwareMeasurer {
 }
 
 impl HardwareMeasurer {
-    /// Probe the configured compiler and prepare the artifact cache
+    /// Probe the configured compiler and create this measurer's artifact
     /// directory.
     ///
     /// # Errors
@@ -145,12 +150,9 @@ impl HardwareMeasurer {
                 compiler.display()
             )));
         }
-        let artifact_dir = cfg
-            .artifact_dir
-            .clone()
-            .unwrap_or_else(|| std::env::temp_dir().join("slingen-artifacts"));
-        std::fs::create_dir_all(&artifact_dir).map_err(|e| {
-            HwError(format!("artifact dir {} not creatable: {e}", artifact_dir.display()))
+        let parent = cfg.artifact_dir.clone().unwrap_or_else(std::env::temp_dir);
+        let artifact_dir = private_dir(&parent).map_err(|e| {
+            HwError(format!("artifact dir under {} not creatable: {e}", parent.display()))
         })?;
         Ok(HardwareMeasurer { target, compiler, artifact_dir })
     }
@@ -175,24 +177,18 @@ impl HardwareMeasurer {
         let src = bin.with_extension("c");
         std::fs::write(&src, source)
             .map_err(|e| HwError(format!("write {} failed: {e}", src.display())))?;
-        // Compile to a unique temp name, then atomically rename in, so
-        // concurrent searches never observe a half-written binary.
-        let tmp = self.artifact_dir.join(format!(
-            ".tmp-{}-h{hash:016x}-{len}-{}",
-            std::process::id(),
-            self.target
-        ));
         let out = Command::new(&self.compiler)
             .args(["-std=c99", "-O2"])
             .args(self.target_cflags())
             .arg("-o")
-            .arg(&tmp)
+            .arg(&bin)
             .arg(&src)
             .arg("-lm")
             .output()
             .map_err(|e| HwError(format!("compiler `{}` failed: {e}", self.compiler.display())))?;
         if !out.status.success() {
-            let _ = std::fs::remove_file(&tmp);
+            // never reuse whatever a failed compile left behind
+            let _ = std::fs::remove_file(&bin);
             // Surface the first real diagnostic, not the "In function"
             // preamble gcc prints ahead of it.
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -203,7 +199,6 @@ impl HardwareMeasurer {
                 .unwrap_or("(no diagnostics)");
             return Err(HwError(format!("harness compile failed: {diag}")));
         }
-        std::fs::rename(&tmp, &bin).map_err(|e| HwError(format!("artifact rename failed: {e}")))?;
         Ok(bin)
     }
 
@@ -253,6 +248,29 @@ impl HardwareMeasurer {
         seed: u64,
     ) -> Result<MeasuredTime, HwError> {
         self.measure_c(function, &param_inits(program, function, seed))
+    }
+}
+
+impl Drop for HardwareMeasurer {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.artifact_dir);
+    }
+}
+
+/// Create a new, empty `slingen-artifacts-<pid>-<n>` directory under
+/// `parent` (creating `parent` if needed): one per measurer, so measurers
+/// in one process or in concurrent processes never share a directory,
+/// and dropping one cannot delete another's artifacts.
+fn private_dir(parent: &Path) -> std::io::Result<PathBuf> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::fs::create_dir_all(parent)?;
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = parent.join(format!("slingen-artifacts-{}-{n}", std::process::id()));
+        match std::fs::create_dir(&dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            made => return made.map(|()| dir),
+        }
     }
 }
 
@@ -371,8 +389,7 @@ pub struct OpCost {
     pub throughput: f64,
 }
 
-/// Fitted per-op costs for one target on this host, plus the model's
-/// corresponding entries for drift comparison.
+/// Fitted per-op costs for one target on this host.
 #[derive(Debug, Clone)]
 pub struct Calibration {
     pub target: Target,
@@ -383,30 +400,6 @@ impl Calibration {
     /// The fitted cost for one `(op, vector)` entry.
     pub fn get(&self, op: &str, vector: bool) -> Option<&OpCost> {
         self.ops.iter().find(|c| c.op == op && c.vector == vector)
-    }
-
-    /// A machine model with the fitted divider/latency entries applied —
-    /// the shipped `CostTable` constants (the paper's pinned Sandy
-    /// Bridge numbers) stay untouched; this derives a host-calibrated
-    /// model at runtime.
-    pub fn apply(&self, base: &Machine) -> Machine {
-        let mut m = base.clone();
-        if let Some(c) = self.get("div", false) {
-            m.div_scalar_cycles = c.latency;
-        }
-        if let Some(c) = self.get("div", true) {
-            m.div_vector_cycles = c.latency;
-        }
-        if let Some(c) = self.get("add", false).or_else(|| self.get("add", true)) {
-            m.fadd_latency = c.latency.round().max(1.0);
-        }
-        if let Some(c) = self.get("mul", false).or_else(|| self.get("mul", true)) {
-            m.fmul_latency = c.latency.round().max(1.0);
-        }
-        if let Some(c) = self.get("fma", false).or_else(|| self.get("fma", true)) {
-            m.fma_latency = c.latency.round().max(1.0);
-        }
-        m
     }
 }
 
@@ -667,21 +660,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn calibration_applies_div_entries_without_touching_base() {
-        let base = Machine::sandy_bridge();
-        let cal = Calibration {
-            target: Target::Avx2,
-            ops: vec![
-                OpCost { op: "div", vector: false, latency: 13.0, throughput: 0.25 },
-                OpCost { op: "div", vector: true, latency: 13.5, throughput: 0.2 },
-            ],
-        };
-        let m = cal.apply(&base);
-        assert_eq!(m.div_scalar_cycles, 13.0);
-        assert_eq!(m.div_vector_cycles, 13.5);
-        assert_eq!(base.div_scalar_cycles, 22.0, "shipped model untouched");
     }
 }

@@ -9,11 +9,10 @@
 //!   default loop threshold: Stage 3's unroll budget re-expands nearly
 //!   every loop a threshold creates, so a threshold axis rarely changes
 //!   the code;
-//! * [`SearchSpace`] — a builder over the two axes with a pluggable
-//!   [`Strategy`]: [`Strategy::Exhaustive`] measures every point,
-//!   [`Strategy::Greedy`] runs a deterministic coordinate descent that
-//!   prunes dominated variants with the machine model's cycle-budget
-//!   early-cutoff ([`slingen_perf::measure_budgeted`]);
+//! * [`SearchSpace`] — a builder over the two axes, explored by one
+//!   deterministic coordinate descent ([`run_greedy`]) that prunes
+//!   dominated variants with the machine model's cycle-budget early-cutoff
+//!   ([`slingen_perf::measure_budgeted`]);
 //! * [`TuneCache`] — a shareable cache keyed by (program, machine,
 //!   space, options) so repeated generation of the same kernel is a
 //!   lookup, not a search — the first step toward serving generation as
@@ -77,36 +76,17 @@ impl fmt::Display for VariantSpec {
     }
 }
 
-/// How a [`SearchSpace`] is explored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Measure every point of the space (one parallel batch).
-    Exhaustive,
-    /// Deterministic coordinate descent: seed with a full policy sweep at
-    /// the widest ν, then improve one coordinate at a time (ν, then
-    /// policy), pruning candidates that the machine model proves slower
-    /// than the incumbent (cycle-budget early-cutoff). Can never do worse
-    /// than the seed sweep — i.e. never worse than the historical
-    /// two-policy autotuner.
-    Greedy,
-}
-
-/// The autotuner's search space: two axes plus a strategy.
+/// The autotuner's search space: the policy and ν axes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     policies: Vec<Policy>,
     nus: Vec<usize>,
-    strategy: Strategy,
 }
 
 impl Default for SearchSpace {
-    /// `Policy::ALL` × ν ∈ {1, 2, 4}, explored greedily.
+    /// `Policy::ALL` × ν ∈ {1, 2, 4}.
     fn default() -> Self {
-        SearchSpace {
-            policies: Policy::ALL.to_vec(),
-            nus: vec![1, 2, 4],
-            strategy: Strategy::Greedy,
-        }
+        SearchSpace { policies: Policy::ALL.to_vec(), nus: vec![1, 2, 4] }
     }
 }
 
@@ -126,17 +106,6 @@ impl SearchSpace {
     pub fn with_nus(mut self, nus: impl Into<Vec<usize>>) -> Self {
         self.nus = nus.into();
         self
-    }
-
-    /// Set the exploration strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The exploration strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// The ν axis intersected with the target's supported widths and
@@ -176,10 +145,11 @@ impl SearchSpace {
         self.policies.is_empty()
     }
 
-    /// A stable fingerprint for cache keys.
+    /// A stable fingerprint for cache keys. The `Greedy` tag names the
+    /// one search there is; it stays so that persisted keys still hit.
     fn fingerprint(&self, out: &mut String) {
         use std::fmt::Write;
-        let _ = write!(out, "|space:{:?};", self.strategy);
+        out.push_str("|space:Greedy;");
         for p in &self.policies {
             let _ = write!(out, "{p},");
         }
@@ -291,13 +261,6 @@ fn cache_key(program: &Program, options: &Options) -> String {
     key
 }
 
-/// A measured variant before the winner's C code is emitted.
-pub(crate) struct Variant {
-    pub(crate) function: Function,
-    pub(crate) spec: VariantSpec,
-    pub(crate) report: Report,
-}
-
 /// Stage 1 for one (policy, ν), memoized across the space through one
 /// shared [`AlgorithmDb`] — variants re-derive only what their schedule
 /// actually changes (leaf derivations are policy- and ν-neutral).
@@ -388,6 +351,28 @@ enum MeasureOutcome {
     Failed,
 }
 
+/// One distinct lowered body: variants whose Stage-3 output is identical
+/// share it, so it is measured once and its function is retained once —
+/// the winner is emitted without re-lowering, and the stage-two hardware
+/// ranking compiles each distinct kernel once.
+struct Body {
+    function: Function,
+    outcome: MeasureOutcome,
+    /// The lowest canonical enumeration index (and its spec) among the
+    /// variants that landed on this body: the label hardware trials carry.
+    first: (usize, VariantSpec),
+}
+
+impl Body {
+    /// The modeled report, when the body was fully measured.
+    fn report(&self) -> Option<&Report> {
+        match &self.outcome {
+            MeasureOutcome::Measured(report) => Some(report),
+            MeasureOutcome::CutOff | MeasureOutcome::Failed => None,
+        }
+    }
+}
+
 /// What one variant thread produces: the lowered variant, the body
 /// fingerprint, and the measurement it ran inline (`None` when the body
 /// was already measured).
@@ -404,19 +389,19 @@ struct RepOut {
 }
 
 /// One variant end-to-end, on its own thread: lower → optimize →
-/// fingerprint → measure. Measurement is skipped when `measured` already
-/// knows the body.
+/// fingerprint → measure. Measurement is skipped when `bodies` already
+/// holds the body.
 fn run_variant(
     program: &Program,
     spec: VariantSpec,
     basic: &BasicProgram,
     options: &Options,
-    measured: &HashMap<BodyKey, MeasureOutcome>,
+    bodies: &HashMap<BodyKey, Body>,
     budget: Option<f64>,
 ) -> Result<RepOut, Error> {
     let lowered = lower_variant(program, spec, basic, options)?;
     let key = lowered.function.fingerprint();
-    if measured.contains_key(&key) {
+    if bodies.contains_key(&key) {
         return Ok(RepOut { lowered, key, measured: None, measure_ms: 0.0, lb_pruned: false });
     }
     let f = &lowered.function;
@@ -440,20 +425,44 @@ fn run_variant(
     Ok(RepOut { lowered, key, measured: Some(m), measure_ms, lb_pruned })
 }
 
-/// The incumbent: the winning spec plus the fingerprint under which its
-/// lowered body is retained in [`Search::body_fns`]. The `Function`
-/// itself is *not* cloned per improvement — it is materialized once, at
-/// [`Search::into_generated`].
+/// The incumbent: its spec, its canonical enumeration index (ties break
+/// on it), and the key of its body in [`Search::bodies`], which holds its
+/// function and report.
 struct Best {
     spec: VariantSpec,
-    report: Report,
-    /// Canonical enumeration index (ties break on it).
     ord: usize,
     key: BodyKey,
 }
 
-/// The search state: the visited set, the incumbent, and exploration
-/// statistics.
+/// A finished search: the winner, unparsed once and ready for the cache,
+/// plus the search's own ledgers.
+pub(crate) struct Found {
+    pub(crate) win: CachedWin,
+    /// Per-variant costs, in evaluation order.
+    pub(crate) rep_costs: Vec<RepCost>,
+    /// Stage-two hardware timings (empty unless hardware ranking ran).
+    pub(crate) hw_trials: Vec<HwTrial>,
+}
+
+impl Found {
+    /// Move the win into the owned public result; nothing is copied.
+    pub(crate) fn into_generated(self) -> Generated {
+        let Found { win, rep_costs, hw_trials } = self;
+        Generated {
+            function: win.function,
+            c_code: win.c_code,
+            spec: win.spec,
+            report: win.report,
+            db_stats: win.db_stats,
+            tuning: win.stats,
+            rep_costs,
+            hw_trials,
+        }
+    }
+}
+
+/// The search state: the visited set, one record per distinct lowered
+/// body, the incumbent, and exploration statistics.
 pub(crate) struct Search<'p> {
     program: &'p Program,
     options: &'p Options,
@@ -463,18 +472,9 @@ pub(crate) struct Search<'p> {
     /// Specs already attempted (measured, cut off, or failed); a spec is
     /// never evaluated twice within one search.
     visited: HashSet<VariantSpec>,
-    /// Measurements by lowered-body fingerprint ([`BodyKey`]): variants
-    /// whose Stage-3 output is identical are measured once and share the
-    /// outcome.
-    measured: HashMap<BodyKey, MeasureOutcome>,
-    /// One retained `Function` per distinct lowered body, so the winner
-    /// is materialized without re-lowering and without per-improvement
-    /// clones.
-    body_fns: HashMap<BodyKey, Function>,
+    /// Every distinct lowered body by fingerprint ([`BodyKey`]).
+    bodies: HashMap<BodyKey, Body>,
     best: Option<Best>,
-    /// Lowest-ord spec that landed on each measured body — the stage-two
-    /// hardware ranking labels each distinct kernel with this spec.
-    body_best: HashMap<BodyKey, (usize, VariantSpec)>,
     stats: TuneStats,
     /// Per-variant cost ledger, in evaluation order.
     rep_costs: Vec<RepCost>,
@@ -498,10 +498,8 @@ impl<'p> Search<'p> {
             synth: Synthesizer::new(program),
             order,
             visited: HashSet::new(),
-            measured: HashMap::new(),
-            body_fns: HashMap::new(),
+            bodies: HashMap::new(),
             best: None,
-            body_best: HashMap::new(),
             stats: TuneStats::default(),
             rep_costs: Vec::new(),
             hw_trials: Vec::new(),
@@ -522,15 +520,14 @@ impl<'p> Search<'p> {
             .filter(|s| self.visited.insert(*s))
             .map(|s| (s, self.synth.basic(s.policy, s.nu)))
             .collect();
-        let (program, options, measured) = (self.program, self.options, &self.measured);
+        let (program, options, bodies) = (self.program, self.options, &self.bodies);
         let results: Vec<(VariantSpec, Result<RepOut, Error>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = todo
                 .into_iter()
                 .map(|(spec, basic)| {
                     scope.spawn(move || {
-                        let out = basic.and_then(|b| {
-                            run_variant(program, spec, &b, options, measured, budget)
-                        });
+                        let out = basic
+                            .and_then(|b| run_variant(program, spec, &b, options, bodies, budget));
                         (spec, out)
                     })
                 })
@@ -544,74 +541,66 @@ impl<'p> Search<'p> {
         // surface a body keeps it and its measurement; every later variant
         // landing on that body is deduped.
         for (spec, out) in results {
-            let RepOut { lowered, key, measured: m, measure_ms, lb_pruned } = match out {
+            let RepOut { lowered, key, measured, measure_ms, lb_pruned } = match out {
                 Ok(out) => out,
                 Err(e) => {
                     self.last_err = Some(e);
                     continue;
                 }
             };
-            let Lowered { function: f, lower_ms, opt_ms } = lowered;
+            let Lowered { function, lower_ms, opt_ms } = lowered;
             self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
             self.stats.lb_pruned += usize::from(lb_pruned);
-            match self.body_fns.entry(key) {
-                Entry::Occupied(kept) => debug_assert!(
-                    *kept.get() == f,
-                    "two different bodies share the fingerprint {key:?} ({spec})"
-                ),
-                Entry::Vacant(slot) => {
-                    slot.insert(f);
-                }
-            }
-            let shared = self.measured.contains_key(&key);
-            if let Some(m) = m {
-                let outcome = match m {
-                    Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
-                    Ok(None) => MeasureOutcome::CutOff,
-                    Err(e) => {
-                        self.last_err = Some(e);
-                        MeasureOutcome::Failed
+            let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
+            let shared = match self.bodies.entry(key) {
+                Entry::Occupied(mut kept) => {
+                    let body = kept.get_mut();
+                    debug_assert!(
+                        body.function == function,
+                        "two different bodies share the fingerprint {key:?} ({spec})"
+                    );
+                    if ord < body.first.0 {
+                        body.first = (ord, spec);
                     }
-                };
-                self.measured.entry(key).or_insert(outcome);
-            }
-            match self.measured.get(&key) {
-                Some(MeasureOutcome::Measured(report)) => {
-                    self.stats.explored += 1;
-                    self.stats.deduped += usize::from(shared);
-                    let cycles = report.cycles;
-                    let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
-                    self.body_best
-                        .entry(key)
-                        .and_modify(|e| {
-                            if ord < e.0 {
-                                *e = (ord, spec);
-                            }
-                        })
-                        .or_insert((ord, spec));
-                    let better = match &self.best {
-                        None => true,
-                        Some(b) => {
-                            cycles < b.report.cycles || (cycles == b.report.cycles && ord < b.ord)
+                    true
+                }
+                Entry::Vacant(slot) => {
+                    let outcome = match measured.expect("a body new to the search is measured") {
+                        Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
+                        Ok(None) => MeasureOutcome::CutOff,
+                        Err(e) => {
+                            self.last_err = Some(e);
+                            MeasureOutcome::Failed
                         }
                     };
-                    if better {
-                        self.best = Some(Best { spec, report: (**report).clone(), ord, key });
-                    }
+                    slot.insert(Body { function, outcome, first: (ord, spec) });
+                    false
                 }
-                Some(MeasureOutcome::CutOff) => {
+            };
+            let cycles = match &self.bodies[&key].outcome {
+                MeasureOutcome::Measured(report) => report.cycles,
+                MeasureOutcome::CutOff => {
                     // cut off: provably slower than the incumbent
                     self.stats.explored += 1;
                     self.stats.pruned += 1;
                     self.stats.deduped += usize::from(shared);
+                    continue;
                 }
-                Some(MeasureOutcome::Failed) | None => {}
+                MeasureOutcome::Failed => continue,
+            };
+            self.stats.explored += 1;
+            self.stats.deduped += usize::from(shared);
+            if self.incumbent().is_none_or(|incumbent| (cycles, ord) < incumbent) {
+                self.best = Some(Best { spec, ord, key });
             }
         }
     }
 
-    fn incumbent_cycles(&self) -> Option<f64> {
-        self.best.as_ref().map(|b| b.report.cycles)
+    /// The incumbent's modeled cycles and canonical enumeration index:
+    /// a variant replaces it when its pair compares lower.
+    fn incumbent(&self) -> Option<(f64, usize)> {
+        let best = self.best.as_ref()?;
+        Some((self.bodies[&best.key].report()?.cycles, best.ord))
     }
 
     /// Stage two of the measured flow: compile and time the top-K
@@ -624,14 +613,11 @@ impl<'p> Search<'p> {
     fn rerank_hardware(&mut self) {
         // Distinct measured bodies by model ranking (cycles, then ord).
         let mut candidates: Vec<(f64, usize, BodyKey, VariantSpec)> = self
-            .measured
+            .bodies
             .iter()
-            .filter_map(|(key, outcome)| match outcome {
-                MeasureOutcome::Measured(report) => {
-                    let (ord, spec) = *self.body_best.get(key)?;
-                    Some((report.cycles, ord, *key, spec))
-                }
-                _ => None,
+            .filter_map(|(key, body)| {
+                let (ord, spec) = body.first;
+                Some((body.report()?.cycles, ord, *key, spec))
             })
             .collect();
         candidates.sort_by(|a, b| {
@@ -656,8 +642,7 @@ impl<'p> Search<'p> {
             };
         let mut trials: Vec<HwTrial> = Vec::with_capacity(candidates.len());
         for &(model_cycles, _, key, spec) in &candidates {
-            let function = self.body_fns.get(&key).expect("measured bodies are retained");
-            match hw.measure(self.program, function, self.options.seed) {
+            match hw.measure(self.program, &self.bodies[&key].function, self.options.seed) {
                 Ok(m) if m.cycles.is_finite() && m.cycles >= 0.0 => {
                     trials.push(HwTrial { spec, model_cycles, measured: m });
                 }
@@ -692,47 +677,50 @@ impl<'p> Search<'p> {
             })
             .expect("at least one trial");
         let (_, ord, key, spec) = candidates[win];
-        let report = match self.measured.get(&key) {
-            Some(MeasureOutcome::Measured(r)) => (**r).clone().with_measured(trials[win].measured),
-            _ => unreachable!("candidates are measured bodies"),
-        };
+        if let Some(MeasureOutcome::Measured(report)) =
+            self.bodies.get_mut(&key).map(|body| &mut body.outcome)
+        {
+            report.measured = Some(trials[win].measured);
+        }
         self.stats.hw_ranked = trials.len();
-        self.best = Some(Best { spec, report, ord, key });
+        self.best = Some(Best { spec, ord, key });
         self.hw_trials = trials;
     }
 
-    pub(crate) fn into_generated(mut self) -> Result<Generated, Error> {
-        let db_stats = self.synth.stats();
-        let stats = self.stats;
-        let target = self.options.target;
-        match self.best {
-            Some(best) => {
-                let function =
-                    self.body_fns.remove(&best.key).expect("the winning body is retained");
-                let variant = Variant { function, spec: best.spec, report: best.report };
-                Ok(crate::pipeline::emit(
-                    variant,
-                    target,
-                    db_stats,
-                    stats,
-                    self.rep_costs,
-                    self.hw_trials,
-                ))
-            }
-            None => Err(self.last_err.unwrap_or_else(|| {
+    /// Emit the winner: unparse its body to C for the target, once, and
+    /// package it for the cache. Errors with the last variant failure
+    /// when no variant was measured.
+    pub(crate) fn finish(mut self) -> Result<Found, Error> {
+        let Some(best) = self.best else {
+            return Err(self.last_err.unwrap_or_else(|| {
                 Error::Synth(slingen_synth::SynthError::Unsupported("empty search space".into()))
-            })),
-        }
+            }));
+        };
+        let body = self.bodies.remove(&best.key).expect("the winning body is retained");
+        let MeasureOutcome::Measured(report) = body.outcome else {
+            unreachable!("the incumbent's body was measured")
+        };
+        let c_code = slingen_cir::unparse::to_c_for(&body.function, self.options.target);
+        let win = CachedWin::new(
+            best.spec,
+            body.function,
+            c_code,
+            *report,
+            self.synth.stats(),
+            self.stats,
+        );
+        Ok(Found { win, rep_costs: self.rep_costs, hw_trials: self.hw_trials })
     }
 }
 
-/// Exhaustive exploration: every point measured in one parallel batch.
-fn run_exhaustive(search: &mut Search<'_>) {
-    let specs = search.options.search.enumerate(search.options.target, search.options.nu);
-    search.evaluate(&specs, None);
-}
-
-/// Greedy coordinate descent (see [`Strategy::Greedy`]).
+/// The one search: a deterministic coordinate descent. It seeds with a
+/// full policy sweep at the widest ν, then improves one coordinate at a
+/// time (ν, then policy), pruning candidates that the machine model proves
+/// slower than the incumbent (cycle-budget early-cutoff). It can never do
+/// worse than the seed sweep — i.e. never worse than the historical
+/// two-policy autotuner — but it can stop in a local minimum of the
+/// space: on sse2 potrf8 it never visits eager/nu1, which models faster
+/// than its lazy/nu2 winner.
 fn run_greedy(search: &mut Search<'_>) {
     let space = &search.options.search;
     let policies = space.policies.clone();
@@ -747,13 +735,14 @@ fn run_greedy(search: &mut Search<'_>) {
     search.evaluate(&seed_batch, None);
 
     // Coordinate descent: sweep ν, then policy around the incumbent;
-    // repeat until a full sweep improves nothing. Candidates run under the
-    // incumbent's cycle budget, so dominated variants are abandoned
-    // mid-measurement.
+    // repeat until a full sweep leaves the incumbent where it was (an
+    // incumbent only ever moves to a strictly better, or equally fast and
+    // earlier, spec, so it never returns to one it left). Candidates run
+    // under the incumbent's cycle budget, so dominated variants are
+    // abandoned mid-measurement.
     const MAX_SWEEPS: usize = 3;
     for _ in 0..MAX_SWEEPS {
-        let Some((best_spec, before)) = search.best.as_ref().map(|b| (b.spec, b.report.cycles))
-        else {
+        let Some(before) = search.best.as_ref().map(|b| b.spec) else {
             return; // every seed failed; nothing to descend from
         };
         for sweep_nu in [true, false] {
@@ -772,15 +761,10 @@ fn run_greedy(search: &mut Search<'_>) {
                     .map(|&p| VariantSpec { policy: p, ..cur })
                     .collect()
             };
-            let budget = search.incumbent_cycles();
+            let budget = search.incumbent().map(|(cycles, _)| cycles);
             search.evaluate(&batch, budget);
         }
-        let unchanged = search
-            .best
-            .as_ref()
-            .map(|b| b.spec == best_spec && b.report.cycles == before)
-            .unwrap_or(true);
-        if unchanged {
+        if search.best.as_ref().map(|b| b.spec) == Some(before) {
             break;
         }
     }
@@ -893,18 +877,14 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error>
     }
     options.cache.note_search();
     let mut search = Search::new(program, options);
-    match options.search.strategy() {
-        Strategy::Exhaustive => run_exhaustive(&mut search),
-        Strategy::Greedy => run_greedy(&mut search),
-    }
+    run_greedy(&mut search);
     if options.measure.wants_hardware() {
         search.rerank_hardware();
     }
-    match search.into_generated() {
-        Ok(g) => {
-            let win = CachedWin::new(g.spec, g.function, g.c_code, g.report, g.db_stats, g.tuning);
-            let win = ticket.fulfill(win);
-            Ok(Tuned { win, stats: g.tuning, rep_costs: g.rep_costs, hw_trials: g.hw_trials })
+    match search.finish() {
+        Ok(Found { win, rep_costs, hw_trials }) => {
+            let stats = win.stats;
+            Ok(Tuned { win: ticket.fulfill(win), stats, rep_costs, hw_trials })
         }
         Err(e) => {
             ticket.fail(e.clone());

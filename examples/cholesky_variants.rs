@@ -1,11 +1,11 @@
 //! Variant-space autotuning on the paper's running example (eq. 5):
-//! search policy × ν for the Cholesky factorization,
-//! compare strategies, and show the Stage-1a algorithm reuse plus the
-//! tuning cache.
+//! search policy × ν for the Cholesky factorization, compare the search
+//! with every pinned point, and show the Stage-1a algorithm reuse plus
+//! the tuning cache.
 //!
 //! Run with: `cargo run --release --example cholesky_variants`
 
-use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy};
+use slingen::{apps, generate_with_spec, Options, SearchSpace, VariantSpec};
 use slingen_synth::Policy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,8 +15,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // every point of the default space, measured individually
         let opts = Options::default();
+        let mut pinned: Option<(VariantSpec, f64)> = None;
         for spec in opts.search.enumerate(opts.target, opts.nu) {
             let g = generate_with_spec(&program, spec, &opts)?;
+            if pinned.is_none_or(|(_, cycles)| g.report.cycles < cycles) {
+                pinned = Some((spec, g.report.cycles));
+            }
             println!(
                 "  {:>14}: {:>9.0} cycles ({:.2} f/c nominal), DB hits/misses {}/{}",
                 spec.to_string(),
@@ -35,13 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             auto.spec, auto.tuning.explored, auto.tuning.pruned, auto.tuning.deduped
         );
 
-        // exhaustive sweep for comparison: same winner, more work
-        let exhaustive = Options {
-            search: SearchSpace::default().with_strategy(Strategy::Exhaustive),
-            ..Options::default()
-        };
-        let full = slingen::generate(&program, &exhaustive)?;
-        println!("  exhaustive winner: {} ({} variants measured)", full.spec, full.tuning.explored);
+        // the best pinned point for comparison: same cycles, more work
+        let (best, cycles) = pinned.expect("the default space has points");
+        println!("  best pinned point: {best} ({cycles:.0} cycles)");
 
         // a restricted space pins single axes (here: the historical
         // 2-policy fan-out as a 2-point space)
@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             old.spec, old.report.cycles, auto.report.cycles
         );
         // guaranteed by construction: the greedy seed sweep *is* this row
-        // (global optimality vs the exhaustive sweep is asserted by the
-        // regression tests in tests/tuner.rs, not by this smoke example)
+        // (matching the best pinned point is asserted by the regression
+        // tests in tests/tuner.rs, not by this smoke example)
         assert!(auto.report.cycles <= old.report.cycles + 1e-9);
 
         // repeated generation through the same Options hits the cache

@@ -293,6 +293,25 @@ fn old_version_files_load_empty_and_serve_resaves_them_as_v3() {
     let _ = fs::remove_file(&resaved);
 }
 
+/// A v3 cache file saved by an earlier build, holding one potrf4 avx2
+/// entry, replays from disk: the search-space fingerprint still writes
+/// `|space:Greedy;`, so its key bytes match today's. Serving it re-saves
+/// the file byte for byte.
+#[test]
+fn checked_in_v3_file_still_hits() {
+    let snapshot = format!(
+        "{}/../../tests/snapshots/tunecache_v3_potrf4_avx2.cache",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let fixture = fs::read(&snapshot).unwrap();
+    let path = tmp("v3-snapshot");
+    fs::write(&path, &fixture).unwrap();
+    let request = r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#;
+    assert_eq!(serve_markers(&path, &[request]), ["persisted"]);
+    assert!(fs::read(&path).unwrap() == fixture, "the replayed file re-saves unchanged");
+    let _ = fs::remove_file(&path);
+}
+
 /// Run `slingen-serve --cache-file path` over `requests` (one worker, so
 /// responses come back in order) and return each response's cache marker.
 fn serve_markers(path: &std::path::Path, requests: &[&str]) -> Vec<String> {

@@ -8,6 +8,17 @@
 use slingen::{apps, HardwareMeasurer, MeasureConfig, Options};
 use slingen_ir::Program;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test that compiles or times harnesses, so that no timed
+/// run shares the CPU with a sibling test's compiles: harnesses are
+/// compiled afresh by each measurer, and the tests run on parallel
+/// threads.
+fn hardware_lock() -> MutexGuard<'static, ()> {
+    static HARDWARE: Mutex<()> = Mutex::new(());
+    // a failed sibling test poisons the lock; the unit it guards holds no data
+    HARDWARE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cc_available() -> bool {
     std::process::Command::new("cc")
@@ -92,6 +103,7 @@ fn hardware_and_model_winners_are_valid_space_members() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
+    let _hw = hardware_lock();
     let mut reranked = 0usize;
     for program in tracked_apps() {
         let name = program.name().to_string();
@@ -138,6 +150,7 @@ fn hardware_measurer_repeat_runs_are_bounded() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
+    let _hw = hardware_lock();
     let program = apps::potrf(4);
     let g = slingen::generate(&program, &Options::default()).unwrap();
     let measurer = HardwareMeasurer::new(slingen::Target::Avx2, &MeasureConfig::hardware())
@@ -157,37 +170,46 @@ fn hardware_measurer_repeat_runs_are_bounded() {
 }
 
 /// Identical emitted source must hit the artifact cache: the second
-/// measurement reuses the compiled binary instead of re-invoking cc.
+/// measurement reuses the compiled binary instead of re-invoking cc. The
+/// measurer compiles into a directory of its own under the configured
+/// one, and dropping the measurer leaves the configured directory empty.
 #[test]
 fn artifact_cache_reuses_compiled_harnesses() {
     if !cc_available() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
+    let _hw = hardware_lock();
     let dir = std::env::temp_dir().join(format!("slingen-artifact-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = MeasureConfig { artifact_dir: Some(dir.clone()), ..MeasureConfig::hardware() };
     let program = apps::potrf(4);
     let g = slingen::generate(&program, &Options::default()).unwrap();
     let measurer = HardwareMeasurer::new(slingen::Target::Avx2, &cfg).unwrap();
+    let entries = |d: &std::path::Path| -> Vec<PathBuf> {
+        std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path()).collect()
+    };
+    let own = entries(&dir);
+    assert_eq!(own.len(), 1, "the measurer makes one directory of its own: {own:?}");
     measurer.measure(&program, &g.function, 0).unwrap();
-    let count = |d: &std::path::Path| std::fs::read_dir(d).unwrap().count();
-    let after_first = count(&dir);
+    let after_first = entries(&own[0]).len();
     assert!(after_first >= 1, "the first measurement populates the artifact dir");
     measurer.measure(&program, &g.function, 0).unwrap();
-    assert_eq!(count(&dir), after_first, "the second measurement adds no new artifacts");
+    assert_eq!(entries(&own[0]).len(), after_first, "the second measurement adds no artifacts");
+    drop(measurer);
+    assert!(entries(&dir).is_empty(), "the dropped measurer leaves nothing behind");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Calibration fits a finite latency and throughput for every op the
-/// target supports, and applying it perturbs only the documented Machine
-/// entries.
+/// target supports, each a plausible pipeline depth.
 #[test]
 fn calibration_fits_every_supported_op() {
     if !cc_available() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
+    let _hw = hardware_lock();
     let cal = slingen::calibrate(slingen::Target::Avx2Fma, &MeasureConfig::hardware()).unwrap();
     for op in ["add", "mul", "fma", "div", "sqrt"] {
         for vector in [false, true] {

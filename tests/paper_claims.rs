@@ -44,6 +44,10 @@ const TRIALS: usize = 3;
 /// alternate between the kernels so a change in host speed hits all of
 /// them alike.
 fn assert_measured_speedups(program: &Program, competitors: &[(Flavor, f64)]) {
+    // One claim at a time: each measurer compiles its harnesses afresh, and
+    // a sibling claim's compiles must not share the CPU with these timings.
+    static HARDWARE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _hw = HARDWARE.lock().unwrap_or_else(|e| e.into_inner());
     let measurer = match HardwareMeasurer::new(Target::Avx2, &MeasureConfig::hardware()) {
         Ok(m) => m,
         Err(e) => {

@@ -2,7 +2,7 @@
 //! optimum of its space, deterministically, on every paper app.
 
 use proptest::prelude::*;
-use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy, Target, VariantSpec};
+use slingen::{apps, generate_with_spec, Options, SearchSpace, Target, VariantSpec};
 use slingen_ir::Program;
 use slingen_perf::pressure_lower_bound;
 use slingen_synth::Policy;
@@ -17,6 +17,25 @@ fn paper_apps() -> Vec<(&'static str, Program)> {
         ("gpr", apps::gpr(4)),
         ("l1a", apps::l1a(8)),
     ]
+}
+
+/// Every point of the options' search space with its modeled cycles,
+/// each generated on its own, in canonical enumeration order.
+fn space_points(program: &Program, opts: &Options) -> Vec<(VariantSpec, f64)> {
+    opts.search
+        .enumerate(opts.target, opts.nu)
+        .into_iter()
+        .map(|spec| (spec, generate_with_spec(program, spec, opts).unwrap().report.cycles))
+        .collect()
+}
+
+/// The fastest of `points` (the first on ties): over the whole space,
+/// the oracle the greedy search is checked against.
+fn fastest(points: impl IntoIterator<Item = (VariantSpec, f64)>) -> (VariantSpec, f64) {
+    points
+        .into_iter()
+        .reduce(|best, p| if p.1 < best.1 { p } else { best })
+        .expect("a non-empty space")
 }
 
 /// The tuned winner (default greedy search) is at least as fast as every
@@ -91,22 +110,50 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property: across random Cholesky sizes, the greedy winner matches
-    /// the exhaustive winner's modeled cycles (the coordinate descent
-    /// does not get stuck in a local minimum of this space).
+    /// the space oracle's modeled cycles (the coordinate descent does not
+    /// get stuck in a local minimum of this space).
     #[test]
     fn greedy_matches_exhaustive_on_random_sizes(n in 3usize..12) {
         let program = apps::potrf(n);
-        let greedy = slingen::generate(&program, &Options::default()).unwrap();
-        let opts = Options {
-            search: SearchSpace::default().with_strategy(Strategy::Exhaustive),
-            ..Options::default()
-        };
-        let exhaustive = slingen::generate(&program, &opts).unwrap();
+        let opts = Options::default();
+        let greedy = slingen::generate(&program, &opts).unwrap();
+        let (spec, cycles) = fastest(space_points(&program, &opts));
         prop_assert!(
-            greedy.report.cycles <= exhaustive.report.cycles + 1e-9,
-            "potrf({}): greedy {} ({}) vs exhaustive {} ({})",
-            n, greedy.spec, greedy.report.cycles, exhaustive.spec, exhaustive.report.cycles
+            greedy.report.cycles <= cycles + 1e-9,
+            "potrf({}): greedy {} ({}) vs oracle {} ({})",
+            n, greedy.spec, greedy.report.cycles, spec, cycles
         );
+    }
+}
+
+/// Greedy against the full space on every target, for all seven apps at
+/// n ∈ {4, 8}. On scalar, avx2 and avx2fma the greedy winner models
+/// exactly as fast as the space oracle. On sse2 the coordinate descent
+/// can stop in a local minimum (potrf8: it never visits eager/nu1, which
+/// models 427 cycles against its lazy/nu2 winner's 539), so there only the
+/// documented guarantee is asserted: no worse than the seed row, every
+/// policy at the widest ν.
+#[test]
+fn greedy_matches_the_space_oracle_on_every_target() {
+    for target in Target::ALL {
+        let opts = Options::for_target(target);
+        for app in ["potrf", "trsyl", "trlya", "trtri", "kf", "gpr", "l1a"] {
+            for n in [4, 8] {
+                let program = apps::by_name(app, n, None).expect("known app");
+                let greedy = slingen::generate(&program, &opts).unwrap().report.cycles;
+                let points = space_points(&program, &opts);
+                let (spec, oracle) = fastest(points.iter().copied());
+                let key = format!("{app}{n} {target}");
+                assert!(oracle <= greedy, "{key}: greedy {greedy} beats the oracle {oracle}");
+                if target == Target::Sse2 {
+                    let widest = points.iter().map(|p| p.0.nu).max().unwrap();
+                    let (_, seed) = fastest(points.into_iter().filter(|p| p.0.nu == widest));
+                    assert!(greedy <= seed, "{key}: greedy {greedy} loses to the seed row {seed}");
+                } else {
+                    assert_eq!(greedy, oracle, "{key}: greedy misses the oracle {spec}");
+                }
+            }
+        }
     }
 }
 
@@ -185,22 +232,22 @@ fn cache_canonicalizes_equivalent_seed_options() {
     assert_eq!(opts.cache.len(), 1, "equivalent requests must share one entry");
 }
 
-/// Exploration statistics reconcile: every point of an exhaustive search
-/// is accounted exactly once, at least one of them is a measured body
-/// rather than a dedupe, and `predicted` stays 0.
+/// Exploration statistics reconcile: every variant the search evaluates
+/// is accounted exactly once and has one cost entry, no more than the
+/// space has points; at least one of them is a measured body rather than
+/// a dedupe, and `predicted` stays 0.
 #[test]
-fn exhaustive_stats_reconcile_with_the_space() {
+fn greedy_stats_reconcile_with_the_space() {
     for (name, program) in paper_apps() {
-        let opts = Options {
-            search: SearchSpace::default().with_strategy(Strategy::Exhaustive),
-            ..Options::default()
-        };
+        let opts = Options::default();
         let g = slingen::generate(&program, &opts).unwrap();
         let space = opts.search.len(opts.target, opts.nu);
         assert_eq!(
-            g.tuning.explored, space,
-            "{name}: every point of the space must be accounted exactly once"
+            g.tuning.explored,
+            g.rep_costs.len(),
+            "{name}: every evaluated variant must be accounted exactly once"
         );
+        assert!(g.tuning.explored <= space, "{name}: more variants than points");
         assert!(
             g.tuning.deduped < g.tuning.explored,
             "{name}: at least one variant must be a measured representative"
@@ -244,18 +291,13 @@ fn pinned_width_must_be_a_target_width() {
     assert!(wrong.is_empty(), "{wrong:?}");
 }
 
-/// An empty search space is a graceful error under every strategy, not a
-/// panic.
+/// An empty search space is a graceful error, not a panic.
 #[test]
 fn empty_search_space_errors() {
     let program = apps::potrf(6);
-    for strategy in [Strategy::Greedy, Strategy::Exhaustive] {
-        let opts = Options {
-            search: SearchSpace::default().with_policies(Vec::new()).with_strategy(strategy),
-            ..Options::default()
-        };
-        assert!(slingen::generate(&program, &opts).is_err(), "{strategy:?} must error");
-    }
+    let opts =
+        Options { search: SearchSpace::default().with_policies(Vec::new()), ..Options::default() };
+    assert!(slingen::generate(&program, &opts).is_err());
 }
 
 /// Deterministic tuner counters: for each key of a small grid (every app
