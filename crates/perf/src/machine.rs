@@ -31,8 +31,11 @@ pub enum Resource {
 }
 
 impl Resource {
+    /// The number of resources.
+    pub const COUNT: usize = 8;
+
     /// All resources, for iteration.
-    pub const ALL: [Resource; 8] = [
+    pub const ALL: [Resource; Resource::COUNT] = [
         Resource::FMul,
         Resource::FAdd,
         Resource::Divider,
@@ -42,6 +45,11 @@ impl Resource {
         Resource::Store,
         Resource::Mov,
     ];
+
+    /// Dense index in `0..COUNT`, in [`Resource::ALL`] order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Stable single-token name used in the on-disk cache wire format
     /// (see [`crate::Report::to_wire`]). Never reorder or rename these:

@@ -13,9 +13,9 @@
 
 use crate::machine::{Machine, Resource};
 use crate::report::Report;
+use slingen_cir::fxhash::FxHashMap;
 use slingen_cir::{BinOp, CStmt, Function, Instr, InstrClass};
 use slingen_vm::{Event, Monitor};
-use std::collections::{BTreeMap, HashMap};
 
 /// How many 128-bit unit-slots a `width`-lane access consumes.
 fn mem_units(width: usize, lanes: usize) -> f64 {
@@ -28,26 +28,54 @@ fn mem_units(width: usize, lanes: usize) -> f64 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Demand {
     resource: Resource,
     units: f64,
     latency: f64,
 }
 
+/// The demands of one instruction: a primary one (its latency defines
+/// the result's availability) and at most one secondary one, which adds
+/// pressure but not latency. Fixed-size, so decomposing an instruction
+/// never allocates.
+#[derive(Debug, Clone, Copy)]
+struct Demands {
+    primary: Demand,
+    secondary: Option<Demand>,
+}
+
+impl Demands {
+    fn one(resource: Resource, units: f64, latency: f64) -> Demands {
+        Demands { primary: Demand { resource, units, latency }, secondary: None }
+    }
+
+    fn with(self, resource: Resource, units: f64, latency: f64) -> Demands {
+        Demands { secondary: Some(Demand { resource, units, latency }), ..self }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Demand> {
+        std::iter::once(self.primary).chain(self.secondary)
+    }
+}
+
 /// Monitor that schedules the instruction stream (see module docs).
 #[derive(Debug)]
 pub struct Scheduler {
     machine: Machine,
-    /// Next-free time (fractional cycles) per resource.
-    res_free: BTreeMap<Resource, f64>,
-    /// Cumulative units consumed per resource.
-    res_units: BTreeMap<Resource, f64>,
-    /// Dynamic instruction counts per class.
-    counts: BTreeMap<InstrClass, u64>,
-    sready: HashMap<usize, f64>,
-    vready: HashMap<usize, f64>,
-    cellready: HashMap<(usize, i64), f64>,
+    /// Next-free time (fractional cycles) per resource, indexed by
+    /// [`Resource::index`].
+    res_free: [f64; Resource::COUNT],
+    /// Cumulative units consumed per resource; `None` until the first
+    /// demand on it (the report lists only resources the run touched).
+    res_units: [Option<f64>; Resource::COUNT],
+    /// Dynamic instruction counts per class, indexed by discriminant.
+    counts: [u64; InstrClass::ALL.len()],
+    /// Ready time per scalar register (0 for one never written).
+    sready: Vec<f64>,
+    /// Ready time per vector register.
+    vready: Vec<f64>,
+    cellready: FxHashMap<(usize, i64), f64>,
     makespan: f64,
     flops: u64,
     instructions: u64,
@@ -70,12 +98,12 @@ impl Scheduler {
     pub fn with_budget(machine: Machine, budget: Option<f64>) -> Self {
         Scheduler {
             machine,
-            res_free: BTreeMap::new(),
-            res_units: BTreeMap::new(),
-            counts: BTreeMap::new(),
-            sready: HashMap::new(),
-            vready: HashMap::new(),
-            cellready: HashMap::new(),
+            res_free: [0.0; Resource::COUNT],
+            res_units: [None; Resource::COUNT],
+            counts: [0; InstrClass::ALL.len()],
+            sready: Vec::new(),
+            vready: Vec::new(),
+            cellready: FxHashMap::default(),
             makespan: 0.0,
             flops: 0,
             instructions: 0,
@@ -93,10 +121,10 @@ impl Scheduler {
     fn sources_ready(&self, ev: &Event<'_>) -> f64 {
         let mut t: f64 = 0.0;
         ev.instr.for_each_sreg_read(|r| {
-            t = t.max(self.sready.get(&r.0).copied().unwrap_or(0.0));
+            t = t.max(self.sready.get(r.0).copied().unwrap_or(0.0));
         });
         ev.instr.for_each_vreg_read(|r| {
-            t = t.max(self.vready.get(&r.0).copied().unwrap_or(0.0));
+            t = t.max(self.vready.get(r.0).copied().unwrap_or(0.0));
         });
         for cell in &ev.reads {
             t = t.max(self.cellready.get(cell).copied().unwrap_or(0.0));
@@ -104,135 +132,110 @@ impl Scheduler {
         t
     }
 
+    /// Occupy `d.resource` from `at` (or from when it frees up, if
+    /// later) and return the issue time.
+    fn occupy(&mut self, d: Demand, at: f64) -> f64 {
+        let i = d.resource.index();
+        let issue = at.max(self.res_free[i]);
+        self.res_free[i] = issue + d.units / self.machine.capacity(d.resource);
+        *self.res_units[i].get_or_insert(0.0) += d.units;
+        issue
+    }
+
     /// Final report.
     pub fn finish(self) -> Report {
-        Report::new(
-            self.machine,
-            self.makespan,
-            self.flops,
-            self.instructions,
-            self.res_units,
-            self.counts,
-        )
+        let res_units =
+            Resource::ALL.iter().filter_map(|&r| Some((r, self.res_units[r.index()]?))).collect();
+        let counts = InstrClass::ALL
+            .iter()
+            .map(|&c| (c, self.counts[c as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        Report::new(self.machine, self.makespan, self.flops, self.instructions, res_units, counts)
     }
 }
 
-/// Decompose one instruction into its resource demands. The first
-/// demand is the *primary* one (its latency defines the result's
-/// availability); secondary demands add pressure but not latency. This
-/// single decomposition drives both the dynamic scheduler and the static
-/// [`pressure_lower_bound`], so the bound cannot drift from the model.
-fn demands(m: &Machine, instr: &Instr, width: usize) -> Vec<Demand> {
+/// Set `ready[reg] = t`, growing the table as registers appear.
+fn set_ready(ready: &mut Vec<f64>, reg: usize, t: f64) {
+    if reg >= ready.len() {
+        ready.resize(reg + 1, 0.0);
+    }
+    ready[reg] = t;
+}
+
+/// Decompose one instruction into its resource demands (see
+/// [`Demands`]). This single decomposition drives both the dynamic
+/// scheduler and the static [`pressure_lower_bound`], so the bound
+/// cannot drift from the model.
+fn demands(m: &Machine, instr: &Instr, width: usize) -> Demands {
     match instr {
-        Instr::SLoad { .. } => {
-            vec![Demand { resource: Resource::Load, units: 1.0, latency: m.load_latency }]
-        }
-        Instr::SStore { .. } => {
-            vec![Demand { resource: Resource::Store, units: 1.0, latency: m.store_latency }]
-        }
+        Instr::SLoad { .. } => Demands::one(Resource::Load, 1.0, m.load_latency),
+        Instr::SStore { .. } => Demands::one(Resource::Store, 1.0, m.store_latency),
         Instr::VLoad { lanes, .. } => {
             let active = lanes.iter().flatten().count();
             if contiguous(lanes) {
-                vec![Demand {
-                    resource: Resource::Load,
-                    units: mem_units(width, active),
-                    latency: m.load_latency,
-                }]
+                Demands::one(Resource::Load, mem_units(width, active), m.load_latency)
             } else {
                 // strided/gathered: one scalar load per lane plus the
                 // packing shuffles the Loader would emit.
-                let mut d = vec![Demand {
-                    resource: Resource::Load,
-                    units: active as f64,
-                    latency: m.load_latency,
-                }];
+                let d = Demands::one(Resource::Load, active as f64, m.load_latency);
                 if active > 1 {
-                    d.push(Demand {
-                        resource: Resource::Shuffle,
-                        units: (active - 1) as f64,
-                        latency: m.shuffle_latency,
-                    });
+                    d.with(Resource::Shuffle, (active - 1) as f64, m.shuffle_latency)
+                } else {
+                    d
                 }
-                d
             }
         }
         Instr::VStore { lanes, .. } => {
             let active = lanes.iter().flatten().count();
             if contiguous(lanes) {
-                vec![Demand {
-                    resource: Resource::Store,
-                    units: mem_units(width, active),
-                    latency: m.store_latency,
-                }]
+                Demands::one(Resource::Store, mem_units(width, active), m.store_latency)
             } else {
-                let mut d = vec![Demand {
-                    resource: Resource::Store,
-                    units: active as f64,
-                    latency: m.store_latency,
-                }];
+                let d = Demands::one(Resource::Store, active as f64, m.store_latency);
                 if active > 1 {
-                    d.push(Demand {
-                        resource: Resource::Shuffle,
-                        units: (active - 1) as f64,
-                        latency: m.shuffle_latency,
-                    });
+                    d.with(Resource::Shuffle, (active - 1) as f64, m.shuffle_latency)
+                } else {
+                    d
                 }
-                d
             }
         }
         Instr::SBin { op, .. } | Instr::VBin { op, .. } => {
             let vector = matches!(instr, Instr::VBin { .. }) && width > 1;
             match op {
-                BinOp::Mul => {
-                    vec![Demand { resource: Resource::FMul, units: 1.0, latency: m.fmul_latency }]
-                }
-                BinOp::Add | BinOp::Sub => {
-                    vec![Demand { resource: Resource::FAdd, units: 1.0, latency: m.fadd_latency }]
-                }
+                BinOp::Mul => Demands::one(Resource::FMul, 1.0, m.fmul_latency),
+                BinOp::Add | BinOp::Sub => Demands::one(Resource::FAdd, 1.0, m.fadd_latency),
                 BinOp::Div => {
                     let c = if vector { m.div_vector_cycles } else { m.div_scalar_cycles };
-                    vec![Demand { resource: Resource::Divider, units: c, latency: c }]
+                    Demands::one(Resource::Divider, c, c)
                 }
             }
         }
-        Instr::SFma { .. } | Instr::VFma { .. } => {
-            // fused ops issue on the multiply port (Haswell-style)
-            vec![Demand { resource: Resource::FMul, units: 1.0, latency: m.fma_latency }]
-        }
+        // fused ops issue on the multiply port (Haswell-style)
+        Instr::SFma { .. } | Instr::VFma { .. } => Demands::one(Resource::FMul, 1.0, m.fma_latency),
         Instr::SSqrt { .. } => {
             let c = m.div_scalar_cycles;
-            vec![Demand { resource: Resource::Divider, units: c, latency: c }]
+            Demands::one(Resource::Divider, c, c)
         }
-        Instr::SMov { .. } | Instr::VMov { .. } => {
-            vec![Demand { resource: Resource::Mov, units: 1.0, latency: m.mov_latency }]
-        }
-        Instr::VBroadcast { .. } => {
-            vec![Demand { resource: Resource::Shuffle, units: 1.0, latency: m.shuffle_latency }]
-        }
-        Instr::VShuffle { .. } | Instr::VExtract { .. } => {
-            vec![Demand { resource: Resource::Shuffle, units: 1.0, latency: m.shuffle_latency }]
+        Instr::SMov { .. } | Instr::VMov { .. } => Demands::one(Resource::Mov, 1.0, m.mov_latency),
+        Instr::VBroadcast { .. } | Instr::VShuffle { .. } | Instr::VExtract { .. } => {
+            Demands::one(Resource::Shuffle, 1.0, m.shuffle_latency)
         }
         Instr::VPack { elems, .. } => {
             // a tree of inserts/unpacks: active−1 shuffles, ⌈log2 active⌉
             // of them on the critical path
             let active = elems.iter().flatten().count().max(2);
             let depth = (active as f64).log2().ceil();
-            vec![Demand {
-                resource: Resource::Shuffle,
-                units: (active - 1) as f64,
-                latency: m.shuffle_latency * depth,
-            }]
+            Demands::one(Resource::Shuffle, (active - 1) as f64, m.shuffle_latency * depth)
         }
-        Instr::VBlend { .. } => {
-            vec![Demand { resource: Resource::Blend, units: 1.0, latency: m.blend_latency }]
-        }
+        Instr::VBlend { .. } => Demands::one(Resource::Blend, 1.0, m.blend_latency),
         Instr::VReduceAdd { .. } => {
             // log2(width) shuffle+add pairs
             let steps = (width.max(2) as f64).log2().ceil();
-            vec![
-                Demand { resource: Resource::FAdd, units: steps, latency: m.fadd_latency * steps },
-                Demand { resource: Resource::Shuffle, units: steps, latency: m.shuffle_latency },
-            ]
+            Demands::one(Resource::FAdd, steps, m.fadd_latency * steps).with(
+                Resource::Shuffle,
+                steps,
+                m.shuffle_latency,
+            )
         }
     }
 }
@@ -241,11 +244,11 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Vec<Demand> {
 #[derive(Default)]
 struct Pressure {
     /// Trip-count-weighted unit totals per resource.
-    units: BTreeMap<Resource, f64>,
+    units: [f64; Resource::COUNT],
     /// Largest per-event `units/capacity − latency` excess per resource
     /// (unweighted): the slack a final event could hide behind its own
     /// occupancy.
-    excess: BTreeMap<Resource, f64>,
+    excess: [f64; Resource::COUNT],
     /// Largest single-event latency.
     max_latency: f64,
 }
@@ -254,13 +257,13 @@ fn pressure_walk(stmts: &[CStmt], mult: f64, width: usize, m: &Machine, acc: &mu
     for s in stmts {
         match s {
             CStmt::I(ins) => {
-                for d in demands(m, ins, width) {
-                    *acc.units.entry(d.resource).or_insert(0.0) += mult * d.units;
+                for d in demands(m, ins, width).iter() {
+                    let i = d.resource.index();
+                    acc.units[i] += mult * d.units;
                     let cap = m.capacity(d.resource);
                     let e = (d.units / cap - d.latency).max(0.0);
-                    let slot = acc.excess.entry(d.resource).or_insert(0.0);
-                    if e > *slot {
-                        *slot = e;
+                    if e > acc.excess[i] {
+                        acc.excess[i] = e;
                     }
                     if d.latency > acc.max_latency {
                         acc.max_latency = d.latency;
@@ -310,10 +313,9 @@ pub fn pressure_lower_bound(f: &Function, machine: &Machine) -> f64 {
     let mut acc = Pressure::default();
     pressure_walk(&f.body, 1.0, f.width, machine, &mut acc);
     let mut lb = acc.max_latency;
-    for (r, &u) in &acc.units {
-        let cap = machine.capacity(*r);
-        let e = acc.excess.get(r).copied().unwrap_or(0.0);
-        lb = lb.max(u / cap - e);
+    for r in Resource::ALL {
+        let i = r.index();
+        lb = lb.max(acc.units[i] / machine.capacity(r) - acc.excess[i]);
     }
     lb
 }
@@ -329,35 +331,26 @@ impl Monitor for Scheduler {
     fn event(&mut self, ev: &Event<'_>) {
         self.instructions += 1;
         self.flops += ev.instr.flops(ev.width);
-        *self.counts.entry(ev.instr.class()).or_insert(0) += 1;
+        self.counts[ev.instr.class() as usize] += 1;
 
         let ready = self.sources_ready(ev);
         let dem = demands(&self.machine, ev.instr, ev.width);
 
         // issue on the primary resource
-        let primary = dem[0];
-        let free = self.res_free.get(&primary.resource).copied().unwrap_or(0.0);
-        let issue = ready.max(free);
-        let cap = self.machine.capacity(primary.resource);
-        self.res_free.insert(primary.resource, issue + primary.units / cap);
-        *self.res_units.entry(primary.resource).or_insert(0.0) += primary.units;
-        let mut done = issue + primary.latency;
+        let issue = self.occupy(dem.primary, ready);
+        let mut done = issue + dem.primary.latency;
 
-        // secondary demands occupy their resources and may delay completion
-        for d in &dem[1..] {
-            let free = self.res_free.get(&d.resource).copied().unwrap_or(0.0);
-            let s_issue = issue.max(free);
-            let cap = self.machine.capacity(d.resource);
-            self.res_free.insert(d.resource, s_issue + d.units / cap);
-            *self.res_units.entry(d.resource).or_insert(0.0) += d.units;
+        // a secondary demand occupies its resource and may delay completion
+        if let Some(d) = dem.secondary {
+            let s_issue = self.occupy(d, issue);
             done = done.max(s_issue + d.latency);
         }
 
         if let Some(r) = ev.instr.sreg_write() {
-            self.sready.insert(r.0, done);
+            set_ready(&mut self.sready, r.0, done);
         }
         if let Some(r) = ev.instr.vreg_write() {
-            self.vready.insert(r.0, done);
+            set_ready(&mut self.vready, r.0, done);
         }
         for cell in &ev.writes {
             self.cellready.insert(*cell, done);
@@ -598,9 +591,9 @@ mod tests {
             (vec![Some(SReg(0).into()); 4], 3.0, 2.0 * sh),
         ] {
             let d = demands(&m, &Instr::VPack { dst: slingen_cir::VReg(0), elems }, 4);
-            assert_eq!(d.len(), 1);
-            assert_eq!(d[0].resource, Resource::Shuffle);
-            assert_eq!((d[0].units, d[0].latency), (units, latency));
+            assert_eq!(d.secondary, None);
+            assert_eq!(d.primary.resource, Resource::Shuffle);
+            assert_eq!((d.primary.units, d.primary.latency), (units, latency));
         }
 
         let mut b = FunctionBuilder::new("packs", 4);
