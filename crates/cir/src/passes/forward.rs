@@ -9,7 +9,11 @@
 //!   extract;
 //! * a vector load whose lanes live in one or two vector registers becomes
 //!   a [`crate::Instr::VBlend`] (when lanes align) or a
-//!   [`crate::Instr::VShuffle`] — the `smul9a`/`smul9b` example of Fig. 12;
+//!   [`crate::Instr::VShuffle`] — the `smul9a`/`smul9b` example of Fig. 12.
+//!   When every lane `i` is lane `i` of one register the load is a plain
+//!   copy and becomes a [`crate::Instr::VMov`], which copyprop and DCE
+//!   erase: an identity shuffle would survive into the C as a no-op
+//!   blend and be charged as a shuffle by the model;
 //! * a vector load whose lanes are scalar registers (at least one) or
 //!   immediates becomes a [`crate::Instr::VPack`]. Reloading such cells
 //!   through memory stalls: several narrow stores cannot forward into one
@@ -125,15 +129,22 @@ fn rewrite_vload(dst: VReg, sources: &[Option<CellSrc>]) -> Option<Instr> {
             Some(_) => unreachable!("filtered above"),
         })
         .collect();
-    // Blend pattern: every active lane i selects lane i of a source and no
-    // zeros are required.
+    // Blend pattern: every lane i selects lane i of a source and no zeros
+    // are required (a zero lane keeps the shuffle: the load zeroes it).
     let is_blend = sel.iter().enumerate().all(|(i, s)| match s {
         LaneSel::A(j) | LaneSel::B(j) => *j == i,
         LaneSel::Zero => false,
     });
-    if is_blend && regs[1].is_some() {
-        let mask = sel.iter().map(|s| matches!(s, LaneSel::B(_))).collect();
-        return Some(Instr::VBlend { dst, a, b, mask });
+    if is_blend {
+        return Some(match regs[1] {
+            Some(_) => {
+                let mask = sel.iter().map(|s| matches!(s, LaneSel::B(_))).collect();
+                Instr::VBlend { dst, a, b, mask }
+            }
+            // every lane i is lane i of one register: a plain copy, which
+            // copyprop and DCE then erase
+            None => Instr::VMov { dst, src: a },
+        });
     }
     Some(Instr::VShuffle { dst, a, b, sel })
 }
@@ -576,6 +587,31 @@ mod tests {
         });
         assert_eq!(blends, 1, "{}", crate::pretty::function_to_string(&f));
         assert_eq!(loads, 0);
+    }
+
+    #[test]
+    fn aligned_reload_of_one_register_becomes_a_copy() {
+        // a full reload of one stored register is a copy; a partial one
+        // must still zero its inactive lanes, so it stays a shuffle
+        for (lanes, movs, shuffles) in [
+            (vec![Some(0), Some(1), Some(2), Some(3)], 1, 0),
+            (vec![Some(0), Some(1), None, None], 0, 1),
+        ] {
+            let mut b = FunctionBuilder::new("f", 4);
+            let s = b.buffer("S", 4, BufKind::ParamInOut);
+            let va = b.vbroadcast(1.0);
+            b.vstore_contig(va, MemRef::new(s, 0));
+            let _v = b.vload(MemRef::new(s, 0), lanes);
+            let mut f = b.finish();
+            forward(&mut f, true, true);
+            let (mut m, mut sh) = (0, 0);
+            f.for_each_instr(&mut |i| match i {
+                Instr::VMov { .. } => m += 1,
+                Instr::VShuffle { .. } => sh += 1,
+                _ => {}
+            });
+            assert_eq!((m, sh), (movs, shuffles), "{}", crate::pretty::function_to_string(&f));
+        }
     }
 
     #[test]
