@@ -407,7 +407,8 @@ pub enum InstrClass {
     FAdd,
     /// FP multiply.
     FMul,
-    /// Fused multiply-add (issues on the multiply port).
+    /// Fused multiply-add (issues on the add port, in place of the add it
+    /// absorbed).
     Fma,
     /// FP divide or square root (the unpipelined divider).
     FDivSqrt,

@@ -13,7 +13,8 @@
 //!   by that add/sub. This keeps the transformation a strict win on the
 //!   machine model: the dead multiply is removed by [`super::dce`], so
 //!   one FMA replaces a mul (multiply port) plus an add/sub (add port),
-//!   never adds port pressure, and the fused op completes within the add
+//!   issues on the add port in the add's place, never adds port pressure,
+//!   and the fused op completes within the add
 //!   latency (see the `fma_latency` note in `slingen-cir::target`), so
 //!   accumulation chains never lengthen.
 //!

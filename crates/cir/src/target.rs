@@ -16,9 +16,10 @@
 //!
 //! Four targets ship: [`Target::Scalar`], [`Target::Sse2`],
 //! [`Target::Avx2`] (the historical default — its cost table is the Sandy
-//! Bridge model the reproduction has always used), and
-//! [`Target::Avx2Fma`] (the same core with FMA, Haswell-style: fused ops
-//! issue on the multiply port). New backends (AVX-512, NEON) are one new
+//! Bridge model the reproduction has always used, plus host-fitted
+//! lane-crossing and code-footprint entries), and
+//! [`Target::Avx2Fma`] (the same core with FMA: a fused op issues on the
+//! add port, in place of the add it absorbed). New backends (AVX-512, NEON) are one new
 //! descriptor plus an unparser emitter away.
 
 use std::fmt;
@@ -44,9 +45,9 @@ pub enum Target {
 /// 256-bit access consumes two). These feed `slingen_perf::Machine`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostTable {
-    /// FP multiplies issued per cycle (FMA shares this port).
+    /// FP multiplies issued per cycle.
     pub fmul_per_cycle: f64,
-    /// FP adds issued per cycle.
+    /// FP adds issued per cycle (fused multiply-adds share this port).
     pub fadd_per_cycle: f64,
     /// Shuffles issued per cycle.
     pub shuffle_per_cycle: f64,
@@ -78,6 +79,18 @@ pub struct CostTable {
     pub div_scalar_cycles: f64,
     /// Divider occupancy & latency for a vector divide/sqrt.
     pub div_vector_cycles: f64,
+    /// Extra latency, on top of the in-lane shuffle step, of a 256-bit
+    /// op that moves data between the two 128-bit lanes (`vperm2f128`,
+    /// `vinsertf128`, `vextractf128`). Charged only at ν = 4.
+    pub cross_lane_latency: f64,
+    /// Bytes of machine code per C-IR instruction, for the code
+    /// footprint.
+    pub bytes_per_instr: f64,
+    /// L1 instruction cache size in bytes. A body whose footprint
+    /// exceeds it streams from L2 and runs at the fetch rate at best.
+    pub l1i_bytes: f64,
+    /// Code bytes fetched per model cycle when the body misses L1i.
+    pub fetch_bytes_per_cycle: f64,
     /// The vector width the peak numbers assume.
     pub nominal_width: usize,
 }
@@ -103,9 +116,12 @@ pub struct TargetDesc {
 }
 
 /// The historical Sandy Bridge numbers (the reproduction's original fixed
-/// machine model); AVX2 inherits them unchanged so the default target's
-/// output and modeled cycles stay identical to the pre-target-refactor
-/// generator.
+/// machine model) plus three host-fitted entries: the lane-crossing
+/// latency and the code-footprint constants. `bench --calibrate` times a
+/// cross-lane chain against an in-lane one; the footprint constants come
+/// from `size` of compiled ν = 4 bodies (about 7 bytes per C-IR
+/// instruction) and from the measured slowdown of bodies that outgrow
+/// the 32 KiB L1i (trtri32 lazy/nu2 against lazy/nu4).
 const SANDY_BRIDGE_COSTS: CostTable = CostTable {
     fmul_per_cycle: 1.0,
     fadd_per_cycle: 1.0,
@@ -124,6 +140,10 @@ const SANDY_BRIDGE_COSTS: CostTable = CostTable {
     store_latency: 4.0,
     div_scalar_cycles: 22.0,
     div_vector_cycles: 44.0,
+    cross_lane_latency: 3.0,
+    bytes_per_instr: 7.0,
+    l1i_bytes: 32768.0,
+    fetch_bytes_per_cycle: 9.0,
     nominal_width: 4,
 };
 

@@ -9,8 +9,8 @@
 //! stream (produced by `slingen-vm`) onto a port model built from a
 //! `slingen_cir::Target` descriptor ([`Machine::from_target`]; the
 //! default AVX2 target is the Sandy Bridge model below, the AVX2+FMA
-//! target additionally executes fused multiply-adds on the multiply
-//! port):
+//! target additionally executes fused multiply-adds on the add port, in
+//! place of the add each one absorbed):
 //!
 //! * separate FP multiply and FP add ports (1 × 256-bit op/cycle each —
 //!   peak 8 flops/cycle in double precision, as in the paper);
@@ -64,6 +64,10 @@ pub fn measure(
 /// is returned (the variant is provably slower than the budget). With
 /// `budget: None` this is [`measure`].
 ///
+/// The estimate is the scheduled makespan, raised to the code-footprint
+/// floor ([`Machine::footprint_cycles`]) when the body outgrows L1i. A
+/// floor above the budget abandons the run before it starts.
+///
 /// The autotuner uses this to discard dominated variants without paying
 /// for their full simulation.
 ///
@@ -76,11 +80,16 @@ pub fn measure_budgeted(
     machine: &Machine,
     budget: Option<f64>,
 ) -> Result<Option<Report>, VmError> {
+    let floor = machine.footprint_cycles(f.static_instr_count());
+    if budget.is_some_and(|b| floor > b) {
+        return Ok(None);
+    }
     let mut sched = Scheduler::with_budget(machine.clone(), budget);
     slingen_vm::execute(f, buffers, &mut sched)?;
     if sched.budget_exceeded() {
-        Ok(None)
-    } else {
-        Ok(Some(sched.finish()))
+        return Ok(None);
     }
+    let mut report = sched.finish();
+    report.cycles = report.cycles.max(floor);
+    Ok(Some(report))
 }

@@ -121,8 +121,9 @@ pub struct Machine {
     pub fmul_latency: f64,
     /// FP add latency (cycles).
     pub fadd_latency: f64,
-    /// Fused multiply-add latency (cycles). FMA occupies the multiply
-    /// port (Haswell-style), so there is no separate capacity knob.
+    /// Fused multiply-add latency (cycles). FMA occupies the add port,
+    /// in place of the add it absorbed, so there is no separate capacity
+    /// knob.
     pub fma_latency: f64,
     /// Shuffle latency.
     pub shuffle_latency: f64,
@@ -138,6 +139,14 @@ pub struct Machine {
     pub div_scalar_cycles: f64,
     /// Divider occupancy & latency for a *vector* divide or sqrt.
     pub div_vector_cycles: f64,
+    /// Extra latency of a 256-bit op that crosses the 128-bit lanes.
+    pub cross_lane_latency: f64,
+    /// Machine-code bytes per C-IR instruction.
+    pub bytes_per_instr: f64,
+    /// L1 instruction cache size in bytes.
+    pub l1i_bytes: f64,
+    /// Code bytes fetched per cycle once a body outgrows L1i.
+    pub fetch_bytes_per_cycle: f64,
     /// The vector width the peak numbers assume (for reports only).
     pub nominal_width: usize,
 }
@@ -171,6 +180,10 @@ impl Machine {
             store_latency: c.store_latency,
             div_scalar_cycles: c.div_scalar_cycles,
             div_vector_cycles: c.div_vector_cycles,
+            cross_lane_latency: c.cross_lane_latency,
+            bytes_per_instr: c.bytes_per_instr,
+            l1i_bytes: c.l1i_bytes,
+            fetch_bytes_per_cycle: c.fetch_bytes_per_cycle,
             nominal_width: c.nominal_width,
         }
     }
@@ -185,6 +198,18 @@ impl Machine {
     /// Peak flops/cycle (mul + add ports, nominal width).
     pub fn peak_flops_per_cycle(&self) -> f64 {
         (self.fmul_per_cycle + self.fadd_per_cycle) * self.nominal_width as f64
+    }
+
+    /// The front-end floor on the cycles of a body of `static_instrs`
+    /// instructions: 0 while its code fits in L1i, otherwise the time to
+    /// fetch all of it.
+    pub fn footprint_cycles(&self, static_instrs: usize) -> f64 {
+        let bytes = static_instrs as f64 * self.bytes_per_instr;
+        if bytes > self.l1i_bytes {
+            bytes / self.fetch_bytes_per_cycle
+        } else {
+            0.0
+        }
     }
 
     /// Capacity in units/cycle for a resource.

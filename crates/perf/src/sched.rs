@@ -14,7 +14,7 @@
 use crate::machine::{Machine, Resource};
 use crate::report::Report;
 use slingen_cir::fxhash::FxHashMap;
-use slingen_cir::{BinOp, CStmt, Function, Instr, InstrClass};
+use slingen_cir::{BinOp, CStmt, Function, Instr, InstrClass, LaneSel};
 use slingen_vm::{Event, Monitor};
 
 /// How many 128-bit unit-slots a `width`-lane access consumes.
@@ -210,22 +210,25 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Demands {
                 }
             }
         }
-        // fused ops issue on the multiply port (Haswell-style)
-        Instr::SFma { .. } | Instr::VFma { .. } => Demands::one(Resource::FMul, 1.0, m.fma_latency),
+        // a fused op takes the place of the add/sub it absorbed: it issues
+        // on the add port, so contraction never delays the in-order add
+        // schedule and frees the multiply port of the absorbed product
+        Instr::SFma { .. } | Instr::VFma { .. } => Demands::one(Resource::FAdd, 1.0, m.fma_latency),
         Instr::SSqrt { .. } => {
             let c = m.div_scalar_cycles;
             Demands::one(Resource::Divider, c, c)
         }
         Instr::SMov { .. } | Instr::VMov { .. } => Demands::one(Resource::Mov, 1.0, m.mov_latency),
         Instr::VBroadcast { .. } | Instr::VShuffle { .. } | Instr::VExtract { .. } => {
-            Demands::one(Resource::Shuffle, 1.0, m.shuffle_latency)
+            Demands::one(Resource::Shuffle, 1.0, m.shuffle_latency + cross_lane(m, instr, width))
         }
         Instr::VPack { elems, .. } => {
             // a tree of inserts/unpacks: active−1 shuffles, ⌈log2 active⌉
             // of them on the critical path
             let active = elems.iter().flatten().count().max(2);
             let depth = (active as f64).log2().ceil();
-            Demands::one(Resource::Shuffle, (active - 1) as f64, m.shuffle_latency * depth)
+            let latency = m.shuffle_latency * depth + cross_lane(m, instr, width);
+            Demands::one(Resource::Shuffle, (active - 1) as f64, latency)
         }
         Instr::VBlend { .. } => Demands::one(Resource::Blend, 1.0, m.blend_latency),
         Instr::VReduceAdd { .. } => {
@@ -237,6 +240,34 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Demands {
                 m.shuffle_latency,
             )
         }
+    }
+}
+
+/// The lane-crossing surcharge of a shuffle-port instruction: at ν = 4 a
+/// 256-bit register is two 128-bit lanes, and moving data between them
+/// (`vperm2f128`, `vinsertf128`, `vextractf128`) costs
+/// [`Machine::cross_lane_latency`] more than an in-lane step. Crossing
+/// ops are a shuffle that moves a lane between halves, a broadcast, an
+/// extract of lane 2 or 3, and a pack of more than 2 lanes. Narrower
+/// registers have one lane, so ν ≤ 2 pays nothing.
+fn cross_lane(m: &Machine, instr: &Instr, width: usize) -> f64 {
+    if width < 4 {
+        return 0.0;
+    }
+    let crosses = match instr {
+        Instr::VShuffle { sel, .. } => sel.iter().enumerate().any(|(i, s)| match *s {
+            LaneSel::A(j) | LaneSel::B(j) => i / 2 != j / 2,
+            LaneSel::Zero => false,
+        }),
+        Instr::VBroadcast { .. } => true,
+        Instr::VExtract { lane, .. } => *lane >= 2,
+        Instr::VPack { elems, .. } => elems.iter().flatten().count() > 2,
+        _ => false,
+    };
+    if crosses {
+        m.cross_lane_latency
+    } else {
+        0.0
     }
 }
 
@@ -290,10 +321,11 @@ fn pressure_walk(stmts: &[CStmt], mult: f64, width: usize, m: &Machine, acc: &mu
     }
 }
 
-/// A cheap, sound lower bound on the makespan [`Scheduler`] would report
-/// for `f`: the best of the per-resource throughput bounds and the
-/// largest single-instruction latency, from one static walk of the body
-/// (no VM execution, no dependence tracking).
+/// A cheap, sound lower bound on the estimate [`crate::measure_budgeted`]
+/// would report for `f`: the best of the per-resource throughput bounds,
+/// the largest single-instruction latency and the code-footprint floor,
+/// from one static walk of the body (no VM execution, no dependence
+/// tracking).
 ///
 /// Soundness of the throughput bound per resource `R`: the scheduler
 /// advances `R`'s next-free time by `units/capacity` per event, so the
@@ -312,7 +344,7 @@ fn pressure_walk(stmts: &[CStmt], mult: f64, width: usize, m: &Machine, acc: &mu
 pub fn pressure_lower_bound(f: &Function, machine: &Machine) -> f64 {
     let mut acc = Pressure::default();
     pressure_walk(&f.body, 1.0, f.width, machine, &mut acc);
-    let mut lb = acc.max_latency;
+    let mut lb = acc.max_latency.max(machine.footprint_cycles(f.static_instr_count()));
     for r in Resource::ALL {
         let i = r.index();
         lb = lb.max(acc.units[i] / machine.capacity(r) - acc.excess[i]);
@@ -419,8 +451,8 @@ mod tests {
     }
 
     /// A fused multiply-add chain is modeled faster than the equivalent
-    /// mul+add chain: one FMul-port issue at fma latency instead of a
-    /// mul+add latency sum per link, and no FAdd pressure at all.
+    /// mul+add chain: one add-port issue at fma latency instead of a
+    /// mul+add latency sum per link, and no multiply-port pressure.
     #[test]
     fn fma_chain_beats_mul_add_chain() {
         let chain = |fused: bool| {
@@ -575,20 +607,21 @@ mod tests {
     }
 
     /// A pack of `k` active lanes costs `k - 1` shuffle issues with
-    /// `⌈log2 k⌉` shuffle latencies on its critical path, and the static
+    /// `⌈log2 k⌉` shuffle latencies on its critical path, plus the
+    /// lane-crossing surcharge when `k > 2` at ν = 4, and the static
     /// bound stays below the scheduled makespan on a body of packs.
     #[test]
     fn pack_demand_and_lower_bound() {
         let m = Machine::sandy_bridge();
-        let sh = m.shuffle_latency;
+        let (sh, cross) = (m.shuffle_latency, m.cross_lane_latency);
         for (elems, units, latency) in [
             (vec![Some(SReg(0).into()), Some(SReg(1).into())], 1.0, sh),
             (
                 vec![Some(SReg(0).into()), None, Some(2.0.into()), Some(SReg(1).into())],
                 2.0,
-                2.0 * sh,
+                2.0 * sh + cross,
             ),
-            (vec![Some(SReg(0).into()); 4], 3.0, 2.0 * sh),
+            (vec![Some(SReg(0).into()); 4], 3.0, 2.0 * sh + cross),
         ] {
             let d = demands(&m, &Instr::VPack { dst: slingen_cir::VReg(0), elems }, 4);
             assert_eq!(d.secondary, None);
@@ -610,6 +643,56 @@ mod tests {
         let lb = pressure_lower_bound(&f, &m);
         assert!(lb <= rep.cycles, "bound {lb} above makespan {}", rep.cycles);
         assert_eq!(rep.count(InstrClass::Shuffle), 16);
+    }
+
+    /// At ν = 4 a shuffle pays the lane-crossing surcharge only when a
+    /// lane changes 128-bit half; broadcasts and high-lane extracts always
+    /// cross, and ν = 2 never pays it.
+    #[test]
+    fn lane_crossing_surcharge() {
+        use slingen_cir::{LaneSel::*, VReg};
+        let m = Machine::sandy_bridge();
+        let (sh, cross) = (m.shuffle_latency, m.cross_lane_latency);
+        let (a, b, dst) = (VReg(0), VReg(1), VReg(2));
+        for (instr, width, latency) in [
+            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0), A(3), B(2)] }, 4, sh),
+            (Instr::VShuffle { dst, a, b, sel: vec![A(2), A(1), Zero, B(3)] }, 4, sh + cross),
+            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0)] }, 2, sh),
+            (Instr::VBroadcast { dst, src: 1.0.into() }, 4, sh + cross),
+            (Instr::VBroadcast { dst, src: 1.0.into() }, 2, sh),
+            (Instr::VExtract { dst: SReg(0), src: a, lane: 1 }, 4, sh),
+            (Instr::VExtract { dst: SReg(0), src: a, lane: 2 }, 4, sh + cross),
+        ] {
+            let d = demands(&m, &instr, width);
+            assert_eq!((d.primary.resource, d.primary.latency), (Resource::Shuffle, latency));
+        }
+    }
+
+    /// A body whose code outgrows L1i is estimated at no less than its
+    /// fetch time, and the static bound includes that floor.
+    #[test]
+    fn code_footprint_floor() {
+        let m = Machine::sandy_bridge();
+        let fits = (m.l1i_bytes / m.bytes_per_instr) as usize;
+        assert_eq!(m.footprint_cycles(fits), 0.0);
+        let n = 2 * fits;
+        let mut b = FunctionBuilder::new("big", 1);
+        let x = b.buffer("x", 1, BufKind::ParamOut);
+        let mut last = b.smov(0.0);
+        for i in 1..n {
+            last = b.smov(i as f64);
+        }
+        b.sstore(last, MemRef::new(x, 0));
+        let f = b.finish();
+        let floor = m.footprint_cycles(f.static_instr_count());
+        assert_eq!(floor, (n + 1) as f64 * m.bytes_per_instr / m.fetch_bytes_per_cycle);
+        let mut bufs = BufferSet::for_function(&f);
+        let rep = run(&f, &mut bufs);
+        assert_eq!(rep.cycles, floor, "independent moves issue faster than they fetch");
+        assert_eq!(pressure_lower_bound(&f, &m), floor);
+        let mut bufs = BufferSet::for_function(&f);
+        let cut = crate::measure_budgeted(&f, &mut bufs, &m, Some(floor - 1.0)).unwrap();
+        assert!(cut.is_none(), "a floor above the budget abandons the run");
     }
 
     /// Loop-var-dependent addressing resolves per iteration.
