@@ -17,9 +17,10 @@
 //! `blend_pd` when the target has immediate blends.
 //!
 //! Every other lane movement is a one-line call to a `static inline`
-//! helper: general shuffles (and blends on targets without `blend_pd`)
-//! call `slg_sel{2,4}(a, b, l0, ..)`, lane extracts, scattered stores and
-//! lane reductions call `slg_lane{2,4}(v, l)`. A unit defines each helper
+//! helper: a shuffle that copies one lane of one register everywhere
+//! calls `slg_bc{2,4}(v, l)`, other shuffles (and blends on targets
+//! without `blend_pd`) call `slg_sel{2,4}(a, b, l0, ..)`, lane extracts,
+//! scattered stores and lane reductions call `slg_lane{2,4}(v, l)`. A unit defines each helper
 //! once, ahead of the kernel, and only if it calls it. The helper bodies
 //! spill through a stack array and select elements; with constant
 //! selectors the compiler inlines them and lowers the selection to
@@ -28,7 +29,7 @@
 
 use crate::affine::Affine;
 use crate::func::{BufKind, CStmt, Function};
-use crate::instr::{BinOp, FmaKind, Instr, LaneSel, MemRef, SOperand};
+use crate::instr::{BinOp, FmaKind, Instr, LaneSel, MemRef, SOperand, VReg};
 use crate::target::Target;
 
 /// Render `f` for the historical default target ([`Target::Avx2`]).
@@ -461,16 +462,22 @@ enum Helper {
     /// `slg_sel{w}(a, b, l0, ..)`: lane `i` of the result is element
     /// `l_i` of `a ++ b ++ [0.0]` (see [`sel_index`]).
     Sel,
+    /// `slg_bc{w}(v, l)`: lane `l` of `v` in every lane.
+    Bc,
     /// `slg_lane{w}(v, l)`: lane `l` of `v` as a `double`.
     Lane,
 }
 
 /// The helper `i` calls, if any. The emitter takes the same decisions
-/// (through [`blend_imm`] and [`mem_form`]), so a unit defines exactly
-/// the helpers its body calls.
+/// (through [`blend_imm`], [`broadcast_lane`] and [`mem_form`]), so a
+/// unit defines exactly the helpers its body calls.
 fn helper_for(isa: &VecIsa, i: &Instr) -> Option<Helper> {
     match i {
-        Instr::VShuffle { sel, .. } if blend_imm(isa, sel).is_none() => Some(Helper::Sel),
+        Instr::VShuffle { sel, .. } if blend_imm(isa, sel).is_some() => None,
+        Instr::VShuffle { a, b, sel, .. } if broadcast_lane(*a, *b, sel).is_some() => {
+            Some(Helper::Bc)
+        }
+        Instr::VShuffle { .. } => Some(Helper::Sel),
         Instr::VBlend { .. } if !isa.blend => Some(Helper::Sel),
         Instr::VStore { lanes, .. } if mem_form(isa, lanes) == MemForm::Elements => {
             Some(Helper::Lane)
@@ -484,9 +491,10 @@ fn helper_for(isa: &VecIsa, i: &Instr) -> Option<Helper> {
 /// bodies are the portable spill-and-select code; inlined with constant
 /// selectors, the compiler lowers them to register shuffles.
 fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
-    let (mut sel, mut lane) = (false, false);
+    let (mut sel, mut bc, mut lane) = (false, false, false);
     f.for_each_instr(&mut |i| match helper_for(isa, i) {
         Some(Helper::Sel) => sel = true,
+        Some(Helper::Bc) => bc = true,
         Some(Helper::Lane) => lane = true,
         None => {}
     });
@@ -506,6 +514,14 @@ fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
         let _ = writeln!(out, "  return {}({});", isa.op("set"), picks.join(", "));
         let _ = writeln!(out, "}}");
     }
+    if bc {
+        let picks = vec!["t[l]"; w].join(", ");
+        let _ = writeln!(out, "static inline {vt} {HELPER_PREFIX}bc{w}({vt} v, int l) {{");
+        let _ = writeln!(out, "  double t[{w}];");
+        let _ = writeln!(out, "  {st}(t, v);");
+        let _ = writeln!(out, "  return {}({picks});", isa.op("set"));
+        let _ = writeln!(out, "}}");
+    }
     if lane {
         let _ = writeln!(out, "static inline double {HELPER_PREFIX}lane{w}({vt} v, int l) {{");
         let _ = writeln!(out, "  double t[{w}];");
@@ -513,7 +529,7 @@ fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
         let _ = writeln!(out, "  return t[l];");
         let _ = writeln!(out, "}}");
     }
-    if sel || lane {
+    if sel || bc || lane {
         let _ = writeln!(out);
     }
 }
@@ -540,6 +556,17 @@ fn blend_imm(isa: &VecIsa, sel: &[LaneSel]) -> Option<usize> {
         LaneSel::B(j) if j == i => Some(imm | 1 << i),
         _ => None,
     })
+}
+
+/// The source register and lane of a shuffle that copies one lane of one
+/// register into every lane (emitted as `slg_bc`).
+fn broadcast_lane(a: VReg, b: VReg, sel: &[LaneSel]) -> Option<(VReg, usize)> {
+    let src = match sel[0] {
+        LaneSel::A(j) => (a, j),
+        LaneSel::B(j) => (b, j),
+        LaneSel::Zero => return None,
+    };
+    sel.iter().all(|&s| s == sel[0]).then_some(src)
 }
 
 /// How a lane-mapped load or store is emitted on the target.
@@ -854,9 +881,9 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
 #[allow(clippy::too_many_arguments)]
 fn emit_shuffle<W: std::fmt::Write>(
     isa: &VecIsa,
-    dst: crate::instr::VReg,
-    a: crate::instr::VReg,
-    b: crate::instr::VReg,
+    dst: VReg,
+    a: VReg,
+    b: VReg,
     sel: &[LaneSel],
     w: usize,
     pad: &str,
@@ -875,6 +902,10 @@ fn emit_shuffle<W: std::fmt::Write>(
         let _ = writeln!(out, "{pad}{dst} = {}({a}, {b}, {imm});", isa.op("blend"));
         return;
     }
+    if let Some((src, lane)) = broadcast_lane(a, b, sel) {
+        let _ = writeln!(out, "{pad}{dst} = {HELPER_PREFIX}bc{w}({src}, {lane});");
+        return;
+    }
     emit_shuffle_elements(dst, a, b, sel, w, pad, out);
 }
 
@@ -882,9 +913,9 @@ fn emit_shuffle<W: std::fmt::Write>(
 /// The cost model charges it one shuffle issue; the compiler picks the
 /// permute/unpack sequence when it inlines the helper.
 fn emit_shuffle_elements<W: std::fmt::Write>(
-    dst: crate::instr::VReg,
-    a: crate::instr::VReg,
-    b: crate::instr::VReg,
+    dst: VReg,
+    a: VReg,
+    b: VReg,
     sel: &[LaneSel],
     w: usize,
     pad: &str,
@@ -1020,6 +1051,31 @@ mod tests {
         b.vblend(v0, v1, vec![false, true, true, false]);
         let c = to_c(&b.finish());
         assert!(c.contains("_mm256_blend_pd(v0, v1, 6)"), "{c}");
+    }
+
+    #[test]
+    fn one_lane_broadcasts_call_the_bc_helper() {
+        for (w, sel, call) in [
+            (4, vec![LaneSel::B(2); 4], "v2 = slg_bc4(v1, 2);"),
+            (2, vec![LaneSel::A(1); 2], "v2 = slg_bc2(v0, 1);"),
+        ] {
+            let mut b = FunctionBuilder::new("bc", w);
+            let x = b.buffer("x", 2 * w, BufKind::ParamInOut);
+            let v0 = b.vload_contig(MemRef::new(x, 0));
+            let v1 = b.vload_contig(MemRef::new(x, w as i64));
+            let v2 = b.vshuffle(v0, v1, sel);
+            b.vstore_contig(v2, MemRef::new(x, 0));
+            let c = to_c(&b.finish());
+            assert!(c.contains(call), "{c}");
+            assert!(
+                c.contains(&format!(
+                    "static inline {} slg_bc{w}(",
+                    if w == 2 { "__m128d" } else { "__m256d" }
+                )),
+                "{c}"
+            );
+            assert!(!c.contains("slg_sel"), "{c}");
+        }
     }
 
     #[test]

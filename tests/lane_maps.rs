@@ -4,7 +4,9 @@
 //! The harness checksum (a sum over the output buffers) cannot see two
 //! swapped lanes. Here one C-IR function per width applies every
 //! `LaneSel` map over `{A0.., B0.., Zero}^ν` to distinct inputs (the
-//! first source holds 1..ν, the second ν+1..2ν), plus every blend mask,
+//! first source holds 1..ν, the second ν+1..2ν; the maps that copy one
+//! lane everywhere go through the `slg_bc` broadcast helper, the others
+//! through `slg_sel` or `blend_pd`), plus every blend mask,
 //! every lane extract, scattered stores, a lane reduction and packs of
 //! scalar registers, immediates and zero lanes, and stores
 //! each result to its own output slots. The emitted C runs under a small
@@ -196,7 +198,11 @@ fn check(w: usize, target: Target, isa: &str) {
     execute(&lf.f, &mut bufs, &mut NullMonitor).expect("VM runs the lane function");
     let want: Vec<u64> = bufs.get(lf.y).iter().map(|v| v.to_bits()).collect();
 
-    let got = run_c(&c_program(&lf, &inputs, target), isa, &tag);
+    let source = c_program(&lf, &inputs, target);
+    for helper in ["slg_sel", "slg_bc"] {
+        assert!(source.contains(&format!("{helper}{w}(")), "{tag}: no {helper}{w} call");
+    }
+    let got = run_c(&source, isa, &tag);
     assert_eq!(got.len(), want.len(), "{tag}: output count");
     let wrong: Vec<String> = (0..want.len())
         .filter(|&i| got[i] != want[i])
@@ -227,8 +233,8 @@ fn every_lane_map_matches_the_vm() {
         eprintln!("no AVX on this host; skipping the AVX lane maps");
         return;
     }
-    // 256-bit: blends as `blend_pd`, every other map through `slg_sel4`,
-    // packs as `_mm256_set_pd`
+    // 256-bit: blends as `blend_pd`, broadcasts through `slg_bc4`, every
+    // other map through `slg_sel4`, packs as `_mm256_set_pd`
     check(4, Target::Avx2, "-mavx");
     // 128-bit with blends and masked stores
     check(2, Target::Avx2, "-mavx");
