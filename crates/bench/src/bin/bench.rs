@@ -299,7 +299,8 @@ struct CalRecord {
 
 /// The model's cost-table entry corresponding to one calibrated op, for
 /// the drift columns: div/sqrt map to the divider charges, the pipelined
-/// ops to their latencies.
+/// ops to their latencies, and the cross-lane permute to the shuffle step
+/// plus the lane-crossing surcharge.
 fn model_latency_for(target: Target, op: &str, vector: bool) -> f64 {
     let m = slingen_perf::Machine::from_target(target);
     match (op, vector) {
@@ -307,6 +308,8 @@ fn model_latency_for(target: Target, op: &str, vector: bool) -> f64 {
         ("div" | "sqrt", true) => m.div_vector_cycles,
         ("add", _) => m.fadd_latency,
         ("mul", _) => m.fmul_latency,
+        ("shuf", _) => m.shuffle_latency,
+        ("xlane", _) => m.shuffle_latency + m.cross_lane_latency,
         _ => m.fma_latency,
     }
 }

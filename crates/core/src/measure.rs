@@ -379,7 +379,9 @@ fn check_checksum(stdout: &str, (sum, mag): (f64, f64)) -> Result<(), HwError> {
 /// stream throughput, in cycles resp. ops/cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpCost {
-    /// `add` | `mul` | `fma` | `div` | `sqrt`.
+    /// `add` | `mul` | `fma` | `div` | `sqrt`, or the vector-only lane
+    /// moves `shuf` (an in-lane `shuffle_pd`) and `xlane` (a 256-bit
+    /// `permute2f128_pd` across the 128-bit lanes).
     pub op: &'static str,
     /// Vector (target width) or scalar form.
     pub vector: bool,
@@ -440,6 +442,10 @@ fn microbench_source(op: &'static str, vector: bool, width: usize, iters: u32) -
             "mul" => format!("{pre}_mul_pd(X, c)"),
             "fma" => format!("{pre}_fmadd_pd(X, c, c)"),
             "div" => format!("{pre}_div_pd(X, c)"),
+            // lane 0 of each 128-bit half takes the half's lane 1 of X
+            "shuf" => format!("{pre}_shuffle_pd(X, c, {})", if width == 2 { 1 } else { 5 }),
+            // the low half takes X's high half
+            "xlane" => format!("{pre}_permute2f128_pd(X, c, 0x21)"),
             _ => format!("{pre}_sqrt_pd({pre}_add_pd(X, c))"),
         };
         (ty, one, t)
@@ -510,7 +516,9 @@ fn microbench_source(op: &'static str, vector: bool, width: usize, iters: u32) -
 
 /// Fit per-op latencies/throughputs for `target` on this host from
 /// generated microbenchmark chains (add/mul/fma/div/sqrt, scalar and
-/// vector).
+/// vector; the in-lane shuffle on vector targets, and the cross-lane
+/// permute on 256-bit ones, whose latency minus the shuffle's is what the
+/// model charges as `cross_lane_latency`).
 ///
 /// # Errors
 ///
@@ -521,12 +529,13 @@ pub fn calibrate(target: Target, cfg: &MeasureConfig) -> Result<Calibration, HwE
     let hw = HardwareMeasurer::new(target, cfg)?;
     let mut ops = Vec::new();
     let width = target.max_width();
-    for op in ["add", "mul", "fma", "div", "sqrt"] {
-        if op == "fma" && !target.has_fma() {
+    for op in ["add", "mul", "fma", "div", "sqrt", "shuf", "xlane"] {
+        if op == "fma" && !target.has_fma() || op == "xlane" && width < 4 {
             continue;
         }
+        let lane_move = matches!(op, "shuf" | "xlane");
         for vector in [false, true] {
-            if vector && width < 2 {
+            if vector && width < 2 || lane_move && !vector {
                 continue;
             }
             let src = microbench_source(op, vector, width, 200_000);
@@ -650,8 +659,11 @@ mod tests {
 
     #[test]
     fn microbench_sources_are_well_formed() {
-        for op in ["add", "mul", "fma", "div", "sqrt"] {
+        for op in ["add", "mul", "fma", "div", "sqrt", "shuf", "xlane"] {
             for (vector, width) in [(false, 1), (true, 2), (true, 4)] {
+                if matches!(op, "shuf" | "xlane") && !vector || op == "xlane" && width < 4 {
+                    continue;
+                }
                 let s = microbench_source(op, vector, width, 100);
                 assert!(s.contains("SLINGEN_CAL"), "{op} {vector}");
                 assert!(s.contains("bench_lat"), "{op} {vector}");

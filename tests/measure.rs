@@ -202,7 +202,8 @@ fn artifact_cache_reuses_compiled_harnesses() {
 }
 
 /// Calibration fits a finite latency and throughput for every op the
-/// target supports, each a plausible pipeline depth.
+/// target supports, including the in-lane and cross-lane lane moves, each
+/// a plausible pipeline depth.
 #[test]
 fn calibration_fits_every_supported_op() {
     if !cc_available() {
@@ -211,23 +212,24 @@ fn calibration_fits_every_supported_op() {
     }
     let _hw = hardware_lock();
     let cal = slingen::calibrate(slingen::Target::Avx2Fma, &MeasureConfig::hardware()).unwrap();
-    for op in ["add", "mul", "fma", "div", "sqrt"] {
-        for vector in [false, true] {
-            let c = cal
-                .get(op, vector)
-                .unwrap_or_else(|| panic!("missing calibration for {op} vector={vector}"));
-            assert!(c.latency.is_finite() && c.latency > 0.0, "{op}/{vector}");
-            assert!(c.throughput.is_finite() && c.throughput > 0.0, "{op}/{vector}");
-            // latency is cycles/op, throughput is ops/cycle: their product
-            // is the effective pipeline depth, >= ~1 for anything sane and
-            // bounded by issue width times chain overlap.
-            let depth = c.latency * c.throughput;
-            assert!(
-                (0.5..=128.0).contains(&depth),
-                "{op}/{vector}: implausible latency {} x throughput {}",
-                c.latency,
-                c.throughput
-            );
-        }
+    let lane_moves = [("shuf", true), ("xlane", true)];
+    let arith =
+        ["add", "mul", "fma", "div", "sqrt"].into_iter().flat_map(|op| [(op, false), (op, true)]);
+    for (op, vector) in arith.chain(lane_moves) {
+        let c = cal
+            .get(op, vector)
+            .unwrap_or_else(|| panic!("missing calibration for {op} vector={vector}"));
+        assert!(c.latency.is_finite() && c.latency > 0.0, "{op}/{vector}");
+        assert!(c.throughput.is_finite() && c.throughput > 0.0, "{op}/{vector}");
+        // latency is cycles/op, throughput is ops/cycle: their product
+        // is the effective pipeline depth, >= ~1 for anything sane and
+        // bounded by issue width times chain overlap.
+        let depth = c.latency * c.throughput;
+        assert!(
+            (0.5..=128.0).contains(&depth),
+            "{op}/{vector}: implausible latency {} x throughput {}",
+            c.latency,
+            c.throughput
+        );
     }
 }
