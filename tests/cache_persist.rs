@@ -293,23 +293,41 @@ fn old_version_files_load_empty_and_serve_resaves_them_as_v3() {
     let _ = fs::remove_file(&resaved);
 }
 
-/// A v3 cache file saved by an earlier build, holding one potrf4 avx2
-/// entry, replays from disk: the search-space fingerprint still writes
-/// `|space:Greedy;`, so its key bytes match today's. Serving it re-saves
-/// the file byte for byte.
+/// A v3 cache file saved by this build, holding one potrf4 avx2 entry,
+/// replays from disk. Serving it re-saves the file byte for byte.
 #[test]
 fn checked_in_v3_file_still_hits() {
-    let snapshot = format!(
-        "{}/../../tests/snapshots/tunecache_v3_potrf4_avx2.cache",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let fixture = fs::read(&snapshot).unwrap();
+    let fixture = fs::read(snapshot("tunecache_v3_potrf4_avx2.cache")).unwrap();
     let path = tmp("v3-snapshot");
     fs::write(&path, &fixture).unwrap();
-    let request = r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#;
-    assert_eq!(serve_markers(&path, &[request]), ["persisted"]);
+    assert_eq!(serve_markers(&path, &[POTRF4]), ["persisted"]);
     assert!(fs::read(&path).unwrap() == fixture, "the replayed file re-saves unchanged");
     let _ = fs::remove_file(&path);
+}
+
+/// A v3 file saved before the cost table gained its lane-crossing and
+/// code-footprint entries loads, but its key names the old machine, so
+/// the request misses: a winner ranked by the old table is never
+/// replayed. The fresh winner is saved under the new key beside the old
+/// entry, and the next run replays it.
+#[test]
+fn v3_file_from_the_old_cost_table_misses_and_resaves_under_the_new_key() {
+    let fixture = fs::read(snapshot("tunecache_v3_potrf4_avx2_old_table.cache")).unwrap();
+    let path = tmp("v3-old-table");
+    fs::write(&path, &fixture).unwrap();
+    assert_eq!(TuneCache::load_checked(&path).unwrap().len(), 1);
+    assert_eq!(serve_markers(&path, &[POTRF4]), ["miss"]);
+    let resaved = fs::read_to_string(&path).unwrap();
+    assert_eq!(TuneCache::load_checked(&path).unwrap().len(), 2, "old entry plus the new key");
+    assert_eq!(resaved.matches("cross_lane_latency").count(), 1, "one entry under the new key");
+    assert_eq!(serve_markers(&path, &[POTRF4]), ["persisted"]);
+    let _ = fs::remove_file(&path);
+}
+
+const POTRF4: &str = r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#;
+
+fn snapshot(name: &str) -> String {
+    format!("{}/../../tests/snapshots/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Run `slingen-serve --cache-file path` over `requests` (one worker, so
