@@ -20,12 +20,12 @@
 //! helper: a shuffle that copies one lane of one register everywhere
 //! calls `slg_bc{2,4}(v, l)`, other shuffles (and blends on targets
 //! without `blend_pd`) call `slg_sel{2,4}(a, b, l0, ..)`, lane extracts,
-//! scattered stores and lane reductions call `slg_lane{2,4}(v, l)`. A unit defines each helper
-//! once, ahead of the kernel, and only if it calls it. The helper bodies
-//! spill through a stack array and select elements; with constant
-//! selectors the compiler inlines them and lowers the selection to
-//! permute, unpack and extract instructions, so the kernel body carries
-//! no stack round-trip of its own.
+//! scattered stores and lane reductions call `slg_lane{2,4}(v, l)`. A
+//! unit defines each helper once, ahead of the kernel, and only if it
+//! calls it. The helper bodies spill through a stack array and select
+//! elements; with constant selectors the compiler inlines them and
+//! lowers the selection to permute, unpack and extract instructions, so
+//! the kernel body carries no stack round-trip of its own.
 
 use crate::affine::Affine;
 use crate::func::{BufKind, CStmt, Function};

@@ -128,9 +128,7 @@ proptest! {
 
 /// Greedy against the full space on every target, for all seven apps at
 /// n ∈ {4, 8}: the greedy winner models exactly as fast as the space
-/// oracle everywhere. (sse2 potrf8 used to stop in a local minimum at
-/// lazy/nu2; since Stage 3 turns aligned reloads into copies instead of
-/// identity shuffles, the descent reaches eager/nu1.)
+/// oracle everywhere.
 #[test]
 fn greedy_matches_the_space_oracle_on_every_target() {
     for target in Target::ALL {
