@@ -83,6 +83,9 @@ pub struct CostTable {
     /// op that moves data between the two 128-bit lanes (`vperm2f128`,
     /// `vinsertf128`, `vextractf128`). Charged only at ν = 4.
     pub cross_lane_latency: f64,
+    /// Shuffle-port slots such a lane-crossing op occupies (an in-lane
+    /// shuffle takes 1).
+    pub cross_lane_units: f64,
     /// Bytes of machine code per C-IR instruction, for the code
     /// footprint.
     pub bytes_per_instr: f64,
@@ -116,9 +119,10 @@ pub struct TargetDesc {
 }
 
 /// The historical Sandy Bridge numbers (the reproduction's original fixed
-/// machine model) plus three host-fitted entries: the lane-crossing
-/// latency and the code-footprint constants. `bench --calibrate` times a
-/// cross-lane chain against an in-lane one; the footprint constants come
+/// machine model) plus host-fitted entries: the lane-crossing latency and
+/// occupancy and the code-footprint constants. `bench --calibrate` times
+/// a cross-lane chain against an in-lane one (latency, and throughput for
+/// the occupancy); the footprint constants come
 /// from `size` of compiled ν = 4 bodies (about 7 bytes per C-IR
 /// instruction) and from the measured slowdown of bodies that outgrow
 /// the 32 KiB L1i (trtri32 lazy/nu2 against lazy/nu4).
@@ -141,6 +145,7 @@ const SANDY_BRIDGE_COSTS: CostTable = CostTable {
     div_scalar_cycles: 22.0,
     div_vector_cycles: 44.0,
     cross_lane_latency: 3.0,
+    cross_lane_units: 2.0,
     bytes_per_instr: 7.0,
     l1i_bytes: 32768.0,
     fetch_bytes_per_cycle: 9.0,

@@ -141,6 +141,8 @@ pub struct Machine {
     pub div_vector_cycles: f64,
     /// Extra latency of a 256-bit op that crosses the 128-bit lanes.
     pub cross_lane_latency: f64,
+    /// Shuffle-port slots a lane-crossing op occupies.
+    pub cross_lane_units: f64,
     /// Machine-code bytes per C-IR instruction.
     pub bytes_per_instr: f64,
     /// L1 instruction cache size in bytes.
@@ -181,6 +183,7 @@ impl Machine {
             div_scalar_cycles: c.div_scalar_cycles,
             div_vector_cycles: c.div_vector_cycles,
             cross_lane_latency: c.cross_lane_latency,
+            cross_lane_units: c.cross_lane_units,
             bytes_per_instr: c.bytes_per_instr,
             l1i_bytes: c.l1i_bytes,
             fetch_bytes_per_cycle: c.fetch_bytes_per_cycle,

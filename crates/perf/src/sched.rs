@@ -220,15 +220,25 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Demands {
         }
         Instr::SMov { .. } | Instr::VMov { .. } => Demands::one(Resource::Mov, 1.0, m.mov_latency),
         Instr::VBroadcast { .. } | Instr::VShuffle { .. } | Instr::VExtract { .. } => {
-            Demands::one(Resource::Shuffle, 1.0, m.shuffle_latency + cross_lane(m, instr, width))
+            if crosses_lanes(instr, width) {
+                let latency = m.shuffle_latency + m.cross_lane_latency;
+                Demands::one(Resource::Shuffle, m.cross_lane_units, latency)
+            } else {
+                Demands::one(Resource::Shuffle, 1.0, m.shuffle_latency)
+            }
         }
         Instr::VPack { elems, .. } => {
             // a tree of inserts/unpacks: active−1 shuffles, ⌈log2 active⌉
             // of them on the critical path
             let active = elems.iter().flatten().count().max(2);
             let depth = (active as f64).log2().ceil();
-            let latency = m.shuffle_latency * depth + cross_lane(m, instr, width);
-            Demands::one(Resource::Shuffle, (active - 1) as f64, latency)
+            let (mut units, mut latency) = ((active - 1) as f64, m.shuffle_latency * depth);
+            if crosses_lanes(instr, width) {
+                // one of the inserts moves a half across
+                units += m.cross_lane_units - 1.0;
+                latency += m.cross_lane_latency;
+            }
+            Demands::one(Resource::Shuffle, units, latency)
         }
         Instr::VBlend { .. } => Demands::one(Resource::Blend, 1.0, m.blend_latency),
         Instr::VReduceAdd { .. } => {
@@ -243,32 +253,25 @@ fn demands(m: &Machine, instr: &Instr, width: usize) -> Demands {
     }
 }
 
-/// The lane-crossing surcharge of a shuffle-port instruction: at ν = 4 a
-/// 256-bit register is two 128-bit lanes, and moving data between them
-/// (`vperm2f128`, `vinsertf128`, `vextractf128`) costs
-/// [`Machine::cross_lane_latency`] more than an in-lane step. Crossing
-/// ops are a shuffle that moves a lane between halves, a broadcast, an
-/// extract of lane 2 or 3, and a pack of more than 2 lanes. Narrower
-/// registers have one lane, so ν ≤ 2 pays nothing.
-fn cross_lane(m: &Machine, instr: &Instr, width: usize) -> f64 {
-    if width < 4 {
-        return 0.0;
-    }
-    let crosses = match instr {
-        Instr::VShuffle { sel, .. } => sel.iter().enumerate().any(|(i, s)| match *s {
-            LaneSel::A(j) | LaneSel::B(j) => i / 2 != j / 2,
-            LaneSel::Zero => false,
-        }),
-        Instr::VBroadcast { .. } => true,
-        Instr::VExtract { lane, .. } => *lane >= 2,
-        Instr::VPack { elems, .. } => elems.iter().flatten().count() > 2,
-        _ => false,
-    };
-    if crosses {
-        m.cross_lane_latency
-    } else {
-        0.0
-    }
+/// Whether a shuffle-port instruction crosses the 128-bit lanes of a
+/// 256-bit register: a shuffle that moves a lane between halves, a
+/// broadcast, an extract of lane 2 or 3, or a pack of more than 2 lanes.
+/// These compile to `vperm2f128`, `vinsertf128` or `vextractf128`, which
+/// cost [`Machine::cross_lane_latency`] more than an in-lane step and
+/// occupy the shuffle port for [`Machine::cross_lane_units`] slots.
+/// Registers of ν ≤ 2 have one lane and never cross.
+fn crosses_lanes(instr: &Instr, width: usize) -> bool {
+    width >= 4
+        && match instr {
+            Instr::VShuffle { sel, .. } => sel.iter().enumerate().any(|(i, s)| match *s {
+                LaneSel::A(j) | LaneSel::B(j) => i / 2 != j / 2,
+                LaneSel::Zero => false,
+            }),
+            Instr::VBroadcast { .. } => true,
+            Instr::VExtract { lane, .. } => *lane >= 2,
+            Instr::VPack { elems, .. } => elems.iter().flatten().count() > 2,
+            _ => false,
+        }
 }
 
 /// Accumulated static pressure for [`pressure_lower_bound`].
@@ -608,20 +611,21 @@ mod tests {
 
     /// A pack of `k` active lanes costs `k - 1` shuffle issues with
     /// `⌈log2 k⌉` shuffle latencies on its critical path, plus the
-    /// lane-crossing surcharge when `k > 2` at ν = 4, and the static
-    /// bound stays below the scheduled makespan on a body of packs.
+    /// lane-crossing charges when `k > 2` at ν = 4, and the static bound
+    /// stays below the scheduled makespan on a body of packs.
     #[test]
     fn pack_demand_and_lower_bound() {
         let m = Machine::sandy_bridge();
-        let (sh, cross) = (m.shuffle_latency, m.cross_lane_latency);
+        let (sh, cross, extra) =
+            (m.shuffle_latency, m.cross_lane_latency, m.cross_lane_units - 1.0);
         for (elems, units, latency) in [
             (vec![Some(SReg(0).into()), Some(SReg(1).into())], 1.0, sh),
             (
                 vec![Some(SReg(0).into()), None, Some(2.0.into()), Some(SReg(1).into())],
-                2.0,
+                2.0 + extra,
                 2.0 * sh + cross,
             ),
-            (vec![Some(SReg(0).into()); 4], 3.0, 2.0 * sh + cross),
+            (vec![Some(SReg(0).into()); 4], 3.0 + extra, 2.0 * sh + cross),
         ] {
             let d = demands(&m, &Instr::VPack { dst: slingen_cir::VReg(0), elems }, 4);
             assert_eq!(d.secondary, None);
@@ -645,26 +649,28 @@ mod tests {
         assert_eq!(rep.count(InstrClass::Shuffle), 16);
     }
 
-    /// At ν = 4 a shuffle pays the lane-crossing surcharge only when a
-    /// lane changes 128-bit half; broadcasts and high-lane extracts always
-    /// cross, and ν = 2 never pays it.
+    /// At ν = 4 a shuffle pays the lane-crossing latency and occupancy
+    /// only when a lane changes 128-bit half; broadcasts and high-lane
+    /// extracts always cross, and ν = 2 never pays them.
     #[test]
-    fn lane_crossing_surcharge() {
+    fn lane_crossing_charges() {
         use slingen_cir::{LaneSel::*, VReg};
         let m = Machine::sandy_bridge();
-        let (sh, cross) = (m.shuffle_latency, m.cross_lane_latency);
+        let in_lane = (1.0, m.shuffle_latency);
+        let crossing = (m.cross_lane_units, m.shuffle_latency + m.cross_lane_latency);
         let (a, b, dst) = (VReg(0), VReg(1), VReg(2));
-        for (instr, width, latency) in [
-            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0), A(3), B(2)] }, 4, sh),
-            (Instr::VShuffle { dst, a, b, sel: vec![A(2), A(1), Zero, B(3)] }, 4, sh + cross),
-            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0)] }, 2, sh),
-            (Instr::VBroadcast { dst, src: 1.0.into() }, 4, sh + cross),
-            (Instr::VBroadcast { dst, src: 1.0.into() }, 2, sh),
-            (Instr::VExtract { dst: SReg(0), src: a, lane: 1 }, 4, sh),
-            (Instr::VExtract { dst: SReg(0), src: a, lane: 2 }, 4, sh + cross),
+        for (instr, width, cost) in [
+            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0), A(3), B(2)] }, 4, in_lane),
+            (Instr::VShuffle { dst, a, b, sel: vec![A(2), A(1), Zero, B(3)] }, 4, crossing),
+            (Instr::VShuffle { dst, a, b, sel: vec![A(1), B(0)] }, 2, in_lane),
+            (Instr::VBroadcast { dst, src: 1.0.into() }, 4, crossing),
+            (Instr::VBroadcast { dst, src: 1.0.into() }, 2, in_lane),
+            (Instr::VExtract { dst: SReg(0), src: a, lane: 1 }, 4, in_lane),
+            (Instr::VExtract { dst: SReg(0), src: a, lane: 2 }, 4, crossing),
         ] {
             let d = demands(&m, &instr, width);
-            assert_eq!((d.primary.resource, d.primary.latency), (Resource::Shuffle, latency));
+            assert_eq!(d.primary.resource, Resource::Shuffle);
+            assert_eq!((d.primary.units, d.primary.latency), cost, "{instr:?} at ν = {width}");
         }
     }
 
