@@ -719,8 +719,7 @@ impl<'p> Search<'p> {
 /// slower than the incumbent (cycle-budget early-cutoff). It can never do
 /// worse than the seed sweep — i.e. never worse than the historical
 /// two-policy autotuner — but it can stop in a local minimum of the
-/// space: on sse2 potrf8 it never visits eager/nu1, which models faster
-/// than its lazy/nu2 winner.
+/// space.
 fn run_greedy(search: &mut Search<'_>) {
     let space = &search.options.search;
     let policies = space.policies.clone();
