@@ -462,22 +462,22 @@ enum Helper {
     /// `slg_sel{w}(a, b, l0, ..)`: lane `i` of the result is element
     /// `l_i` of `a ++ b ++ [0.0]` (see [`sel_index`]).
     Sel,
-    /// `slg_bc{w}(v, l)`: lane `l` of `v` in every lane.
-    Bc,
+    /// `slg_bc{w}(v, l)`: lane `l` of register `v` in every lane.
+    Bc(VReg, usize),
     /// `slg_lane{w}(v, l)`: lane `l` of `v` as a `double`.
     Lane,
 }
 
-/// The helper `i` calls, if any. The emitter takes the same decisions
-/// (through [`blend_imm`], [`broadcast_lane`] and [`mem_form`]), so a
-/// unit defines exactly the helpers its body calls.
+/// The helper `i` calls, if any. The shuffle emitter takes its decision
+/// from here and the others take the same decisions (through
+/// [`blend_imm`] and [`mem_form`]), so a unit defines exactly the helpers
+/// its body calls.
 fn helper_for(isa: &VecIsa, i: &Instr) -> Option<Helper> {
     match i {
         Instr::VShuffle { sel, .. } if blend_imm(isa, sel).is_some() => None,
-        Instr::VShuffle { a, b, sel, .. } if broadcast_lane(*a, *b, sel).is_some() => {
-            Some(Helper::Bc)
+        Instr::VShuffle { a, b, sel, .. } => {
+            Some(broadcast_lane(*a, *b, sel).map_or(Helper::Sel, |(v, l)| Helper::Bc(v, l)))
         }
-        Instr::VShuffle { .. } => Some(Helper::Sel),
         Instr::VBlend { .. } if !isa.blend => Some(Helper::Sel),
         Instr::VStore { lanes, .. } if mem_form(isa, lanes) == MemForm::Elements => {
             Some(Helper::Lane)
@@ -494,7 +494,7 @@ fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
     let (mut sel, mut bc, mut lane) = (false, false, false);
     f.for_each_instr(&mut |i| match helper_for(isa, i) {
         Some(Helper::Sel) => sel = true,
-        Some(Helper::Bc) => bc = true,
+        Some(Helper::Bc(..)) => bc = true,
         Some(Helper::Lane) => lane = true,
         None => {}
     });
@@ -829,7 +829,7 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
             }
         }
         Instr::VShuffle { dst, a, b, sel } => {
-            emit_shuffle(isa, *dst, *a, *b, sel, w, &pad, out);
+            emit_shuffle(isa, helper_for(isa, i), *dst, *a, *b, sel, w, &pad, out);
         }
         Instr::VPack { dst, elems } => {
             let lane = |o: &Option<SOperand>| o.as_ref().map_or_else(|| "0.0".to_string(), sop);
@@ -881,6 +881,7 @@ fn emit_instr<W: std::fmt::Write>(f: &Function, isa: &VecIsa, i: &Instr, ind: us
 #[allow(clippy::too_many_arguments)]
 fn emit_shuffle<W: std::fmt::Write>(
     isa: &VecIsa,
+    helper: Option<Helper>,
     dst: VReg,
     a: VReg,
     b: VReg,
@@ -898,15 +899,16 @@ fn emit_shuffle<W: std::fmt::Write>(
         let _ = writeln!(out, "{pad}v{} = {expr};", dst.0);
         return;
     }
-    if let Some(imm) = blend_imm(isa, sel) {
-        let _ = writeln!(out, "{pad}{dst} = {}({a}, {b}, {imm});", isa.op("blend"));
-        return;
+    match helper {
+        Some(Helper::Bc(src, lane)) => {
+            let _ = writeln!(out, "{pad}{dst} = {HELPER_PREFIX}bc{w}({src}, {lane});");
+        }
+        Some(_) => emit_shuffle_elements(dst, a, b, sel, w, pad, out),
+        None => {
+            let imm = blend_imm(isa, sel).expect("a shuffle without a helper is a blend");
+            let _ = writeln!(out, "{pad}{dst} = {}({a}, {b}, {imm});", isa.op("blend"));
+        }
     }
-    if let Some((src, lane)) = broadcast_lane(a, b, sel) {
-        let _ = writeln!(out, "{pad}{dst} = {HELPER_PREFIX}bc{w}({src}, {lane});");
-        return;
-    }
-    emit_shuffle_elements(dst, a, b, sel, w, pad, out);
 }
 
 /// General shuffle: one `slg_sel` call with a constant selector per lane.
