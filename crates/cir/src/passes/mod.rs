@@ -126,6 +126,30 @@ impl PassConfig {
         self.fma_contraction = self.fma_contraction || target.has_fma();
         self
     }
+
+    /// Append this configuration's cache-key text to `out`: counts and
+    /// flags as integers, in field order. The destructuring names every
+    /// field: a field added to `PassConfig` does not compile here until
+    /// the key includes it.
+    pub fn write_key(&self, out: &mut String) {
+        use std::fmt::Write;
+        let PassConfig {
+            unroll_budget,
+            load_store_analysis,
+            scalar_replacement,
+            cse,
+            fma_contraction,
+            iterations,
+        } = *self;
+        let _ = write!(
+            out,
+            "u{unroll_budget},ls{},sr{},cse{},fma{},it{iterations}",
+            u8::from(load_store_analysis),
+            u8::from(scalar_replacement),
+            u8::from(cse),
+            u8::from(fma_contraction),
+        );
+    }
 }
 
 /// Per-round telemetry of one cleanup-fixpoint round.

@@ -8,7 +8,8 @@
 //!   shared handles (`Arc`s). The lock covers a lookup, an `Arc` clone
 //!   and the counters; a hit hands out the stored `Arc<CachedWin>`
 //!   itself, so the serve engine renders straight from the shared entry
-//!   (its JSON-escaped C is built once, on first use). Only the library's
+//!   (its summary fields are rendered when it is stored, its JSON-escaped
+//!   C once, on first use). Only the library's
 //!   `generate()` copies the kernel into an owned `Generated`, and it
 //!   does so, like every file write, after the lock is released.
 //! * **In-flight dedupe** — the first request for a key installs an
@@ -72,7 +73,10 @@ const MAGIC: &str = "slingen-tunecache";
 const VERSION: usize = 3;
 
 /// The cached outcome of one tuned generation, fully materialized and
-/// shared (behind an `Arc`) by every request that hits it.
+/// shared (behind an `Arc`) by every request that hits it. Besides the
+/// artifacts it carries the text every response renders from them: the
+/// summary fields, rendered once here, and the JSON-escaped C, built on
+/// first use. A hit formats no float.
 #[derive(Debug)]
 pub(crate) struct CachedWin {
     pub(crate) spec: VariantSpec,
@@ -81,6 +85,10 @@ pub(crate) struct CachedWin {
     pub(crate) report: Report,
     pub(crate) db_stats: (usize, usize),
     pub(crate) stats: TuneStats,
+    /// The response fields fixed by the win (`"cycles_source"`,
+    /// `"winner"`, `"cycles"`, `"flops_per_cycle"`), rendered by
+    /// [`CachedWin::new`] (see [`CachedWin::summary_json`]).
+    summary_json: String,
     /// `c_code` escaped for a JSON string literal, filled by the first
     /// `emit:"c"` response rendered from this entry (see
     /// [`CachedWin::c_json`]), so cold searches never pay for it.
@@ -96,7 +104,29 @@ impl CachedWin {
         db_stats: (usize, usize),
         stats: TuneStats,
     ) -> CachedWin {
-        CachedWin { spec, function, c_code, report, db_stats, stats, c_json: OnceLock::new() }
+        let summary_json = format!(
+            "\"cycles_source\":\"{}\",\"winner\":\"{spec}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
+            crate::pipeline::cycles_source(&report),
+            report.cycles,
+            report.flops_per_cycle(),
+        );
+        CachedWin {
+            spec,
+            function,
+            c_code,
+            report,
+            db_stats,
+            stats,
+            summary_json,
+            c_json: OnceLock::new(),
+        }
+    }
+
+    /// The response fields this win fixes, as JSON object members
+    /// without the surrounding braces or a trailing comma:
+    /// `"cycles_source":..,"winner":..,"cycles":..,"flops_per_cycle":..`.
+    pub(crate) fn summary_json(&self) -> &str {
+        &self.summary_json
     }
 
     /// The emitted C escaped for a JSON string literal, built once per
@@ -786,6 +816,46 @@ mod tests {
         let rendered = first.c_json();
         assert_eq!(rendered, crate::serve::escape_json(&first.c_code));
         assert_eq!(rendered.as_ptr(), second.c_json().as_ptr(), "the C is escaped once per entry");
+    }
+
+    /// The summary fields as `Engine::handle` rendered them per request
+    /// before `CachedWin::new` rendered them once: the oracle.
+    fn summary_per_request(spec: VariantSpec, report: &Report) -> String {
+        format!(
+            "\"cycles_source\":\"{}\",\"winner\":\"{}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
+            crate::pipeline::cycles_source(report),
+            spec,
+            report.cycles,
+            report.flops_per_cycle(),
+        )
+    }
+
+    /// The summary rendered once per entry is byte-identical to the
+    /// per-request rendering, for model reports and for measured ones
+    /// (`cycles_source` `"measured"`), rounding edges included.
+    #[test]
+    fn pre_rendered_summary_matches_the_per_request_rendering() {
+        let base = win("summary");
+        let measured = slingen_perf::MeasuredTime { cycles: 97.25, ns: 48.625, reps: 9 };
+        for cycles in [196.0, 196.04999, 196.05, 0.0, 1e-7, 12345.678] {
+            for m in [None, Some(measured)] {
+                let mut report = base.report.clone();
+                report.cycles = cycles;
+                report.measured = m;
+                let expected = summary_per_request(base.spec, &report);
+                let w = CachedWin::new(
+                    base.spec,
+                    base.function.clone(),
+                    base.c_code.clone(),
+                    report,
+                    base.db_stats,
+                    base.stats,
+                );
+                assert_eq!(w.summary_json(), expected);
+                let source = if m.is_some() { "measured" } else { "model" };
+                assert!(expected.starts_with(&format!("\"cycles_source\":\"{source}\",")));
+            }
+        }
     }
 
     #[test]

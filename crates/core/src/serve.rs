@@ -32,14 +32,16 @@
 //! buffered. Workers share the engine's cache, so identical concurrent
 //! requests coalesce onto one search. The cache lock covers only a
 //! lookup, and a hit copies no kernel: the response is rendered straight
-//! from the cache's shared entry, whose JSON-escaped C is built once, by
-//! the first `emit:"c"` response for that entry.
+//! from the cache's shared entry, whose summary fields are rendered once
+//! when it is stored and whose JSON-escaped C is built once, by the first
+//! `emit:"c"` response for that entry.
 
 use crate::cache::TuneCache;
 use crate::measure::MeasureConfig;
 use crate::pipeline::{cycles_source, Options};
 use crate::tuner::TuneStats;
 use crate::{apps, Target};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -54,16 +56,17 @@ pub const MAX_N: usize = 64;
 /// and skips it without buffering it.
 pub const MAX_LINE: usize = 64 * 1024;
 
-/// A scalar JSON value (requests are flat objects of scalars).
+/// A scalar JSON value (requests are flat objects of scalars). A string
+/// borrows from the request line unless it contains an escape.
 #[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
+enum Scalar<'a> {
+    Str(Cow<'a, str>),
     Num(f64),
     Bool(bool),
     Null,
 }
 
-impl Scalar {
+impl Scalar<'_> {
     /// Render back as a JSON token (used to echo `id`).
     fn render(&self) -> String {
         match self {
@@ -121,9 +124,14 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
+/// One parsed key-value pair; the key borrows like a string value.
+type Field<'a> = (Cow<'a, str>, Scalar<'a>);
+
 /// Parse one flat JSON object of scalar values. Rejects nesting,
-/// duplicate-insensitive (last key wins), tolerant of whitespace.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, Scalar)>, String> {
+/// duplicate-insensitive (last key wins), tolerant of whitespace. Keys
+/// and string values borrow from `s`; only a string that contains an
+/// escape is copied.
+fn parse_flat_object(s: &str) -> Result<Vec<Field<'_>>, String> {
     let b = s.as_bytes();
     let mut i = 0usize;
     let skip_ws = |i: &mut usize| {
@@ -131,18 +139,28 @@ fn parse_flat_object(s: &str) -> Result<Vec<(String, Scalar)>, String> {
             *i += 1;
         }
     };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
+    let parse_string = |i: &mut usize| -> Result<Cow<'_, str>, String> {
         if b.get(*i) != Some(&b'"') {
             return Err("expected '\"'".into());
         }
         *i += 1;
-        let mut out = String::new();
+        let start = *i;
+        // The unescaped prefix is borrowed; the first escape switches to
+        // an owned copy. Every byte the loop stops at is ASCII, so each
+        // slice ends on a char boundary.
+        let mut owned: Option<String> = None;
         loop {
             let c = *b.get(*i).ok_or("unterminated string")?;
             *i += 1;
             match c {
-                b'"' => return Ok(out),
+                b'"' => {
+                    return Ok(match owned {
+                        Some(out) => Cow::Owned(out),
+                        None => Cow::Borrowed(&s[start..*i - 1]),
+                    })
+                }
                 b'\\' => {
+                    let out = owned.get_or_insert_with(|| s[start..*i - 1].to_string());
                     let e = *b.get(*i).ok_or("unterminated escape")?;
                     *i += 1;
                     match e {
@@ -165,12 +183,17 @@ fn parse_flat_object(s: &str) -> Result<Vec<(String, Scalar)>, String> {
                     }
                 }
                 c if c < 0x20 => return Err("raw control char in string".into()),
-                c if c < 0x80 => out.push(c as char),
+                c if c < 0x80 => {
+                    if let Some(out) = &mut owned {
+                        out.push(c as char);
+                    }
+                }
                 _ => {
-                    // multi-byte UTF-8: copy the whole char
-                    let rest = &s[*i - 1..];
-                    let ch = rest.chars().next().ok_or("bad utf8")?;
-                    out.push(ch);
+                    // multi-byte UTF-8: step over the whole char
+                    let ch = s[*i - 1..].chars().next().ok_or("bad utf8")?;
+                    if let Some(out) = &mut owned {
+                        out.push(ch);
+                    }
                     *i += ch.len_utf8() - 1;
                 }
             }
@@ -285,7 +308,7 @@ impl Request {
         let err = |msg: &str| (id.clone(), msg.to_string());
         let get = |key: &str| fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v);
         let app = match get("app") {
-            Some(Scalar::Str(s)) => s.clone(),
+            Some(Scalar::Str(s)) => s.to_string(),
             _ => return Err(err("missing or non-string `app`")),
         };
         let n = match get("n").and_then(Scalar::as_usize) {
@@ -402,8 +425,8 @@ impl Engine {
 
     /// Generate (or replay) the kernel for one parsed request and render
     /// its response line. The response is read straight from the cache's
-    /// shared entry (spec, report, escaped C) into one allocation; no
-    /// kernel is copied.
+    /// shared entry (its pre-rendered summary fields and escaped C) into
+    /// one allocation; no kernel is copied and no float is formatted.
     pub fn handle(&self, req: &Request) -> Result<String, String> {
         let program = req.program()?;
         let options = Options {
@@ -413,30 +436,27 @@ impl Engine {
         };
         let tuned = crate::tuner::tune(&program, &options).map_err(|e| e.to_string())?;
         let win = &*tuned.win;
-        let source = cycles_source(&win.report);
-        match source {
+        match cycles_source(&win.report) {
             "measured" => self.served_measured.fetch_add(1, Ordering::Relaxed),
             _ => self.served_model.fetch_add(1, Ordering::Relaxed),
         };
+        let summary = win.summary_json();
         let c = (req.emit == Emit::Code).then(|| win.c_json());
-        // The fixed fields, the winner spec and two numbers take well
-        // under 256 bytes; only the echoed id and app and the C vary.
-        let len = 256 + req.id.len() + req.app.len() + c.map_or(0, str::len);
+        // The fixed fields, the size, the target and the cache marker take
+        // well under 128 bytes; the echoed id and app, the summary and the
+        // C vary.
+        let len = 128 + req.id.len() + req.app.len() + summary.len() + c.map_or(0, str::len);
         let mut resp = String::with_capacity(len);
         let _ = write!(
             resp,
-            "{{\"id\":{},\"ok\":true,\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"cache\":\"{}\",\
-             \"cycles_source\":\"{source}\",\
-             \"winner\":\"{}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
+            "{{\"id\":{},\"ok\":true,\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"cache\":\"{}\",",
             req.id,
             req.app,
             req.n,
             req.target,
             cache_marker(&tuned.stats),
-            win.spec,
-            win.report.cycles,
-            win.report.flops_per_cycle(),
         );
+        resp.push_str(summary);
         if let Some(c) = c {
             resp.push_str(",\"c\":\"");
             resp.push_str(c);

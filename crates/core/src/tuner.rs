@@ -233,13 +233,25 @@ pub struct RepCost {
     pub measure_ms: f64,
 }
 
+/// The capacity a key is built in: enough for every paper app at every
+/// size and target, hardware measurement included (the largest, kf64,
+/// is about 1.6 KB), so a key never reallocates mid-build.
+const KEY_CAPACITY: usize = 2048;
+
 /// Everything that determines the tuned output, flattened into a string.
 /// The raw `nu` option is keyed only through the effective ν axis
 /// ([`SearchSpace::nus_for`]), so requests with the same axes share one
-/// entry.
+/// entry. The machine and the pass configuration go in through their own
+/// key writers ([`Machine::write_key`], [`PassConfig::write_key`]): every
+/// `f64` as its bit pattern, flags and counts as integers, so neither is
+/// run through `Debug` or a float formatter. The key is built on every
+/// `generate()` and every served request, hits included.
+///
+/// [`Machine::write_key`]: slingen_perf::Machine::write_key
+/// [`PassConfig::write_key`]: slingen_cir::passes::PassConfig::write_key
 fn cache_key(program: &Program, options: &Options) -> String {
     use std::fmt::Write;
-    let mut key = String::with_capacity(256);
+    let mut key = String::with_capacity(KEY_CAPACITY);
     let _ = write!(key, "{program}");
     // `ow(..)` storage sharing is not part of the surface rendering but
     // changes the generated code.
@@ -249,14 +261,13 @@ fn cache_key(program: &Program, options: &Options) -> String {
         }
     }
     let nus = options.search.nus_for(options.target, options.nu);
-    let _ = write!(
-        key,
-        "|target:{}|machine:{:?}|passes:{:?}|nus:{nus:?}|seed:{}",
-        options.target, options.machine, options.passes, options.seed
-    );
+    let _ = write!(key, "|target:{}|machine:", options.target);
+    options.machine.write_key(&mut key);
+    key.push_str("|passes:");
+    options.passes.write_key(&mut key);
+    let _ = write!(key, "|nus:{nus:?}|seed:{}", options.seed);
     options.search.fingerprint(&mut key);
-    // Empty in model mode — default keys (and every existing persisted
-    // cache) are byte-identical to the pre-measurement format.
+    // Empty in model mode.
     key.push_str(&options.measure.cache_key_suffix());
     key
 }
@@ -888,6 +899,116 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error>
         Err(e) => {
             ticket.fail(e.clone());
             Err(e)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slingen_cir::passes::PassConfig;
+    use slingen_perf::Machine;
+    use std::collections::HashSet;
+
+    fn key_with(options: &Options) -> String {
+        cache_key(&crate::apps::potrf(4), options)
+    }
+
+    /// The next representable `f64` above `x`, for a finite `x >= 0`.
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    /// Every field of the machine and of the pass configuration reaches
+    /// the key: a one-ULP change of any `f64`, and any change of the
+    /// name, the width, a flag or a count, gives a key of its own.
+    #[test]
+    fn every_machine_and_pass_field_changes_the_key() {
+        let base = Options::for_target(Target::Avx2);
+        let floats: [fn(&mut Machine) -> &mut f64; 22] = [
+            |m| &mut m.fmul_per_cycle,
+            |m| &mut m.fadd_per_cycle,
+            |m| &mut m.shuffle_per_cycle,
+            |m| &mut m.blend_per_cycle,
+            |m| &mut m.mov_per_cycle,
+            |m| &mut m.load_units_per_cycle,
+            |m| &mut m.store_units_per_cycle,
+            |m| &mut m.fmul_latency,
+            |m| &mut m.fadd_latency,
+            |m| &mut m.fma_latency,
+            |m| &mut m.shuffle_latency,
+            |m| &mut m.blend_latency,
+            |m| &mut m.mov_latency,
+            |m| &mut m.load_latency,
+            |m| &mut m.store_latency,
+            |m| &mut m.div_scalar_cycles,
+            |m| &mut m.div_vector_cycles,
+            |m| &mut m.cross_lane_latency,
+            |m| &mut m.cross_lane_units,
+            |m| &mut m.bytes_per_instr,
+            |m| &mut m.l1i_bytes,
+            |m| &mut m.fetch_bytes_per_cycle,
+        ];
+        let passes: [fn(&mut PassConfig); 6] = [
+            |p| p.unroll_budget += 1,
+            |p| p.load_store_analysis = !p.load_store_analysis,
+            |p| p.scalar_replacement = !p.scalar_replacement,
+            |p| p.cse = !p.cse,
+            |p| p.fma_contraction = !p.fma_contraction,
+            |p| p.iterations += 1,
+        ];
+
+        let mut keys = HashSet::from([key_with(&base)]);
+        let mut distinct = |options: Options, what: &str| {
+            assert!(keys.insert(key_with(&options)), "changing {what} left the key as it was");
+        };
+        for (i, field) in floats.iter().enumerate() {
+            let mut options = base.clone();
+            let x = field(&mut options.machine);
+            *x = next_up(*x);
+            distinct(options, &format!("machine float #{i}"));
+        }
+        let mut options = base.clone();
+        options.machine.name.push('x');
+        distinct(options, "the machine name");
+        let mut options = base.clone();
+        options.machine.nominal_width += 1;
+        distinct(options, "the nominal width");
+        for (i, change) in passes.iter().enumerate() {
+            let mut options = base.clone();
+            change(&mut options.passes);
+            distinct(options, &format!("pass field #{i}"));
+        }
+        assert_eq!(keys.len(), 1 + floats.len() + 2 + passes.len());
+
+        let mut zero = base.clone();
+        zero.machine.cross_lane_latency = 0.0;
+        let mut negative_zero = base;
+        negative_zero.machine.cross_lane_latency = -0.0;
+        assert_ne!(key_with(&zero), key_with(&negative_zero), "0.0 and -0.0 key apart");
+    }
+
+    /// Every paper app's key, at every size and target and with hardware
+    /// measurement on, is built without outgrowing [`KEY_CAPACITY`].
+    #[test]
+    fn keys_fit_their_initial_capacity() {
+        for app in ["potrf", "trsyl", "trlya", "trtri", "kf", "gpr", "l1a"] {
+            for n in [1, 8, crate::serve::MAX_N] {
+                let program = crate::apps::by_name(app, n, None).unwrap();
+                for target in Target::ALL {
+                    let options = Options {
+                        measure: crate::MeasureConfig::hardware(),
+                        ..Options::for_target(target)
+                    };
+                    let key = cache_key(&program, &options);
+                    assert_eq!(
+                        key.capacity(),
+                        KEY_CAPACITY,
+                        "{app}{n} {target}: {} bytes",
+                        key.len()
+                    );
+                }
+            }
         }
     }
 }

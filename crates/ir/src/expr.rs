@@ -179,7 +179,20 @@ impl Expr {
 }
 
 /// Render an expression with operand names resolved through `names`.
-pub fn display_expr(expr: &Expr, names: &dyn Fn(OpId) -> String) -> String {
+pub fn display_expr<S: AsRef<str>>(expr: &Expr, names: &dyn Fn(OpId) -> S) -> String {
+    let mut out = String::new();
+    let _ = write_expr(&mut out, expr, names);
+    out
+}
+
+/// Write an expression to `out` with operand names resolved through
+/// `names`, as [`display_expr`] renders it, without building a string per
+/// operand.
+pub fn write_expr<W: fmt::Write + ?Sized, S: AsRef<str>>(
+    out: &mut W,
+    expr: &Expr,
+    names: &dyn Fn(OpId) -> S,
+) -> fmt::Result {
     fn prec(e: &Expr) -> u8 {
         match e {
             Expr::Add(..) | Expr::Sub(..) => 1,
@@ -188,61 +201,65 @@ pub fn display_expr(expr: &Expr, names: &dyn Fn(OpId) -> String) -> String {
             _ => 4,
         }
     }
-    fn go(e: &Expr, names: &dyn Fn(OpId) -> String, parent: u8, out: &mut String) {
+    fn go<W: fmt::Write + ?Sized, S: AsRef<str>>(
+        e: &Expr,
+        names: &dyn Fn(OpId) -> S,
+        parent: u8,
+        out: &mut W,
+    ) -> fmt::Result {
         let p = prec(e);
         let paren = p < parent;
         if paren {
-            out.push('(');
+            out.write_char('(')?;
         }
         match e {
-            Expr::Operand(id) => out.push_str(&names(*id)),
-            Expr::Lit(v) => out.push_str(&format!("{v}")),
+            Expr::Operand(id) => out.write_str(names(*id).as_ref())?,
+            Expr::Lit(v) => write!(out, "{v}")?,
             Expr::Add(a, b) => {
-                go(a, names, p, out);
-                out.push_str(" + ");
-                go(b, names, p + 1, out);
+                go(a, names, p, out)?;
+                out.write_str(" + ")?;
+                go(b, names, p + 1, out)?;
             }
             Expr::Sub(a, b) => {
-                go(a, names, p, out);
-                out.push_str(" - ");
-                go(b, names, p + 1, out);
+                go(a, names, p, out)?;
+                out.write_str(" - ")?;
+                go(b, names, p + 1, out)?;
             }
             Expr::Mul(a, b) => {
-                go(a, names, p, out);
-                out.push_str(" * ");
-                go(b, names, p + 1, out);
+                go(a, names, p, out)?;
+                out.write_str(" * ")?;
+                go(b, names, p + 1, out)?;
             }
             Expr::Div(a, b) => {
-                go(a, names, p, out);
-                out.push_str(" / ");
-                go(b, names, p + 1, out);
+                go(a, names, p, out)?;
+                out.write_str(" / ")?;
+                go(b, names, p + 1, out)?;
             }
             Expr::Neg(a) => {
-                out.push('-');
-                go(a, names, p, out);
+                out.write_char('-')?;
+                go(a, names, p, out)?;
             }
             Expr::Transpose(a) => {
-                go(a, names, 4, out);
-                out.push('\'');
+                go(a, names, 4, out)?;
+                out.write_char('\'')?;
             }
             Expr::Inverse(a) => {
-                out.push_str("inv(");
-                go(a, names, 0, out);
-                out.push(')');
+                out.write_str("inv(")?;
+                go(a, names, 0, out)?;
+                out.write_char(')')?;
             }
             Expr::Sqrt(a) => {
-                out.push_str("sqrt(");
-                go(a, names, 0, out);
-                out.push(')');
+                out.write_str("sqrt(")?;
+                go(a, names, 0, out)?;
+                out.write_char(')')?;
             }
         }
         if paren {
-            out.push(')');
+            out.write_char(')')?;
         }
+        Ok(())
     }
-    let mut out = String::new();
-    go(expr, names, 0, &mut out);
-    out
+    go(expr, names, 0, out)
 }
 
 /// A shape-annotated view used by consumers that need both. Constructed by

@@ -1,6 +1,6 @@
 //! LA programs: operand declarations plus a statement sequence.
 
-use crate::expr::{display_expr, Expr, OpId};
+use crate::expr::{display_expr, write_expr, Expr, OpId};
 use crate::shape::Shape;
 use crate::structure::{Properties, Structure};
 use crate::LaError;
@@ -232,7 +232,7 @@ impl Program {
 
     /// Render `expr` with this program's operand names.
     pub fn render_expr(&self, expr: &Expr) -> String {
-        display_expr(expr, &|id: OpId| self.operands[id.0].name.clone())
+        display_expr(expr, &|id: OpId| self.operand(id).name.as_str())
     }
 
     /// Total flop estimate for one execution, counting 2·m·n·k per `m×k` by
@@ -256,14 +256,14 @@ impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "program {} {{", self.name)?;
         for o in &self.operands {
-            let kind = if o.shape.is_scalar() {
-                "Sca".to_string()
+            if o.shape.is_scalar() {
+                f.write_str("  Sca")?;
             } else if o.shape.cols == 1 {
-                format!("Vec ..({})", o.shape.rows)
+                write!(f, "  Vec ..({})", o.shape.rows)?;
             } else {
-                format!("Mat ..({}, {})", o.shape.rows, o.shape.cols)
-            };
-            writeln!(f, "  {kind} {} <{}, {}, {}>;", o.name, o.io, o.structure, o.properties)?;
+                write!(f, "  Mat ..({}, {})", o.shape.rows, o.shape.cols)?;
+            }
+            writeln!(f, " {} <{}, {}, {}>;", o.name, o.io, o.structure, o.properties)?;
         }
         fn fmt_stmts(
             p: &Program,
@@ -271,24 +271,21 @@ impl fmt::Display for Program {
             indent: usize,
             f: &mut fmt::Formatter<'_>,
         ) -> fmt::Result {
+            let names = |id: OpId| p.operand(id).name.as_str();
             for s in stmts {
                 match s {
-                    Stmt::Assign { lhs, rhs } => writeln!(
-                        f,
-                        "{:indent$}{} = {};",
-                        "",
-                        p.operand(*lhs).name,
-                        p.render_expr(rhs),
-                        indent = indent
-                    )?,
-                    Stmt::Equation { lhs, rhs } => writeln!(
-                        f,
-                        "{:indent$}{} = {};",
-                        "",
-                        p.render_expr(lhs),
-                        p.render_expr(rhs),
-                        indent = indent
-                    )?,
+                    Stmt::Assign { lhs, rhs } => {
+                        write!(f, "{:indent$}{} = ", "", p.operand(*lhs).name, indent = indent)?;
+                        write_expr(f, rhs, &names)?;
+                        f.write_str(";\n")?;
+                    }
+                    Stmt::Equation { lhs, rhs } => {
+                        write!(f, "{:indent$}", "", indent = indent)?;
+                        write_expr(f, lhs, &names)?;
+                        f.write_str(" = ")?;
+                        write_expr(f, rhs, &names)?;
+                        f.write_str(";\n")?;
+                    }
                     Stmt::For { count, body } => {
                         writeln!(f, "{:indent$}for (i = 0:{count}) {{", "", indent = indent)?;
                         fmt_stmts(p, body, indent + 2, f)?;

@@ -215,6 +215,79 @@ impl Machine {
         }
     }
 
+    /// Append this machine's cache-key text to `out`: the length-prefixed
+    /// name, every `f64` as its `{:016x}` IEEE-754 bit pattern (the
+    /// idiom of [`crate::Report::to_wire`]), and the nominal width. Two
+    /// machines get the same text exactly when every field is bitwise
+    /// equal, so `0.0` and `-0.0` key apart. The destructuring names
+    /// every field: a field added to `Machine` does not compile here
+    /// until the key includes it.
+    pub fn write_key(&self, out: &mut String) {
+        use fmt::Write;
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let Machine {
+            name,
+            fmul_per_cycle,
+            fadd_per_cycle,
+            shuffle_per_cycle,
+            blend_per_cycle,
+            mov_per_cycle,
+            load_units_per_cycle,
+            store_units_per_cycle,
+            fmul_latency,
+            fadd_latency,
+            fma_latency,
+            shuffle_latency,
+            blend_latency,
+            mov_latency,
+            load_latency,
+            store_latency,
+            div_scalar_cycles,
+            div_vector_cycles,
+            cross_lane_latency,
+            cross_lane_units,
+            bytes_per_instr,
+            l1i_bytes,
+            fetch_bytes_per_cycle,
+            nominal_width,
+        } = self;
+        let _ = write!(out, "{}:{name}", name.len());
+        for x in [
+            fmul_per_cycle,
+            fadd_per_cycle,
+            shuffle_per_cycle,
+            blend_per_cycle,
+            mov_per_cycle,
+            load_units_per_cycle,
+            store_units_per_cycle,
+            fmul_latency,
+            fadd_latency,
+            fma_latency,
+            shuffle_latency,
+            blend_latency,
+            mov_latency,
+            load_latency,
+            store_latency,
+            div_scalar_cycles,
+            div_vector_cycles,
+            cross_lane_latency,
+            cross_lane_units,
+            bytes_per_instr,
+            l1i_bytes,
+            fetch_bytes_per_cycle,
+        ] {
+            // `{:016x}` by hand: a `write!` per field took about twice as
+            // long, and the key is built on every cache hit.
+            let bits = x.to_bits();
+            let mut field = [b','; 17];
+            for (i, digit) in field[1..].iter_mut().enumerate() {
+                *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+            }
+            out.push_str(std::str::from_utf8(&field).expect("hex digits are ASCII"));
+        }
+        let _ = write!(out, ",w{nominal_width}");
+    }
+
     /// Capacity in units/cycle for a resource.
     pub fn capacity(&self, r: Resource) -> f64 {
         match r {

@@ -312,16 +312,72 @@ fn checked_in_v3_file_still_hits() {
 /// entry, and the next run replays it.
 #[test]
 fn v3_file_from_the_old_cost_table_misses_and_resaves_under_the_new_key() {
-    let fixture = fs::read(snapshot("tunecache_v3_potrf4_avx2_old_table.cache")).unwrap();
-    let path = tmp("v3-old-table");
+    old_key_file_misses_once_and_resaves(
+        "tunecache_v3_potrf4_avx2_old_table.cache",
+        "v3-old-table",
+    );
+}
+
+/// A v3 file whose key renders the machine and pass configuration with
+/// `Debug` (the key format before the bit-pattern key writers) loads, but
+/// its key can never be built again, so the request misses once; the
+/// winner is saved under the new key and the next run replays it.
+#[test]
+fn v3_file_with_debug_rendered_keys_misses_once_and_resaves_under_the_new_key() {
+    old_key_file_misses_once_and_resaves(
+        "tunecache_v3_potrf4_avx2_debug_key.cache",
+        "v3-debug-key",
+    );
+}
+
+/// Serve [`POTRF4`] over a copy of the checked-in fixture `name`, whose
+/// one entry is under a key this build no longer builds: the request
+/// misses, the re-saved file holds the old entry plus exactly one entry
+/// under the key a fresh cache saves for the same request, and the next
+/// run replays that entry from disk.
+fn old_key_file_misses_once_and_resaves(name: &str, tag: &str) {
+    let fixture = fs::read_to_string(snapshot(name)).unwrap();
+    let old_keys = file_keys(&fixture);
+    assert_eq!(old_keys.len(), 1);
+
+    let fresh = tmp(&format!("{tag}-fresh"));
+    let _ = fs::remove_file(&fresh);
+    assert_eq!(serve_markers(&fresh, &[POTRF4]), ["miss"]);
+    let new_keys = file_keys(&fs::read_to_string(&fresh).unwrap());
+    assert_eq!(new_keys.len(), 1);
+    assert_ne!(old_keys, new_keys, "{name} must hold a key this build no longer builds");
+
+    let path = tmp(tag);
     fs::write(&path, &fixture).unwrap();
     assert_eq!(TuneCache::load_checked(&path).unwrap().len(), 1);
     assert_eq!(serve_markers(&path, &[POTRF4]), ["miss"]);
-    let resaved = fs::read_to_string(&path).unwrap();
-    assert_eq!(TuneCache::load_checked(&path).unwrap().len(), 2, "old entry plus the new key");
-    assert_eq!(resaved.matches("cross_lane_latency").count(), 1, "one entry under the new key");
+    let resaved = file_keys(&fs::read_to_string(&path).unwrap());
+    assert_eq!(resaved.len(), 2, "old entry plus the new key");
+    assert!(resaved.contains(&old_keys[0]), "the old entry is kept");
+    assert_eq!(
+        resaved.iter().filter(|k| **k == new_keys[0]).count(),
+        1,
+        "one entry under the new key"
+    );
     assert_eq!(serve_markers(&path, &[POTRF4]), ["persisted"]);
     let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(&fresh);
+}
+
+/// The keys of a cache file's entries, read from the `key <bytes>`
+/// record that opens each entry.
+fn file_keys(file: &str) -> Vec<String> {
+    const OPEN: &str = "\nentry\nkey ";
+    let mut keys = Vec::new();
+    let mut rest = file;
+    while let Some(at) = rest.find(OPEN) {
+        let record = &rest[at + OPEN.len()..];
+        let (len, body) = record.split_once('\n').unwrap();
+        let len: usize = len.parse().unwrap();
+        keys.push(body[..len].to_string());
+        rest = &body[len..];
+    }
+    keys
 }
 
 const POTRF4: &str = r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#;
