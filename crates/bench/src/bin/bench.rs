@@ -483,8 +483,10 @@ fn main() {
             eprintln!("  lb_pruned {:2}", t.lb_pruned);
             for c in &t.rep_costs {
                 eprintln!(
-                    "    rep {:16} lower {:8.3} ms  opt {:8.3} ms  measure {:8.3} ms",
+                    "    rep {:16} synth {:8.3} ms  lower {:8.3} ms  opt {:8.3} ms  \
+                     measure {:8.3} ms",
                     c.spec.to_string(),
+                    c.synth_ms,
                     c.lower_ms,
                     c.opt_ms,
                     c.measure_ms
@@ -555,9 +557,9 @@ fn main() {
                 .iter()
                 .map(|c| {
                     format!(
-                        "{{\"spec\": \"{}\", \"lower_ms\": {:.3}, \"opt_ms\": {:.3}, \
-                         \"measure_ms\": {:.3}}}",
-                        c.spec, c.lower_ms, c.opt_ms, c.measure_ms
+                        "{{\"spec\": \"{}\", \"synth_ms\": {:.3}, \"lower_ms\": {:.3}, \
+                         \"opt_ms\": {:.3}, \"measure_ms\": {:.3}}}",
+                        c.spec, c.synth_ms, c.lower_ms, c.opt_ms, c.measure_ms
                     )
                 })
                 .collect();

@@ -19,7 +19,8 @@
 //!   long-running service keeps its hot working set bounded
 //! * `--socket P`     listen on a Unix socket instead of stdin; each
 //!   connection is served with the worker pool, responses go back on
-//!   the same connection
+//!   the same connection; a failed accept is logged, counted as an
+//!   error, and the server keeps listening
 //! * `--target T`     default ISA for requests without a `target` field
 //!   (scalar | sse2 | avx2 | avx2fma; default avx2)
 //! * `--measure`      rank winners by hardware timing (two-stage
@@ -34,6 +35,7 @@
 use slingen::serve::{serve_lines, Engine, ServeSummary};
 use slingen::{MeasureConfig, Target, TuneCache};
 use std::io::{BufReader, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -157,7 +159,8 @@ fn main() -> ExitCode {
 
 /// Accept connections on a Unix socket; each connection's request lines
 /// are pumped through the shared worker pool and answered on the same
-/// connection. Serves until the process is killed (or accept fails).
+/// connection. Serves until the process is killed; only a failed bind
+/// is an error.
 fn serve_socket(
     engine: &Engine,
     path: &std::path::Path,
@@ -165,18 +168,38 @@ fn serve_socket(
     cache_file: Option<&std::path::Path>,
     cache_max_entries: Option<usize>,
 ) -> std::io::Result<ServeSummary> {
-    use std::os::unix::net::UnixListener;
-
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     eprintln!("slingen-serve: listening on {}", path.display());
+    Ok(serve_connections(engine, listener.incoming(), workers, cache_file, cache_max_entries))
+}
+
+/// Serve each connection of `incoming` in turn. A connection that fails
+/// to accept or to clone is logged and counted in
+/// [`ServeSummary::errors`], and the next one is served: one bad accept
+/// (a peer that hung up, a full descriptor table) never ends the server.
+fn serve_connections(
+    engine: &Engine,
+    incoming: impl IntoIterator<Item = std::io::Result<UnixStream>>,
+    workers: usize,
+    cache_file: Option<&std::path::Path>,
+    cache_max_entries: Option<usize>,
+) -> ServeSummary {
     let mut total = ServeSummary::default();
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        match serve_lines(engine, reader, &mut writer, workers) {
+    for stream in incoming {
+        let (reader, mut writer) = match stream.and_then(|s| Ok((s.try_clone()?, s))) {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("slingen-serve: accept error: {e}");
+                total.errors += 1;
+                // A persistent failure (no free descriptors) would
+                // otherwise spin this loop.
+                std::thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        match serve_lines(engine, BufReader::new(reader), &mut writer, workers) {
             Ok(s) => {
                 total.requests += s.requests;
                 total.errors += s.errors;
@@ -189,5 +212,30 @@ fn serve_socket(
             save_cache(engine, p, cache_max_entries);
         }
     }
-    Ok(total)
+    total
+}
+
+/// The pause after a failed accept before the next one.
+const ACCEPT_RETRY: std::time::Duration = std::time::Duration::from_millis(10);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A failed accept is counted and logged, and the connection after it
+    /// is still served.
+    #[test]
+    fn a_failed_accept_is_counted_and_the_next_connection_served() {
+        let engine = Engine::new(TuneCache::new(), Target::Avx2);
+        let (mut client, server) = UnixStream::pair().unwrap();
+        client.write_all(b"{\"id\":1,\"app\":\"potrf\",\"n\":4,\"emit\":\"summary\"}\n").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let incoming = [Err(std::io::Error::other("accept failed")), Ok(server)];
+        let summary = serve_connections(&engine, incoming, 1, None, None);
+        assert_eq!(summary, ServeSummary { requests: 1, errors: 1 });
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("{\"id\":1,\"ok\":true"), "{response}");
+    }
 }

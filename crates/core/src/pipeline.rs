@@ -90,11 +90,13 @@ pub struct Generated {
     /// The performance report of the winning variant (on the autotuning
     /// workload).
     pub report: Report,
-    /// Stage-1a algorithm database statistics: (hits, misses).
+    /// Stage-1a algorithm database statistics: (hits, misses), summed
+    /// over the variants the search evaluated, each of which synthesizes
+    /// through its own fresh database.
     pub db_stats: (usize, usize),
     /// How the winner was found: variants explored/pruned, cache hit.
     pub tuning: TuneStats,
-    /// Per-representative cold-time breakdown (lower/opt/measure, ms),
+    /// Per-representative cold-time breakdown (synth/lower/opt/measure, ms),
     /// in the order the search ran them. Empty on cache hits.
     pub rep_costs: Vec<RepCost>,
     /// Stage-two hardware timings in model-ranking order (the first
@@ -159,12 +161,10 @@ pub fn generate_with_spec(
 /// candidates on the machine model, and keep the fastest (paper §3.3
 /// "Autotuning" and the dashed lines of Fig. 14).
 ///
-/// Throughput: Stage 1 runs once per distinct (policy, ν) through a
-/// *single shared* [`slingen_synth::AlgorithmDb`] — policy- and
-/// ν-independent derivations (the scalar leaf cases) are cached under
-/// fully neutral signatures and shared across the entire space. The
-/// expensive per-variant work — lowering, Stage-3 optimization, and the
-/// model measurement — fans out across OS threads; the search
+/// Throughput: each variant runs end to end on its own OS thread —
+/// Stage 1 through its own fresh [`slingen_synth::AlgorithmDb`],
+/// lowering, Stage-3 optimization, and the model measurement — so the
+/// variants of a batch run all their stages in parallel; the search
 /// additionally abandons variants the model proves dominated
 /// (cycle-budget early-cutoff). Selection is deterministic: strict
 /// minimum modeled cycles, ties broken in canonical space-enumeration

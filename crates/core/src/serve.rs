@@ -492,7 +492,8 @@ pub struct ServeSummary {
     /// Request lines handled (blank lines are skipped).
     pub requests: usize,
     /// Requests that produced an error response, over-long and non-UTF-8
-    /// lines included.
+    /// lines included. `slingen-serve`'s socket mode adds connections
+    /// that failed to accept.
     pub errors: usize,
 }
 

@@ -18,13 +18,14 @@
 //!   lookup, not a search — the first step toward serving generation as
 //!   a high-traffic service.
 //!
-//! Search is parallel but deterministic: Stage 1 runs serially through
-//! one shared [`AlgorithmDb`] (leaf derivations are cached neutrally and
-//! shared across the whole policy × ν space), Stages 2–3 plus
-//! measurement fan out across OS threads batch by batch, and the winner
-//! is selected by strict minimum modeled cycles with ties broken in
-//! canonical space-enumeration order — so the winning C code is
-//! bit-identical across runs and thread interleavings.
+//! Search is parallel but deterministic: every variant of a batch runs
+//! Stages 1–3 plus measurement on its own OS thread, synthesizing through
+//! its own fresh [`AlgorithmDb`] (a database shared across variants hits
+//! only a few percent of derivations, and sharing it would order Stage 1
+//! serially before the batch), and the winner is selected by strict
+//! minimum modeled cycles with ties broken in canonical space-enumeration
+//! order — so the winning C code is bit-identical across runs and thread
+//! interleavings.
 //!
 //! The search is target-aware: the ν axis is derived from
 //! [`Target::widths`] (a Scalar target never explores vector variants),
@@ -35,8 +36,9 @@
 //! after lowering by the body's structural C-IR fingerprint
 //! ([`Function::fingerprint`], [`TuneStats::deduped`]) and measured once;
 //! no body is unparsed to C during the search, only the winner, once, at
-//! emission. Each variant runs lowering, optimization, fingerprint, and
-//! measurement end-to-end in its own thread — no cross-stage barrier.
+//! emission. Each variant runs synthesis, lowering, optimization,
+//! fingerprint, and measurement end-to-end in its own thread — no
+//! cross-stage barrier.
 
 pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
@@ -213,18 +215,22 @@ pub struct HwTrial {
     pub measured: slingen_perf::MeasuredTime,
 }
 
-/// Where one variant's cold time went, in milliseconds: Stage 2
-/// lowering, Stage 3 optimization, and the modeled-cycle measurement
-/// (`measure_ms == 0.0` when the lowered body fingerprinted onto an
-/// already-measured sibling). Every variant the search evaluates is its
-/// own representative and has one entry. The list is not the whole cold
-/// time of a search: Stage 1, which runs serially before the variants,
-/// the body fingerprint, and the winner's unparse to C after the search
-/// are not in it. Cache hits carry an empty list.
+/// Where one variant's cold time went, in milliseconds, each measured on
+/// the variant's own thread: Stage 1 synthesis, Stage 2 lowering, Stage 3
+/// optimization, and the modeled-cycle measurement (`measure_ms == 0.0`
+/// when the lowered body fingerprinted onto an already-measured sibling).
+/// Every variant the search evaluates is its own representative and has
+/// one entry. Variants of one batch run in parallel, so the entries sum
+/// to CPU time, not wall time. The body fingerprint and the winner's
+/// unparse to C after the search are not in it. Cache hits carry an
+/// empty list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepCost {
     /// The representative's variant.
     pub spec: VariantSpec,
+    /// Stage 1: synthesizing the basic program through a fresh
+    /// [`AlgorithmDb`].
+    pub synth_ms: f64,
     /// Stage 2: lowering the basic program to C-IR.
     pub lower_ms: f64,
     /// Stage 3: the optimization fixpoint.
@@ -270,36 +276,6 @@ fn cache_key(program: &Program, options: &Options) -> String {
     // Empty in model mode.
     key.push_str(&options.measure.cache_key_suffix());
     key
-}
-
-/// Stage 1 for one (policy, ν), memoized across the space through one
-/// shared [`AlgorithmDb`] — variants re-derive only what their schedule
-/// actually changes (leaf derivations are policy- and ν-neutral).
-struct Synthesizer<'p> {
-    program: &'p Program,
-    db: AlgorithmDb,
-    basics: HashMap<(Policy, usize), Result<Arc<BasicProgram>, Error>>,
-}
-
-impl<'p> Synthesizer<'p> {
-    fn new(program: &'p Program) -> Self {
-        Synthesizer { program, db: AlgorithmDb::new(), basics: HashMap::new() }
-    }
-
-    fn basic(&mut self, policy: Policy, nu: usize) -> Result<Arc<BasicProgram>, Error> {
-        self.basics
-            .entry((policy, nu))
-            .or_insert_with(|| {
-                synthesize_program(self.program, policy, nu, &mut self.db)
-                    .map(Arc::new)
-                    .map_err(Error::from)
-            })
-            .clone()
-    }
-
-    fn stats(&self) -> (usize, usize) {
-        (self.db.hits(), self.db.misses())
-    }
 }
 
 /// Measure a generated function on a valid random workload, under an
@@ -384,10 +360,12 @@ impl Body {
     }
 }
 
-/// What one variant thread produces: the lowered variant, the body
-/// fingerprint, and the measurement it ran inline (`None` when the body
-/// was already measured).
+/// What one variant thread produces: its Stage-1 time and database
+/// (hits, misses), the lowered variant, the body fingerprint, and the
+/// measurement it ran inline (`None` when the body was already measured).
 struct RepOut {
+    synth_ms: f64,
+    db_stats: (usize, usize),
     lowered: Lowered,
     key: BodyKey,
     /// The measurement this thread ran (`None`: body already measured).
@@ -399,23 +377,36 @@ struct RepOut {
     lb_pruned: bool,
 }
 
-/// One variant end-to-end, on its own thread: lower → optimize →
-/// fingerprint → measure. Measurement is skipped when `bodies` already
-/// holds the body.
+/// One variant end-to-end, on its own thread: synthesize through a fresh
+/// [`AlgorithmDb`] → lower → optimize → fingerprint → measure.
+/// Measurement is skipped when `bodies` already holds the body.
 fn run_variant(
     program: &Program,
     spec: VariantSpec,
-    basic: &BasicProgram,
     options: &Options,
     bodies: &HashMap<BodyKey, Body>,
     budget: Option<f64>,
 ) -> Result<RepOut, Error> {
-    let lowered = lower_variant(program, spec, basic, options)?;
+    let t = std::time::Instant::now();
+    let mut db = AlgorithmDb::new();
+    let basic = synthesize_program(program, spec.policy, spec.nu, &mut db)?;
+    let synth_ms = t.elapsed().as_secs_f64() * 1e3;
+    let db_stats = (db.hits(), db.misses());
+    let lowered = lower_variant(program, spec, &basic, options)?;
     let key = lowered.function.fingerprint();
+    let mut out = RepOut {
+        synth_ms,
+        db_stats,
+        lowered,
+        key,
+        measured: None,
+        measure_ms: 0.0,
+        lb_pruned: false,
+    };
     if bodies.contains_key(&key) {
-        return Ok(RepOut { lowered, key, measured: None, measure_ms: 0.0, lb_pruned: false });
+        return Ok(out);
     }
-    let f = &lowered.function;
+    let f = &out.lowered.function;
     let t = std::time::Instant::now();
     // Incumbent fast path: when a cycle budget is set and the static
     // pressure bound already exceeds it, the budgeted VM run is
@@ -432,8 +423,10 @@ fn run_variant(
     } else {
         measure(program, f, options, budget)
     };
-    let measure_ms = t.elapsed().as_secs_f64() * 1e3;
-    Ok(RepOut { lowered, key, measured: Some(m), measure_ms, lb_pruned })
+    out.measure_ms = t.elapsed().as_secs_f64() * 1e3;
+    out.measured = Some(m);
+    out.lb_pruned = lb_pruned;
+    Ok(out)
 }
 
 /// The incumbent: its spec, its canonical enumeration index (ties break
@@ -477,7 +470,9 @@ impl Found {
 pub(crate) struct Search<'p> {
     program: &'p Program,
     options: &'p Options,
-    synth: Synthesizer<'p>,
+    /// Stage-1 database (hits, misses), summed over the variants in
+    /// evaluation order, each synthesized through its own database.
+    db_stats: (usize, usize),
     /// Canonical enumeration index per spec (ties break on it).
     order: HashMap<VariantSpec, usize>,
     /// Specs already attempted (measured, cut off, or failed); a spec is
@@ -506,7 +501,7 @@ impl<'p> Search<'p> {
         Search {
             program,
             options,
-            synth: Synthesizer::new(program),
+            db_stats: (0, 0),
             order,
             visited: HashSet::new(),
             bodies: HashMap::new(),
@@ -518,29 +513,22 @@ impl<'p> Search<'p> {
         }
     }
 
-    /// Evaluate a batch of specs: Stage 1 serially through the shared
-    /// database, then one thread per unvisited variant running
-    /// [`run_variant`]. Updates the incumbent deterministically (strict
-    /// min cycles, ties broken by canonical enumeration order): results
-    /// are accounted in batch order, whatever order the threads finish
-    /// in.
+    /// Evaluate a batch of specs: one thread per unvisited variant
+    /// running [`run_variant`], Stage 1 included, so the batch's
+    /// syntheses run in parallel with each other and with their siblings'
+    /// Stages 2–3. Updates the incumbent deterministically (strict min
+    /// cycles, ties broken by canonical enumeration order): results, the
+    /// database statistics included, are accounted in batch order,
+    /// whatever order the threads finish in.
     pub(crate) fn evaluate(&mut self, specs: &[VariantSpec], budget: Option<f64>) {
-        let todo: Vec<(VariantSpec, Result<Arc<BasicProgram>, Error>)> = specs
-            .iter()
-            .copied()
-            .filter(|s| self.visited.insert(*s))
-            .map(|s| (s, self.synth.basic(s.policy, s.nu)))
-            .collect();
+        let todo: Vec<VariantSpec> =
+            specs.iter().copied().filter(|s| self.visited.insert(*s)).collect();
         let (program, options, bodies) = (self.program, self.options, &self.bodies);
         let results: Vec<(VariantSpec, Result<RepOut, Error>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = todo
                 .into_iter()
-                .map(|(spec, basic)| {
-                    scope.spawn(move || {
-                        let out = basic
-                            .and_then(|b| run_variant(program, spec, &b, options, bodies, budget));
-                        (spec, out)
-                    })
+                .map(|spec| {
+                    scope.spawn(move || (spec, run_variant(program, spec, options, bodies, budget)))
                 })
                 .collect();
             handles
@@ -552,15 +540,18 @@ impl<'p> Search<'p> {
         // surface a body keeps it and its measurement; every later variant
         // landing on that body is deduped.
         for (spec, out) in results {
-            let RepOut { lowered, key, measured, measure_ms, lb_pruned } = match out {
-                Ok(out) => out,
-                Err(e) => {
-                    self.last_err = Some(e);
-                    continue;
-                }
-            };
+            let RepOut { synth_ms, db_stats, lowered, key, measured, measure_ms, lb_pruned } =
+                match out {
+                    Ok(out) => out,
+                    Err(e) => {
+                        self.last_err = Some(e);
+                        continue;
+                    }
+                };
             let Lowered { function, lower_ms, opt_ms } = lowered;
-            self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
+            self.rep_costs.push(RepCost { spec, synth_ms, lower_ms, opt_ms, measure_ms });
+            self.db_stats.0 += db_stats.0;
+            self.db_stats.1 += db_stats.1;
             self.stats.lb_pruned += usize::from(lb_pruned);
             let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
             let shared = match self.bodies.entry(key) {
@@ -712,14 +703,8 @@ impl<'p> Search<'p> {
             unreachable!("the incumbent's body was measured")
         };
         let c_code = slingen_cir::unparse::to_c_for(&body.function, self.options.target);
-        let win = CachedWin::new(
-            best.spec,
-            body.function,
-            c_code,
-            *report,
-            self.synth.stats(),
-            self.stats,
-        );
+        let win =
+            CachedWin::new(best.spec, body.function, c_code, *report, self.db_stats, self.stats);
         Ok(Found { win, rep_costs: self.rep_costs, hw_trials: self.hw_trials })
     }
 }

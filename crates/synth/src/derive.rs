@@ -276,8 +276,10 @@ fn write_view_signature(sig: &mut String, v: &View) {
 
 /// Whether `derive_fresh` would emit this instance entirely through one of
 /// its scalar leaf cases. Leaf emission never consults the loop-invariant
-/// policy, so leaf templates are cached policy-neutrally and shared across
-/// variants (the autotuner threads one database through all policies).
+/// policy, so leaf templates are cached policy-neutrally: a database used
+/// for several (policy, ν) variants shares them. The autotuner gives each
+/// variant its own database, so there only repeats within one derivation
+/// hit.
 fn is_scalar_leaf(inst: &EqInstance) -> bool {
     match &inst.op {
         SolveOp::Assign => true,
@@ -301,8 +303,8 @@ fn instance_signature(
     use std::fmt::Write;
     // Scalar-leaf emission consults neither the loop-invariant policy nor
     // the block size ν, so leaf templates live in one fully neutral
-    // keyspace shared across the whole (policy × ν) variant space the
-    // autotuner explores. Block-level derivations stay qualified by both
+    // keyspace that every (policy × ν) variant synthesized through the
+    // same database shares. Block-level derivations stay qualified by both
     // because their loop schedules (and those of their descendants)
     // differ.
     if is_scalar_leaf(inst) {

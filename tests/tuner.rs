@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use slingen::{apps, generate_with_spec, Options, SearchSpace, Target, VariantSpec};
 use slingen_ir::Program;
 use slingen_perf::pressure_lower_bound;
-use slingen_synth::Policy;
+use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 
 fn paper_apps() -> Vec<(&'static str, Program)> {
     vec![
@@ -241,6 +241,34 @@ fn greedy_stats_reconcile_with_the_space() {
             "{name}: at least one variant must be a measured representative"
         );
         assert_eq!(g.tuning.predicted, 0, "{name}: nothing is predicted");
+    }
+}
+
+/// Every variant synthesizes through its own fresh `AlgorithmDb` on its
+/// own thread, so a search's `db_stats` is the sum of its variants' own
+/// (hits, misses): the same on every cold call, whatever order the
+/// threads finish in, and reproducible one variant at a time.
+#[test]
+fn db_stats_sum_each_variants_own_database() {
+    for (name, program) in [("potrf16", apps::potrf(16)), ("trlya8", apps::trlya(8))] {
+        let first = slingen::generate(&program, &Options::default()).unwrap();
+        let second = slingen::generate(&program, &Options::default()).unwrap();
+        assert!(!second.tuning.cache_hit, "{name}: a fresh cache misses");
+        assert_eq!(first.db_stats, second.db_stats, "{name}: two cold searches disagree");
+        let mut sum = (0, 0);
+        for r in &first.rep_costs {
+            let mut db = AlgorithmDb::new();
+            synthesize_program(&program, r.spec.policy, r.spec.nu, &mut db).unwrap();
+            sum.0 += db.hits();
+            sum.1 += db.misses();
+        }
+        assert_eq!(
+            first.db_stats,
+            sum,
+            "{name}: not the sum over {} variants",
+            first.rep_costs.len()
+        );
+        assert!(sum.1 > 0, "{name}: a cold search derives something");
     }
 }
 
