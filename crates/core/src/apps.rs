@@ -244,20 +244,67 @@ pub fn l1a(n: usize) -> Program {
     b.build().expect("l1a program")
 }
 
+/// How a paper app builds its program.
+#[derive(Clone, Copy)]
+enum Build {
+    /// From its size alone.
+    Sized(fn(usize) -> Program),
+    /// From its size `n` and the Kalman filter's observation size `k`.
+    Observed(fn(usize, usize) -> Program),
+}
+
+/// A paper app, resolved from its short name by [`App::named`].
+#[derive(Clone, Copy)]
+pub(crate) struct App {
+    /// The short name (`potrf`, `kf`, ...).
+    pub(crate) name: &'static str,
+    build: Build,
+}
+
+/// Every paper app, in the order of the module docs: the one table that
+/// names them.
+pub(crate) const APPS: [App; 7] = [
+    App { name: "potrf", build: Build::Sized(potrf) },
+    App { name: "trsyl", build: Build::Sized(trsyl) },
+    App { name: "trlya", build: Build::Sized(trlya) },
+    App { name: "trtri", build: Build::Sized(trtri) },
+    App { name: "kf", build: Build::Observed(kf_sized) },
+    App { name: "gpr", build: Build::Sized(gpr) },
+    App { name: "l1a", build: Build::Sized(l1a) },
+];
+
+impl App {
+    /// The app called `name`, or `None` for an unknown name.
+    pub(crate) fn named(name: &str) -> Option<&'static App> {
+        APPS.iter().find(|app| app.name == name)
+    }
+
+    /// The observation size the program at size `n` is built with: `None`
+    /// for an app that takes none (a requested `k` is ignored), `k` or by
+    /// default `n` for the Kalman filter. Two requests with equal `n` and
+    /// equal observation sizes build the same program.
+    pub(crate) fn observations(&self, n: usize, k: Option<usize>) -> Option<usize> {
+        match self.build {
+            Build::Sized(_) => None,
+            Build::Observed(_) => Some(k.unwrap_or(n)),
+        }
+    }
+
+    /// The program at size `n`; `k` is the Kalman filter's observation
+    /// size (defaults to `n`, ignored by the other apps).
+    pub(crate) fn program(&self, n: usize, k: Option<usize>) -> Program {
+        match self.build {
+            Build::Sized(build) => build(n),
+            Build::Observed(build) => build(n, k.unwrap_or(n)),
+        }
+    }
+}
+
 /// Build a benchmark program by its short name at size `n`; `k` is the
 /// Kalman filter's observation size (defaults to `n`). `None` for an
 /// unknown name.
 pub fn by_name(app: &str, n: usize, k: Option<usize>) -> Option<Program> {
-    Some(match app {
-        "potrf" => potrf(n),
-        "trsyl" => trsyl(n),
-        "trlya" => trlya(n),
-        "trtri" => trtri(n),
-        "kf" => kf_sized(n, k.unwrap_or(n)),
-        "gpr" => gpr(n),
-        "l1a" => l1a(n),
-        _ => return None,
-    })
+    App::named(app).map(|app| app.program(n, k))
 }
 
 /// Nominal flop counts used for the paper's performance plots.
@@ -296,6 +343,10 @@ mod tests {
         assert_eq!(by_name("kf", 8, None).unwrap().to_string(), kf(8).to_string());
         assert_eq!(by_name("potrf", 8, None).unwrap().to_string(), potrf(8).to_string());
         assert!(by_name("gemm", 8, None).is_none());
+        let (potrf_app, kf_app) = (App::named("potrf").unwrap(), App::named("kf").unwrap());
+        assert_eq!(potrf_app.observations(4, Some(3)), None, "only kf reads k");
+        assert_eq!(kf_app.observations(8, None), kf_app.observations(8, Some(8)));
+        assert_eq!(kf_app.program(8, Some(8)).to_string(), kf(8).to_string());
     }
 
     #[test]

@@ -29,23 +29,34 @@
 //! requests off a channel and write completed responses (in completion
 //! order — correlate by `id`) through a shared writer. A line longer than
 //! [`MAX_LINE`] bytes is answered with an error and skipped without being
-//! buffered. Workers share the engine's cache, so identical concurrent
-//! requests coalesce onto one search. The cache lock covers only a
-//! lookup, and a hit copies no kernel: the response is rendered straight
-//! from the cache's shared entry, whose summary fields are rendered once
-//! when it is stored and whose JSON-escaped C is built once, by the first
-//! `emit:"c"` response for that entry.
+//! buffered, and a request whose handling panics is answered with an
+//! error while its worker serves on. Workers share the engine's cache, so
+//! identical concurrent requests coalesce onto one search.
+//!
+//! A hit rebuilds nothing. The engine memoizes each distinct request's
+//! cache key, so a repeated request is a memo lookup plus one cache
+//! lookup: it builds no program, no options and no key. The memo and
+//! cache locks each cover only a lookup, and a hit copies no kernel: the
+//! response is rendered straight from the cache's shared entry, whose
+//! summary fields are rendered once when it is stored and whose
+//! JSON-escaped C is built once, by the first `emit:"c"` response for
+//! that entry.
 
+use crate::apps::App;
 use crate::cache::TuneCache;
 use crate::measure::MeasureConfig;
 use crate::pipeline::{cycles_source, Options};
-use crate::tuner::TuneStats;
-use crate::{apps, Target};
+use crate::tuner::{cache_key, tune_keyed, TuneStats};
+use crate::Target;
+use slingen_ir::Program;
+use std::any::Any;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 /// Largest accepted operand size: the generator is fully unrolled, so
 /// cold searches beyond this are minutes, not milliseconds.
@@ -339,11 +350,6 @@ impl Request {
         };
         Ok(Request { id, app, n, k, target, emit })
     }
-
-    fn program(&self) -> Result<slingen_ir::Program, String> {
-        apps::by_name(&self.app, self.n, self.k)
-            .ok_or_else(|| format!("unknown app `{}`", self.app))
-    }
 }
 
 /// How a response was served, from its tuning stats.
@@ -359,8 +365,25 @@ fn cache_marker(stats: &TuneStats) -> &'static str {
     }
 }
 
-/// The serve engine: one shared cache, stateless per-request options.
-/// Cheap to share by reference across worker threads.
+/// A request with its app resolved and its observation count normalized
+/// ([`App::observations`]): the requests one memo entry serves. Every
+/// field comes from the validated request domain, so the memo can hold
+/// at most one entry per point of that domain.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    app: &'static str,
+    n: usize,
+    k: Option<usize>,
+    target: Target,
+}
+
+/// Why the memo lock cannot be poisoned: its holders only look up, clone
+/// or insert an `Arc`.
+const MEMO_LOCK: &str = "no code panics while holding the memo lock";
+
+/// The serve engine: one shared cache, plus a memo of each distinct
+/// request's cache key. Cheap to share by reference across worker
+/// threads.
 pub struct Engine {
     cache: TuneCache,
     default_target: Target,
@@ -368,6 +391,14 @@ pub struct Engine {
     /// by default). Hardware mode degrades per-request to the model
     /// when no compiler works, exactly like `generate()`.
     measure: MeasureConfig,
+    /// Each distinct request's cache key ([`crate::tuner::cache_key`]),
+    /// built on its first request. A key is a pure function of the
+    /// request for this engine: the machine and the pass configuration
+    /// come from the target and `measure` is fixed at construction, so
+    /// no entry is ever stale. An entry whose cache entry was evicted
+    /// simply misses in the cache and searches once. The memo holds keys
+    /// only, never wins, and is bounded by the request domain.
+    memo: RwLock<HashMap<MemoKey, Arc<str>>>,
     /// Responses whose winner was ranked by the model resp. by hardware
     /// timing (surfaced in [`Engine::stats_json`]).
     served_model: AtomicU64,
@@ -381,6 +412,7 @@ impl Engine {
             cache,
             default_target,
             measure: MeasureConfig::default(),
+            memo: RwLock::default(),
             served_model: AtomicU64::new(0),
             served_measured: AtomicU64::new(0),
         }
@@ -397,6 +429,30 @@ impl Engine {
         &self.cache
     }
 
+    /// The program and options a request for `memo` is tuned with.
+    fn inputs(&self, app: &App, memo: &MemoKey) -> (Program, Options) {
+        let options = Options {
+            cache: self.cache.clone(),
+            measure: self.measure.clone(),
+            ..Options::for_target(memo.target)
+        };
+        (app.program(memo.n, memo.k), options)
+    }
+
+    /// The cache key of a request for `memo`: from the memo, or built and
+    /// stored by the first such request, which also gets the program and
+    /// options it built the key from. Neither memo lock is held on return.
+    fn memo_key(&self, app: &App, memo: MemoKey) -> (Arc<str>, Option<(Program, Options)>) {
+        let known = self.memo.read().expect(MEMO_LOCK).get(&memo).cloned();
+        if let Some(key) = known {
+            return (key, None);
+        }
+        let (program, options) = self.inputs(app, &memo);
+        let key: Arc<str> = cache_key(&program, &options).into();
+        let key = self.memo.write().expect(MEMO_LOCK).entry(memo).or_insert(key).clone();
+        (key, Some((program, options)))
+    }
+
     /// Handle one request line; always returns exactly one response
     /// line (errors are `{"id":...,"ok":false,"error":"..."}`).
     pub fn handle_line(&self, line: &str) -> String {
@@ -407,34 +463,35 @@ impl Engine {
     pub fn handle_line_tagged(&self, line: &str) -> (String, bool) {
         let req = match Request::parse(line, self.default_target) {
             Ok(r) => r,
-            Err((id, e)) => {
-                return (
-                    format!("{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}", escape_json(&e)),
-                    false,
-                )
-            }
+            Err((id, e)) => return (error_line(&id, &e), false),
         };
         match self.handle(&req) {
             Ok(resp) => (resp, true),
-            Err(e) => (
-                format!("{{\"id\":{},\"ok\":false,\"error\":\"{}\"}}", req.id, escape_json(&e)),
-                false,
-            ),
+            Err(e) => (error_line(&req.id, &e), false),
         }
     }
 
     /// Generate (or replay) the kernel for one parsed request and render
-    /// its response line. The response is read straight from the cache's
-    /// shared entry (its pre-rendered summary fields and escaped C) into
-    /// one allocation; no kernel is copied and no float is formatted.
+    /// its response line. The app is resolved from the one app table in
+    /// [`crate::apps`], and the cache key comes from the engine's
+    /// memo: only the first request of its kind builds it. A hit builds no
+    /// program, no options and no key; only a request that owns a search
+    /// or re-materializes a loaded entry builds the program and options.
+    /// The response is read straight from the cache's shared entry (its
+    /// pre-rendered summary fields and escaped C) into one allocation; no
+    /// kernel is copied and no float is formatted.
     pub fn handle(&self, req: &Request) -> Result<String, String> {
-        let program = req.program()?;
-        let options = Options {
-            cache: self.cache.clone(),
-            measure: self.measure.clone(),
-            ..Options::for_target(req.target)
+        let app = App::named(&req.app).ok_or_else(|| format!("unknown app `{}`", req.app))?;
+        let memo = MemoKey {
+            app: app.name,
+            n: req.n,
+            k: app.observations(req.n, req.k),
+            target: req.target,
         };
-        let tuned = crate::tuner::tune(&program, &options).map_err(|e| e.to_string())?;
+        let (key, built) = self.memo_key(app, memo);
+        let tuned =
+            tune_keyed(&self.cache, &key, || built.unwrap_or_else(|| self.inputs(app, &memo)))
+                .map_err(|e| e.to_string())?;
         let win = &*tuned.win;
         match cycles_source(&win.report) {
             "measured" => self.served_measured.fetch_add(1, Ordering::Relaxed),
@@ -497,17 +554,54 @@ pub struct ServeSummary {
     pub errors: usize,
 }
 
+/// The error response `{"id":<id>,"ok":false,"error":"<error>"}`; `id`
+/// is already a rendered JSON scalar.
+fn error_line(id: &str, error: &str) -> String {
+    format!("{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}", escape_json(error))
+}
+
+/// The error response of a request whose handling panicked: the id of
+/// its line (`null` when the line does not parse that far) and the
+/// panic's message.
+fn panic_response(line: &str, panic: &(dyn Any + Send)) -> String {
+    let message = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "no message",
+    };
+    // The parse itself may be what panicked.
+    let id = catch_unwind(|| match Request::parse(line, Target::default()) {
+        Ok(req) => req.id,
+        Err((id, _)) => id,
+    })
+    .unwrap_or_else(|_| "null".into());
+    error_line(&id, &format!("request panicked: {message}"))
+}
+
 /// Pump line-delimited requests from `input` through a pool of `workers`
 /// threads sharing `engine`, writing one response line per request to
 /// `output` *in completion order* (correlate by `id`). A line longer than
 /// [`MAX_LINE`] bytes, or one that is not UTF-8, gets an error response
-/// from the reader itself and is never handed to a worker. Returns
-/// totals.
+/// from the reader itself and is never handed to a worker. A request
+/// whose handling panics gets an error response and counts as an error;
+/// its worker goes on serving. Returns totals.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     engine: &Engine,
+    input: R,
+    output: W,
+    workers: usize,
+) -> std::io::Result<ServeSummary> {
+    pump_lines(input, output, workers, |line| engine.handle_line_tagged(line))
+}
+
+/// [`serve_lines`] with any request handler in place of the engine's:
+/// `handle` maps a request line to its response and whether it
+/// succeeded.
+fn pump_lines<R: BufRead, W: Write + Send>(
     mut input: R,
     output: W,
     workers: usize,
+    handle: impl Fn(&str) -> (String, bool) + Sync,
 ) -> std::io::Result<ServeSummary> {
     let (tx, rx) = mpsc::channel::<String>();
     let rx = Mutex::new(rx);
@@ -524,18 +618,22 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
         let _ = out.flush();
     };
     // Lines the reader rejects before any parse: no id to echo.
-    let reject = |error: &str| {
-        respond(&format!("{{\"id\":null,\"ok\":false,\"error\":\"{error}\"}}"), false)
-    };
+    let reject = |error: &str| respond(&error_line("null", error), false);
     let mut read_err = None;
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
             scope.spawn(|| loop {
-                let line = match rx.lock().unwrap().recv() {
+                let line = match rx.lock().expect("no thread panics while receiving").recv() {
                     Ok(l) => l,
                     Err(_) => break,
                 };
-                let (resp, ok) = engine.handle_line_tagged(&line);
+                // No lock is held across `handle`: the channel and output
+                // locks are taken around it, and the engine releases its
+                // memo and cache locks before any search or rendering, so
+                // a panic poisons none of them. An owner's unwinding ticket
+                // wakes the requests coalesced on it with an error.
+                let (resp, ok) = catch_unwind(AssertUnwindSafe(|| handle(&line)))
+                    .unwrap_or_else(|panic| (panic_response(&line, &*panic), false));
                 respond(&resp, ok);
             });
         }
@@ -698,6 +796,69 @@ mod tests {
         assert!(resp.contains("unknown app"), "{resp}");
     }
 
+    fn memo_len(engine: &Engine) -> usize {
+        engine.memo.read().unwrap().len()
+    }
+
+    fn cache_marker_of(resp: &str) -> &str {
+        let rest = &resp[resp.find("\"cache\":\"").expect("a cache marker") + 9..];
+        &rest[..rest.find('"').unwrap()]
+    }
+
+    /// Requests that build one program share one memo entry and one cache
+    /// entry: a `k` sent to an app without observations is ignored, and a
+    /// kf request without `k` is the one with `k = n`. An unknown app
+    /// never enters the memo.
+    #[test]
+    fn equivalent_requests_share_one_memo_and_cache_entry() {
+        let engine = Engine::new(TuneCache::new(), Target::Avx2);
+        let served = |line: &str| {
+            let (resp, ok) = engine.handle_line_tagged(line);
+            assert!(ok, "{line} -> {resp}");
+            cache_marker_of(&resp).to_string()
+        };
+        assert_eq!(served(r#"{"app":"potrf","n":4,"k":3,"emit":"summary"}"#), "miss");
+        assert_eq!(served(r#"{"app":"potrf","n":4,"emit":"summary"}"#), "hit");
+        assert_eq!((memo_len(&engine), engine.cache().len()), (1, 1));
+
+        assert_eq!(served(r#"{"app":"kf","n":8,"emit":"summary"}"#), "miss");
+        assert_eq!(served(r#"{"app":"kf","n":8,"k":8,"emit":"summary"}"#), "hit");
+        assert_eq!((memo_len(&engine), engine.cache().len()), (2, 2));
+
+        let (resp, ok) = engine.handle_line_tagged(r#"{"id":9,"app":"gemm","n":4,"k":2}"#);
+        assert!(!ok && resp.contains("unknown app"), "{resp}");
+        assert_eq!((memo_len(&engine), engine.cache().len()), (2, 2));
+        assert_eq!(engine.cache().searches(), 2);
+    }
+
+    /// A request whose handling panics is answered with an error that
+    /// echoes its id and is counted, and the one worker goes on to answer
+    /// the next line of the same input.
+    #[test]
+    fn a_panicking_request_is_an_error_response_and_the_worker_serves_on() {
+        let engine = Engine::new(TuneCache::new(), Target::Avx2);
+        let input = concat!(
+            r#"{"id":1,"app":"potrf","n":3,"emit":"summary","boom":true}"#,
+            "\n",
+            r#"{"id":2,"app":"potrf","n":3,"emit":"summary"}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let summary = pump_lines(input.as_bytes(), &mut out, 1, |line| {
+            assert!(!line.contains("boom"), "request handler exploded");
+            engine.handle_line_tagged(line)
+        })
+        .unwrap();
+        assert_eq!(summary, ServeSummary { requests: 2, errors: 1 });
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[0],
+            r#"{"id":1,"ok":false,"error":"request panicked: request handler exploded"}"#
+        );
+        assert!(lines[1].starts_with(r#"{"id":2,"ok":true,"#), "{text}");
+    }
+
     #[test]
     fn escape_round_trips_controls() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
@@ -732,7 +893,7 @@ mod tests {
             "back\\slash\\\\".into(),
             "é ü ∑ 𝄞 — multi-byte \u{80}\u{7ff}\u{800}\u{ffff}\u{10ffff}".into(),
             format!("x{controls}\u{7f}\"\\é\n𝄞y"),
-            crate::generate(&apps::potrf(16), &crate::Options::default()).unwrap().c_code,
+            crate::generate(&crate::apps::potrf(16), &crate::Options::default()).unwrap().c_code,
         ]);
         for case in &cases {
             assert_eq!(escape_json(case), escape_json_charwise(case), "{case:?}");

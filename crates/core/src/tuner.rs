@@ -50,6 +50,7 @@ use slingen_ir::Program;
 use slingen_lgen::{lower_program, LowerOptions};
 use slingen_perf::{pressure_lower_bound, Report};
 use slingen_synth::{synthesize_program, AlgorithmDb, BasicProgram, Policy};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -250,12 +251,14 @@ const KEY_CAPACITY: usize = 2048;
 /// entry. The machine and the pass configuration go in through their own
 /// key writers ([`Machine::write_key`], [`PassConfig::write_key`]): every
 /// `f64` as its bit pattern, flags and counts as integers, so neither is
-/// run through `Debug` or a float formatter. The key is built on every
-/// `generate()` and every served request, hits included.
+/// run through `Debug` or a float formatter. The key is built once per
+/// `generate()` call, and once per distinct request an
+/// [`Engine`](crate::serve::Engine) serves: the engine keeps it, so its
+/// hits build no key.
 ///
 /// [`Machine::write_key`]: slingen_perf::Machine::write_key
 /// [`PassConfig::write_key`]: slingen_cir::passes::PassConfig::write_key
-fn cache_key(program: &Program, options: &Options) -> String {
+pub(crate) fn cache_key(program: &Program, options: &Options) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(KEY_CAPACITY);
     let _ = write!(key, "{program}");
@@ -833,7 +836,22 @@ impl Tuned {
 }
 
 /// Run the autotuning search for `program` under `options`, consulting
-/// and populating the cache.
+/// and populating the cache: [`tune_keyed`] under the request's
+/// [`cache_key`], built once, with the caller's program and options.
+pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error> {
+    if options.search.is_empty() {
+        return Err(Error::Synth(slingen_synth::SynthError::Unsupported(
+            "empty autotuning search space".into(),
+        )));
+    }
+    tune_keyed(&options.cache, &cache_key(program, options), || (program, options))
+}
+
+/// Serve the request whose [`cache_key`] is `key` from `cache`, running
+/// the search only when this request owns the key. `inputs` yields the
+/// program and options the key was built from (their search space must
+/// not be empty); it runs only on [`Claim::Owner`], to re-materialize a
+/// persisted entry or to search, so a hit builds neither.
 ///
 /// Concurrency: the first request for a key becomes the *owner* of an
 /// in-flight slot and runs the one search; requests arriving while it
@@ -847,18 +865,18 @@ impl Tuned {
 /// Every outcome (miss, hit, persisted, coalesced) returns the win the
 /// cache stores, shared: a miss moves its artifacts into the cache, and
 /// no path copies a kernel here.
-pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error> {
-    if options.search.is_empty() {
-        return Err(Error::Synth(slingen_synth::SynthError::Unsupported(
-            "empty autotuning search space".into(),
-        )));
-    }
-    let key = cache_key(program, options);
-    let mut ticket = match options.cache.claim(&key) {
+pub(crate) fn tune_keyed<P: Borrow<Program>, O: Borrow<Options>>(
+    cache: &TuneCache,
+    key: &str,
+    inputs: impl FnOnce() -> (P, O),
+) -> Result<Tuned, Error> {
+    let mut ticket = match cache.claim(key) {
         Claim::Hit { win, coalesced } => return Ok(Tuned::replay(win, coalesced)),
         Claim::Failed(e) => return Err(e),
         Claim::Owner(t) => t,
     };
+    let (program, options) = inputs();
+    let (program, options) = (program.borrow(), options.borrow());
     if let Some(p) = ticket.take_persisted() {
         match materialize_persisted(program, options, &p) {
             Ok(win) => return Ok(Tuned::replay(ticket.fulfill(win), false)),
@@ -870,7 +888,7 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Tuned, Error>
             }
         }
     }
-    options.cache.note_search();
+    cache.note_search();
     let mut search = Search::new(program, options);
     run_greedy(&mut search);
     if options.measure.wants_hardware() {
@@ -977,9 +995,9 @@ mod tests {
     /// measurement on, is built without outgrowing [`KEY_CAPACITY`].
     #[test]
     fn keys_fit_their_initial_capacity() {
-        for app in ["potrf", "trsyl", "trlya", "trtri", "kf", "gpr", "l1a"] {
+        for app in &crate::apps::APPS {
             for n in [1, 8, crate::serve::MAX_N] {
-                let program = crate::apps::by_name(app, n, None).unwrap();
+                let program = app.program(n, None);
                 for target in Target::ALL {
                     let options = Options {
                         measure: crate::MeasureConfig::hardware(),
@@ -989,7 +1007,8 @@ mod tests {
                     assert_eq!(
                         key.capacity(),
                         KEY_CAPACITY,
-                        "{app}{n} {target}: {} bytes",
+                        "{}{n} {target}: {} bytes",
+                        app.name,
                         key.len()
                     );
                 }

@@ -321,3 +321,45 @@ fn serve_lines_rejects_over_long_lines_and_keeps_serving() {
     }
     assert!(!text.contains("\"id\":20") && !text.contains("\"id\":21"), "{text}");
 }
+
+/// A fixed request script over one engine's lifetime: miss, hit, hit, a
+/// second key, a replay of both from a saved file, a capped save that
+/// evicts a key the reloaded engine already served, and that key again.
+/// The markers and the engines' `stats_json` are the values the engine
+/// read before it kept each request's cache key, so a served hit bumps
+/// the counters it always did, and an evicted key misses and searches
+/// exactly once.
+#[test]
+fn request_script_keeps_its_markers_and_counters() {
+    let path =
+        std::env::temp_dir().join(format!("slingen-serve-test-{}-script", std::process::id()));
+    let potrf = r#"{"id":1,"app":"potrf","n":4,"emit":"summary"}"#;
+    let potrf_c = r#"{"id":2,"app":"potrf","n":4}"#;
+    let trtri = r#"{"id":3,"app":"trtri","n":4,"k":2,"emit":"summary"}"#;
+    let markers = |engine: &Engine, lines: &[&str]| -> Vec<String> {
+        lines.iter().map(|line| marker(&engine.handle_line(line)).to_string()).collect()
+    };
+
+    let engine = Engine::new(TuneCache::new(), Target::Avx2);
+    assert_eq!(markers(&engine, &[potrf, potrf, potrf_c, trtri]), ["miss", "hit", "hit", "miss"]);
+    assert_eq!(
+        engine.stats_json(),
+        "{\"cache_entries\": 2, \"hits\": 2, \"misses\": 2, \"inserts\": 2, \"coalesced\": 0, \
+         \"searches\": 2, \"served_model\": 4, \"served_measured\": 0}"
+    );
+    engine.cache().save(&path).unwrap();
+
+    let engine = Engine::new(TuneCache::load_checked(&path).unwrap(), Target::Avx2);
+    // A hit on a replayed entry keeps the `persisted` marker.
+    let replayed = ["persisted", "persisted", "persisted"];
+    assert_eq!(markers(&engine, &[trtri, potrf, potrf_c]), replayed);
+    // trtri4 is the least recently hit entry, so the cap evicts it.
+    assert_eq!(engine.cache().save_capped(&path, Some(1)).unwrap(), 1);
+    assert_eq!(markers(&engine, &[trtri, potrf]), ["miss", "persisted"]);
+    assert_eq!(
+        engine.stats_json(),
+        "{\"cache_entries\": 2, \"hits\": 4, \"misses\": 1, \"inserts\": 3, \"coalesced\": 0, \
+         \"searches\": 1, \"served_model\": 5, \"served_measured\": 0}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
