@@ -5,7 +5,8 @@
 //! requests naming a paper app, a size, and a target, and receive one
 //! JSON response line each — the emitted C (or a summary) plus a cache
 //! marker saying how the request was served (`miss` = a search ran,
-//! `hit` = in-memory replay, `persisted` = replayed from a cache file,
+//! `hit` = in-memory replay, `persisted` = this request replayed the
+//! entry from a cache file (later hits on it are `hit`),
 //! `coalesced` = piggybacked on a concurrent identical request) and a
 //! `cycles_source` marker saying which signal ranked the winner
 //! (`model` = the scheduler's estimate, `measured` = stage-two hardware

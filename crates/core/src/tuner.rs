@@ -185,8 +185,9 @@ pub struct TuneStats {
     /// same key: it blocked until the owning request's search finished
     /// and shares its result (always together with `cache_hit`).
     pub coalesced: bool,
-    /// Whether the entry originated from a persisted cache file
-    /// ([`TuneCache::load`]) rather than a search in this process.
+    /// Whether this request re-materialized its entry from a persisted
+    /// cache file ([`TuneCache::load`]) instead of searching. Only that
+    /// one request reports it; later hits on the entry are plain hits.
     pub persisted: bool,
     /// Always 0: Stage 3 no longer replays clean blocks. Kept because
     /// the external benchmark under `perfbench/` reads it.
@@ -813,9 +814,10 @@ pub(crate) struct Tuned {
 }
 
 impl Tuned {
-    /// A request served from a stored (or just re-materialized) win.
-    fn replay(win: Arc<CachedWin>, coalesced: bool) -> Tuned {
-        let stats = TuneStats { cache_hit: true, coalesced, ..win.stats };
+    /// A request served from a stored win, or (`persisted`) the one that
+    /// just re-materialized it from a cache file.
+    fn replay(win: Arc<CachedWin>, coalesced: bool, persisted: bool) -> Tuned {
+        let stats = TuneStats { cache_hit: true, coalesced, persisted, ..win.stats };
         Tuned { win, stats, rep_costs: Vec::new(), hw_trials: Vec::new() }
     }
 
@@ -871,7 +873,7 @@ pub(crate) fn tune_keyed<P: Borrow<Program>, O: Borrow<Options>>(
     inputs: impl FnOnce() -> (P, O),
 ) -> Result<Tuned, Error> {
     let mut ticket = match cache.claim(key) {
-        Claim::Hit { win, coalesced } => return Ok(Tuned::replay(win, coalesced)),
+        Claim::Hit { win, coalesced } => return Ok(Tuned::replay(win, coalesced, false)),
         Claim::Failed(e) => return Err(e),
         Claim::Owner(t) => t,
     };
@@ -879,7 +881,7 @@ pub(crate) fn tune_keyed<P: Borrow<Program>, O: Borrow<Options>>(
     let (program, options) = (program.borrow(), options.borrow());
     if let Some(p) = ticket.take_persisted() {
         match materialize_persisted(program, options, &p) {
-            Ok(win) => return Ok(Tuned::replay(ticket.fulfill(win), false)),
+            Ok(win) => return Ok(Tuned::replay(ticket.fulfill(win), false, true)),
             Err(reason) => {
                 eprintln!(
                     "slingen: persisted entry for `{}` unusable ({reason}); re-searching",

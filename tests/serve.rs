@@ -350,12 +350,13 @@ fn request_script_keeps_its_markers_and_counters() {
     engine.cache().save(&path).unwrap();
 
     let engine = Engine::new(TuneCache::load_checked(&path).unwrap(), Target::Avx2);
-    // A hit on a replayed entry keeps the `persisted` marker.
-    let replayed = ["persisted", "persisted", "persisted"];
+    // Only the request that replays an entry from the file is `persisted`;
+    // later hits on it are plain hits.
+    let replayed = ["persisted", "persisted", "hit"];
     assert_eq!(markers(&engine, &[trtri, potrf, potrf_c]), replayed);
     // trtri4 is the least recently hit entry, so the cap evicts it.
     assert_eq!(engine.cache().save_capped(&path, Some(1)).unwrap(), 1);
-    assert_eq!(markers(&engine, &[trtri, potrf]), ["miss", "persisted"]);
+    assert_eq!(markers(&engine, &[trtri, potrf]), ["miss", "hit"]);
     assert_eq!(
         engine.stats_json(),
         "{\"cache_entries\": 2, \"hits\": 4, \"misses\": 1, \"inserts\": 3, \"coalesced\": 0, \
