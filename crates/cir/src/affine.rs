@@ -138,6 +138,11 @@ impl Affine {
     pub fn constant_part(&self) -> i64 {
         self.constant
     }
+
+    /// The `(var, coeff)` terms, in variable order (no zero coefficient).
+    pub fn terms(&self) -> impl Iterator<Item = (LoopVar, i64)> + '_ {
+        self.terms.iter().map(|(v, c)| (*v, *c))
+    }
 }
 
 impl From<i64> for Affine {
