@@ -305,6 +305,33 @@ fn checked_in_v3_file_still_hits() {
     let _ = fs::remove_file(&path);
 }
 
+/// A v3 file saved before registers were named by live range loads, but
+/// its entry's C no longer matches what the winner re-materializes to: the
+/// request rejects it as stale, misses and searches once, and the file is
+/// re-saved under the same key with the new C (byte for byte what this
+/// build saves for the request). The next run replays it from disk.
+#[test]
+fn v3_file_with_old_register_names_is_searched_once_and_resaved() {
+    let fixture = fs::read_to_string(snapshot("tunecache_v3_potrf4_avx2_old_names.cache")).unwrap();
+    let current = fs::read_to_string(snapshot("tunecache_v3_potrf4_avx2.cache")).unwrap();
+    assert_eq!(file_keys(&fixture), file_keys(&current), "the old file holds today's key");
+    let path = tmp("v3-old-names");
+    fs::write(&path, &fixture).unwrap();
+
+    let loaded = TuneCache::load_checked(&path).unwrap();
+    assert_eq!(loaded.len(), 1);
+    let opts = Options { cache: loaded.clone(), ..Options::default() };
+    let g = slingen::generate(&apps::potrf(4), &opts).unwrap();
+    assert!(!g.tuning.cache_hit && !g.tuning.persisted, "a stale entry is not replayed");
+    let totals = loaded.totals();
+    assert_eq!((totals.hits, totals.misses, loaded.searches()), (0, 1, 1));
+    assert_eq!(loaded.save(&path).unwrap(), 1);
+    assert_eq!(fs::read_to_string(&path).unwrap(), current, "re-saved under the same key");
+
+    assert_eq!(serve_markers(&path, &[POTRF4]), ["persisted"]);
+    let _ = fs::remove_file(&path);
+}
+
 /// A v3 file saved before the cost table gained its lane-crossing and
 /// code-footprint entries loads, but its key names the old machine, so
 /// the request misses: a winner ranked by the old table is never
