@@ -375,8 +375,8 @@ fn emit_unit<W: std::fmt::Write>(f: &Function, target: Target, out: &mut W) {
         if k > 0 {
             o.t(", ");
         }
-        o.t(if b.kind == BufKind::ParamIn { "const double* restrict " } else { "double* restrict " });
-        o.t(&bufs[id.0]);
+        let qual = if b.kind == BufKind::ParamIn { "const " } else { "" };
+        o.t(qual).t("double* restrict ").t(&bufs[id.0]);
     }
     o.t(") {\n");
     // declare only the locals the body uses (Stage 3 leaves dead
@@ -852,7 +852,6 @@ fn binop_c(op: BinOp) -> &'static str {
     }
 }
 
-
 /// Writes the kernel body piecewise: register names come from the name
 /// tables and buffer names from the identifier table, so no line builds a
 /// `String`.
@@ -870,6 +869,7 @@ struct Lines<'a, W> {
 const PAD: &str = "                                ";
 
 impl<W: std::fmt::Write> Lines<'_, W> {
+    /// `s` as is.
     fn t(&mut self, s: &str) -> &mut Self {
         let _ = self.out.write_str(s);
         self
@@ -901,10 +901,12 @@ impl<W: std::fmt::Write> Lines<'_, W> {
         self.num(if n < 0 { "-" } else { "" }, n.unsigned_abs())
     }
 
+    /// The live-range name of `r`.
     fn s(&mut self, r: SReg) -> &mut Self {
         self.num("s", u64::from(self.s[r.0]))
     }
 
+    /// The live-range name of `r`.
     fn v(&mut self, r: VReg) -> &mut Self {
         self.num("v", u64::from(self.v[r.0]))
     }
@@ -1193,7 +1195,8 @@ impl<W: std::fmt::Write> Lines<'_, W> {
                             self.select(w, *a, *b, sel.iter().map(|&s| sel_index(s, w)));
                         }
                         None => {
-                            let imm = blend_imm(isa, sel).expect("a shuffle without a helper is a blend");
+                            let imm =
+                                blend_imm(isa, sel).expect("a shuffle without a helper is a blend");
                             self.intr(isa, "blend").t("(").v(*a).t(", ").v(*b);
                             self.num(", ", imm as u64).t(")");
                         }
@@ -1218,7 +1221,8 @@ impl<W: std::fmt::Write> Lines<'_, W> {
                 if w == 1 {
                     self.v(if mask[0] { *b } else { *a });
                 } else if isa.blend {
-                    let imm: usize = mask.iter().enumerate().map(|(i, &m)| usize::from(m) << i).sum();
+                    let imm: usize =
+                        mask.iter().enumerate().map(|(i, &m)| usize::from(m) << i).sum();
                     self.intr(isa, "blend").t("(").v(*a).t(", ").v(*b).num(", ", imm as u64).t(")");
                 } else {
                     // no immediate blend on this target: the general shuffle
