@@ -428,18 +428,11 @@ impl Bank {
         }
     }
 
-    /// Pre-scan: `r` is read; its range reaches `end`.
-    fn read(&mut self, r: usize, end: u32) {
+    /// Pre-scan: `r` is mentioned. If this is its first mention, its range
+    /// starts at `start`; it reaches at least `end`.
+    fn mention(&mut self, r: usize, start: u32, end: u32) {
         if self.first[r] == NONE {
-            self.first[r] = 0;
-        }
-        self.last[r] = self.last[r].max(end);
-    }
-
-    /// Pre-scan: `r` is defined at `def`; its range reaches `end`.
-    fn write(&mut self, r: usize, def: u32, end: u32) {
-        if self.first[r] == NONE {
-            self.first[r] = def;
+            self.first[r] = start;
         }
         self.last[r] = self.last[r].max(end);
     }
@@ -464,6 +457,14 @@ impl Bank {
             self.last[r] = NONE;
             self.free.push(Reverse(self.name[r]));
         }
+    }
+
+    /// A top-level instruction at `pos` mentions `r`. [`each_reg`] visits
+    /// the reads first, so their names are free before the destination
+    /// (the only register whose range can start here) is named.
+    fn step(&mut self, r: usize, pos: u32) {
+        self.open(r, pos);
+        self.close(r, pos);
     }
 }
 
@@ -531,13 +532,7 @@ impl Names {
         for st in &f.body {
             if let CStmt::I(i) = st {
                 pos += 1;
-                let step = |bank: &mut Bank, r: usize, def: bool| {
-                    if def {
-                        bank.open(r, pos);
-                    }
-                    bank.close(r, pos);
-                };
-                each_reg(i, |r, d| step(s, r, d), |r, d| step(v, r, d));
+                each_reg(i, |r, _| s.step(r, pos), |r, _| v.step(r, pos));
             } else {
                 let (a, b) = (pos + 1, pos + 2);
                 pos = b;
@@ -560,15 +555,10 @@ impl Names {
         {
             self.bufs[m.buf.0] = true;
         }
+        // a read before any definition reserves its name from the entry
+        let start = |is_def: bool| if is_def { def } else { 0 };
         let Names { s, v, .. } = self;
-        let touch = |bank: &mut Bank, r: usize, is_def: bool| {
-            if is_def {
-                bank.write(r, def, end);
-            } else {
-                bank.read(r, end);
-            }
-        };
-        each_reg(i, |r, d| touch(s, r, d), |r, d| touch(v, r, d));
+        each_reg(i, |r, d| s.mention(r, start(d), end), |r, d| v.mention(r, start(d), end));
     }
 
     /// Debug backstop: replay the body against the name table (each loop
