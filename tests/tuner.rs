@@ -319,8 +319,9 @@ fn empty_search_space_errors() {
 /// Deterministic tuner counters: for each key of a small grid (every app
 /// at small sizes on the default target, plus potrf8 and l1a8 on the other
 /// targets), the winning spec and the search's `explored`, `pruned`,
-/// `deduped`, `predicted` and `lb_pruned` counts and number of
-/// representatives must match `tests/snapshots/tune_counters.txt`. Like
+/// `deduped`, `predicted` and `lb_pruned` counts, the number of
+/// representatives, and the winner's static and executed instruction
+/// counts must match `tests/snapshots/tune_counters.txt`. Like
 /// the golden digests, a mismatch prints the fresh table so an
 /// intentional change can be reviewed and committed.
 #[test]
@@ -352,14 +353,16 @@ fn tune_counters_are_pinned() {
         let _ = writeln!(
             fresh,
             "{key} {target} spec={} explored={} pruned={} deduped={} predicted={} \
-             lb_pruned={} reps={}",
+             lb_pruned={} reps={} static_instrs={} dyn_instrs={}",
             g.spec,
             t.explored,
             t.pruned,
             t.deduped,
             t.predicted,
             t.lb_pruned,
-            g.rep_costs.len()
+            g.rep_costs.len(),
+            g.function.static_instr_count(),
+            g.report.instructions
         );
     }
     let path = format!("{}/../../tests/snapshots/tune_counters.txt", env!("CARGO_MANIFEST_DIR"));
