@@ -1,16 +1,20 @@
-//! Generator-throughput tracker: measures wall time of each pipeline
-//! stage (and, with `--passes`, each Stage-3 pass) on the standard
-//! workloads, and emits machine-readable `BENCH_generator.json`.
+//! Generator-throughput tracker: times a cold and a cached `generate()`
+//! on the standard workloads and writes machine-readable
+//! `BENCH_generator.json`.
 //!
-//! Usage: `cargo run --release -p slingen-bench --bin bench [--passes]
-//! [--tune] [--serve] [--measure] [--calibrate] [--only APPS]
-//! [--out PATH]`
+//! Usage: `cargo run --release -p slingen-bench --bin bench [--serve]
+//! [--measure] [--calibrate] [--only APPS] [--out PATH]`
 //!
-//! The JSON is a list of per-workload records:
-//! `{"app", "stage1_ms", "stage2_ms", "stage3_ms", "autotune_ms", ...}`,
-//! preceded by a small metadata header. `--tune` adds a per-workload
-//! autotuner report — variants explored/pruned, cache hit rate, and the
-//! cold-vs-cached `generate()` speedup. `--serve` adds a serve-front-end
+//! The JSON holds a small metadata header and one `results` row per
+//! workload: the winner and the search's exploration counters, the
+//! cold-search and cache-hit wall times (`cold_ms`, `cached_ms`,
+//! `cache_speedup`), the winner's stage times from the tuner's own ledger
+//! ([`slingen::RepCost`]: `synth_ms`, `lower_ms`, `opt_ms`, `measure_ms`,
+//! each the median over the cold repetitions), the winner's
+//! `static_instrs`, the Stage-3 `fixpoint` (the winner's rounds, and
+//! whether every variant the search ran converged) and every variant's
+//! ledger entry (`reps`). The per-pass Stage-3 breakdown is perfbench's
+//! `--trace 1` (see `perfbench/`). `--serve` adds a serve-front-end
 //! report: requests/sec and p50/p99 latency at worker counts 1/4/16 on a
 //! hot cache over distinct keys and on a mixed hot/cold request stream
 //! (with coalescing counts). `--measure` adds the model-drift report:
@@ -23,139 +27,79 @@
 //! against the committed numbers (see ROADMAP.md).
 
 use slingen::serve::Engine;
-use slingen::{apps, Options, Target, TuneCache, VariantSpec};
-use slingen_cir::passes::{optimize_with_stats, PassConfig, PipelineStats};
+use slingen::{apps, Generated, Options, RepCost, Target, TuneCache};
 use slingen_ir::Program;
-use slingen_lgen::lower_program;
-use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 use std::time::Instant;
 
-/// Median wall-clock milliseconds of `f` over enough repetitions for a
-/// stable reading (at least 3 runs, at most ~2 s).
-fn time_ms(mut f: impl FnMut()) -> f64 {
+/// Run `f` enough times for a stable median (at least 3 runs, at most 15
+/// or about 2 s) and return each run's wall time in milliseconds.
+fn time_runs(mut f: impl FnMut()) -> Vec<f64> {
     let mut samples = Vec::new();
     let budget = Instant::now();
-    loop {
+    while samples.len() < 3 || (samples.len() < 15 && budget.elapsed().as_secs_f64() <= 2.0) {
         let t = Instant::now();
         f();
         samples.push(t.elapsed().as_secs_f64() * 1e3);
-        if samples.len() >= 3 && (budget.elapsed().as_secs_f64() > 2.0 || samples.len() >= 15) {
-            break;
-        }
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+    samples
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The winner's own entry in a cold search's ledger.
+fn winner_cost(g: &Generated) -> RepCost {
+    *g.rep_costs
+        .iter()
+        .find(|r| r.spec == g.spec)
+        .expect("a cold search's winner has a ledger entry")
 }
 
 struct Record {
     app: String,
-    stage1_ms: f64,
-    stage2_ms: f64,
-    stage3_ms: f64,
-    autotune_ms: f64,
-    static_instrs: usize,
-    fixpoint: PipelineStats,
-}
-
-fn measure(name: &str, program: &Program, passes_breakdown: bool) -> Record {
-    let spec = VariantSpec { policy: Policy::Lazy, nu: Options::default().nu };
-    let stage1_ms = time_ms(|| {
-        let mut db = AlgorithmDb::new();
-        synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
-    });
-    let mut db = AlgorithmDb::new();
-    let basic = synthesize_program(program, spec.policy, spec.nu, &mut db).unwrap();
-    let lopts = spec.lower_options();
-    let stage2_ms = time_ms(|| {
-        lower_program(program, &basic, program.name(), &lopts).unwrap();
-    });
-    let f0 = lower_program(program, &basic, program.name(), &lopts).unwrap();
-    let cfg = PassConfig::default();
-    let stage3_ms = time_ms(|| {
-        let mut f = f0.clone();
-        slingen_cir::passes::optimize(&mut f, &cfg);
-    });
-    // the breakdown observes the real pipeline, so it can never drift
-    // from what `optimize` actually runs
-    let mut fopt = f0.clone();
-    let fixpoint = optimize_with_stats(&mut fopt, &cfg, &mut |pass, elapsed| {
-        if passes_breakdown {
-            eprintln!("    {pass:<10} {:8.3} ms", elapsed.as_secs_f64() * 1e3);
-        }
-    });
-    if passes_breakdown {
-        for (i, r) in fixpoint.rounds.iter().enumerate() {
-            eprintln!(
-                "    round {i}: cse keyed {:5}{}",
-                r.cse_rekeyed,
-                if r.changed { "" } else { "  (fixpoint)" }
-            );
-        }
-        if !fixpoint.converged {
-            eprintln!("    WARNING: stopped on the iteration cap, not at a fixpoint");
-        }
-    }
-    let autotune_ms = time_ms(|| {
-        // fresh options per repetition: this tracks the cold search, not
-        // the TuneCache hit path (that's `--tune`'s cached_ms)
-        slingen::generate(program, &Options::default()).unwrap();
-    });
-    Record {
-        app: name.to_string(),
-        stage1_ms,
-        stage2_ms,
-        stage3_ms,
-        autotune_ms,
-        static_instrs: fopt.static_instr_count(),
-        fixpoint,
-    }
-}
-
-struct TuneRecord {
-    app: String,
-    spec: String,
-    explored: usize,
-    pruned: usize,
-    deduped: usize,
-    lb_pruned: usize,
+    /// The last cold search (every repetition ships the same winner).
+    cold: Generated,
     cold_ms: f64,
     cached_ms: f64,
-    hit_rate: f64,
-    /// Per-representative cold-time breakdown of the reported search.
-    rep_costs: Vec<slingen::RepCost>,
+    /// The winner's stage times, each the median over the cold
+    /// repetitions: synth, lower, opt, measure.
+    stages: [f64; 4],
+    /// Whether every variant of every cold repetition converged.
+    converged: bool,
 }
 
-/// The autotuner report: variant-space exploration plus the cache's
-/// repeat-generation speedup (cold search vs cache hit).
-fn measure_tune(name: &str, program: &Program) -> TuneRecord {
-    // cold: every repetition searches through a fresh cache
-    let cold_ms = time_ms(|| {
-        slingen::generate(program, &Options::default()).unwrap();
-    });
-    // warm: one shared Options -> first call populates, the rest hit
-    let opts = Options::default();
-    let g = slingen::generate(program, &opts).unwrap();
-    let cached_ms = time_ms(|| {
+/// Time cold searches (a fresh cache each) and then cache hits on the
+/// last search's cache; the stage times are the tuner's own ledger.
+fn measure(name: &str, program: &Program) -> Record {
+    let mut last = None;
+    let mut won = Vec::new();
+    let mut converged = true;
+    let cold_ms = median(time_runs(|| {
+        let opts = Options::default();
+        let g = slingen::generate(program, &opts).unwrap();
+        won.push(winner_cost(&g));
+        converged &= g.rep_costs.iter().all(|r| r.converged);
+        last = Some((opts, g));
+    }));
+    let (opts, cold) = last.expect("at least one cold run");
+    let cached_ms = median(time_runs(|| {
         slingen::generate(program, &opts).unwrap();
-    });
-    // hit rate over a fixed request mix (1 cold + 10 repeats), so the
-    // committed number does not depend on the timing loop's repetitions
-    let rate_opts = Options::default();
-    for _ in 0..11 {
-        slingen::generate(program, &rate_opts).unwrap();
-    }
-    let (hits, misses) = rate_opts.cache.stats();
-    TuneRecord {
+    }));
+    let stage = |f: fn(&RepCost) -> f64| median(won.iter().map(f).collect());
+    Record {
         app: name.to_string(),
-        spec: g.spec.to_string(),
-        explored: g.tuning.explored,
-        pruned: g.tuning.pruned,
-        deduped: g.tuning.deduped,
-        lb_pruned: g.tuning.lb_pruned,
+        cold,
         cold_ms,
         cached_ms,
-        hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-        rep_costs: g.rep_costs,
+        stages: [
+            stage(|r| r.synth_ms),
+            stage(|r| r.lower_ms),
+            stage(|r| r.opt_ms),
+            stage(|r| r.measure_ms),
+        ],
+        converged,
     }
 }
 
@@ -275,9 +219,9 @@ struct MeasureRecord {
 }
 
 /// The model-drift report: model-ranked vs hardware-ranked winner per
-/// workload, with the measured-over-modeled cycle ratio.
-fn measure_hw(name: &str, program: &Program) -> MeasureRecord {
-    let model = slingen::generate(program, &Options::default()).unwrap();
+/// workload, with the measured-over-modeled cycle ratio. `model` is the
+/// workload's model-ranked search.
+fn measure_hw(name: &str, program: &Program, model: &Generated) -> MeasureRecord {
     let opts = Options { measure: slingen::MeasureConfig::hardware(), ..Options::default() };
     let g = slingen::generate(program, &opts).unwrap();
     MeasureRecord {
@@ -361,8 +305,6 @@ fn carry_forward(json: &mut String, prev: Option<&str>, key: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let passes_breakdown = args.iter().any(|a| a == "--passes");
-    let tune = args.iter().any(|a| a == "--tune");
     let serve = args.iter().any(|a| a == "--serve");
     let hw_measure = args.iter().any(|a| a == "--measure");
     let calibrate = args.iter().any(|a| a == "--calibrate");
@@ -406,19 +348,47 @@ fn main() {
     let mut records = Vec::new();
     for (name, program) in &workloads {
         eprintln!("measuring {name} ...");
-        let r = measure(name, program, passes_breakdown);
+        let r = measure(name, program);
+        let (g, t) = (&r.cold, &r.cold.tuning);
+        let [synth, lower, opt, measure] = r.stages;
         eprintln!(
-            "  stage1 {:8.3} ms  stage2 {:8.3} ms  stage3 {:8.3} ms  autotune {:8.3} ms  ({} instrs)",
-            r.stage1_ms, r.stage2_ms, r.stage3_ms, r.autotune_ms, r.static_instrs
+            "  winner {:16} explored {:2} (pruned {:2}, deduped {:2}, lb_pruned {:2})  \
+             cold {:8.3} ms  cached {:8.4} ms  ({:.0}x)",
+            g.spec.to_string(),
+            t.explored,
+            t.pruned,
+            t.deduped,
+            t.lb_pruned,
+            r.cold_ms,
+            r.cached_ms,
+            r.cold_ms / r.cached_ms.max(1e-9)
         );
+        eprintln!(
+            "  winner stages: synth {synth:8.3} ms  lower {lower:8.3} ms  opt {opt:8.3} ms  \
+             measure {measure:8.3} ms  ({} instrs)",
+            g.function.static_instr_count()
+        );
+        for c in &g.rep_costs {
+            eprintln!(
+                "    rep {:16} synth {:8.3} ms  lower {:8.3} ms  opt {:8.3} ms  \
+                 measure {:8.3} ms  rounds {}{}",
+                c.spec.to_string(),
+                c.synth_ms,
+                c.lower_ms,
+                c.opt_ms,
+                c.measure_ms,
+                c.rounds,
+                if c.converged { "" } else { "  (iteration cap)" }
+            );
+        }
         records.push(r);
     }
 
     let mut measure_records = Vec::new();
     if hw_measure {
-        for (name, program) in &workloads {
+        for ((name, program), rec) in workloads.iter().zip(&records) {
             eprintln!("hardware-measuring {name} ...");
-            let r = measure_hw(name, program);
+            let r = measure_hw(name, program, &rec.cold);
             match (r.measured, r.model_winner_measured) {
                 (Some(m), Some(mw)) => eprintln!(
                     "  model winner {:16} {:7.1} cy modeled / {:7.1} cy measured; \
@@ -463,39 +433,6 @@ fn main() {
         }
     }
 
-    let mut tune_records = Vec::new();
-    if tune {
-        for (name, program) in &workloads {
-            eprintln!("tuning {name} ...");
-            let t = measure_tune(name, program);
-            eprintln!(
-                "  winner {:16} explored {:2} (pruned {:2}, deduped {:2})  \
-                 cold {:8.3} ms  cached {:8.4} ms  ({:.0}x)  cache hit rate {:.2}",
-                t.spec,
-                t.explored,
-                t.pruned,
-                t.deduped,
-                t.cold_ms,
-                t.cached_ms,
-                t.cold_ms / t.cached_ms.max(1e-9),
-                t.hit_rate
-            );
-            eprintln!("  lb_pruned {:2}", t.lb_pruned);
-            for c in &t.rep_costs {
-                eprintln!(
-                    "    rep {:16} synth {:8.3} ms  lower {:8.3} ms  opt {:8.3} ms  \
-                     measure {:8.3} ms",
-                    c.spec.to_string(),
-                    c.synth_ms,
-                    c.lower_ms,
-                    c.opt_ms,
-                    c.measure_ms
-                );
-            }
-            tune_records.push(t);
-        }
-    }
-
     let serve_records = if serve {
         eprintln!("serving (hot_distinct + mixed_hot_cold at workers 1/4/16) ...");
         let records = measure_serve();
@@ -529,63 +466,43 @@ fn main() {
     carry_forward(&mut json, prev, "criterion_before_after");
     json.push_str(",\n  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
-        let rekeyed: usize = r.fixpoint.rounds.iter().map(|rd| rd.cse_rekeyed).sum();
+        let (g, t) = (&r.cold, &r.cold.tuning);
+        let [synth, lower, opt, measure] = r.stages;
+        let reps: Vec<String> = g
+            .rep_costs
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"spec\": \"{}\", \"synth_ms\": {:.3}, \"lower_ms\": {:.3}, \
+                     \"opt_ms\": {:.3}, \"measure_ms\": {:.3}}}",
+                    c.spec, c.synth_ms, c.lower_ms, c.opt_ms, c.measure_ms
+                )
+            })
+            .collect();
         json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"stage1_ms\": {:.3}, \"stage2_ms\": {:.3}, \
-             \"stage3_ms\": {:.3}, \"autotune_ms\": {:.3}, \"static_instrs\": {}, \
-             \"fixpoint\": {{\"rounds\": {}, \"cse_rekeyed\": {}, \"converged\": {}}}}}{}\n",
+            "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
+             \"variants_pruned\": {}, \"variants_deduped\": {}, \"lb_pruned\": {}, \
+             \"cold_ms\": {:.3}, \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
+             \"synth_ms\": {synth:.3}, \"lower_ms\": {lower:.3}, \"opt_ms\": {opt:.3}, \
+             \"measure_ms\": {measure:.3}, \"static_instrs\": {}, \
+             \"fixpoint\": {{\"rounds\": {}, \"converged\": {}}}, \"reps\": [{}]}}{}\n",
             r.app,
-            r.stage1_ms,
-            r.stage2_ms,
-            r.stage3_ms,
-            r.autotune_ms,
-            r.static_instrs,
-            r.fixpoint.rounds.len(),
-            rekeyed,
-            r.fixpoint.converged,
+            g.spec,
+            t.explored,
+            t.pruned,
+            t.deduped,
+            t.lb_pruned,
+            r.cold_ms,
+            r.cached_ms,
+            r.cold_ms / r.cached_ms.max(1e-9),
+            g.function.static_instr_count(),
+            winner_cost(g).rounds,
+            r.converged,
+            reps.join(", "),
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]");
-    if tune_records.is_empty() {
-        carry_forward(&mut json, prev, "tune");
-    } else {
-        json.push_str(",\n  \"tune\": [\n");
-        for (i, t) in tune_records.iter().enumerate() {
-            let reps: Vec<String> = t
-                .rep_costs
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"spec\": \"{}\", \"synth_ms\": {:.3}, \"lower_ms\": {:.3}, \
-                         \"opt_ms\": {:.3}, \"measure_ms\": {:.3}}}",
-                        c.spec, c.synth_ms, c.lower_ms, c.opt_ms, c.measure_ms
-                    )
-                })
-                .collect();
-            json.push_str(&format!(
-                "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
-                 \"variants_pruned\": {}, \"variants_deduped\": {}, \
-                 \"lb_pruned\": {}, \
-                 \"cold_ms\": {:.3}, \
-                 \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
-                 \"cache_hit_rate\": {:.3}, \"reps\": [{}]}}{}\n",
-                t.app,
-                t.spec,
-                t.explored,
-                t.pruned,
-                t.deduped,
-                t.lb_pruned,
-                t.cold_ms,
-                t.cached_ms,
-                t.cold_ms / t.cached_ms.max(1e-9),
-                t.hit_rate,
-                reps.join(", "),
-                if i + 1 < tune_records.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]");
-    }
     if measure_records.is_empty() {
         carry_forward(&mut json, prev, "model_vs_measured");
     } else {

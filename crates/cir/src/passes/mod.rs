@@ -186,7 +186,8 @@ pub fn optimize(f: &mut Function, config: &PassConfig) {
 /// Like [`optimize`], additionally invoking `observe(pass_name, elapsed)`
 /// after every pass and returning [`PipelineStats`]. This is the single
 /// source of truth for per-pass timing and fixpoint breakdowns (the
-/// `bench --passes` tracker uses it), so instrumentation cannot drift
+/// tuner records each variant's fixpoint from it, and perfbench's traced
+/// runs time each pass through it), so instrumentation cannot drift
 /// from the pipeline actually shipped.
 pub fn optimize_with_stats(
     f: &mut Function,

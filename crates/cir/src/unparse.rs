@@ -47,6 +47,7 @@ use crate::instr::{BinOp, FmaKind, Instr, LaneSel, MemRef, SOperand, SReg, VReg}
 use crate::target::Target;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write;
 
 /// Render `f` for the historical default target ([`Target::Avx2`]).
 pub fn to_c(f: &Function) -> String {
@@ -70,30 +71,34 @@ pub fn to_c_for(f: &Function, target: Target) -> String {
     out
 }
 
-/// Digest of the exact bytes [`to_c_for`] would produce, without
-/// materializing the string: `(hash, byte_len)`.
-///
-/// The golden-digest tests pin emitted C with it; hashing the unparse
-/// stream directly skips building (and growing) a multi-megabyte
-/// `String`. (The tuner dedupes bodies by the cheaper structural
-/// [`Function::fingerprint`] instead.) The hash is a function of the byte
-/// *stream* alone — the internal word-folding carries partial words
-/// across `write_str` boundaries — so it is insensitive to how the
-/// emitter happens to chunk its writes, exactly like hashing the
-/// materialized string.
+/// Digest of the C [`to_c_for`] produces: `(hash, byte_len)`, the same
+/// value as [`digest_str`] of that string. The golden-digest tests pin
+/// emitted C with it. (The tuner dedupes bodies by the cheaper structural
+/// [`Function::fingerprint`] instead.)
 pub fn digest_c_for(f: &Function, target: Target) -> (u64, usize) {
-    let mut out = StreamDigest::default();
-    emit_unit(f, target, &mut out);
-    out.finish()
+    digest_str(&to_c_for(f, target))
 }
 
-/// Digest of the bytes of `s`: `(hash, byte_len)`, the same digest
-/// [`digest_c_for`] streams for emitted C. The hardware measurer keys its
-/// compiled-harness cache with it.
+/// Digest of the bytes of `s`: `(hash, byte_len)`. FxHash-style folding
+/// of little-endian 8-byte words (the last one zero-padded), then the
+/// length. The hardware measurer keys its compiled-harness cache with it.
 pub fn digest_str(s: &str) -> (u64, usize) {
-    let mut out = StreamDigest::default();
-    out.push(s.as_bytes());
-    out.finish()
+    let mix = |state: u64, word: u64| {
+        (state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    };
+    let bytes = s.as_bytes();
+    let mut words = bytes.chunks_exact(8);
+    let mut state = 0;
+    for w in &mut words {
+        state = mix(state, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        state = mix(state, u64::from_le_bytes(last));
+    }
+    (mix(state, bytes.len() as u64), bytes.len())
 }
 
 /// Configuration for [`to_c_harness`]: per-parameter initial data plus
@@ -140,7 +145,6 @@ pub fn to_c_harness(f: &Function, target: Target, opts: &HarnessOpts<'_>) -> Str
 }
 
 fn emit_harness(f: &Function, opts: &HarnessOpts<'_>, out: &mut String) {
-    use std::fmt::Write;
     let params: Vec<_> = f.params().collect();
     let _ = writeln!(out);
     let _ = writeln!(out, "#include <stdio.h>");
@@ -291,66 +295,7 @@ fn emit_harness(f: &Function, opts: &HarnessOpts<'_>, out: &mut String) {
     let _ = writeln!(out, "}}");
 }
 
-/// Streaming byte-stream hash implementing [`std::fmt::Write`].
-///
-/// FxHash-style word folding, but canonical over the byte stream:
-/// partial words are buffered across writes, and the total length is
-/// folded in at the end, so `digest(s)` depends only on the bytes of `s`.
-#[derive(Default)]
-struct StreamDigest {
-    state: u64,
-    pending: [u8; 8],
-    npend: usize,
-    len: usize,
-}
-
-impl StreamDigest {
-    fn mix(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn push(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len();
-        if self.npend > 0 {
-            let take = bytes.len().min(8 - self.npend);
-            self.pending[self.npend..self.npend + take].copy_from_slice(&bytes[..take]);
-            self.npend += take;
-            bytes = &bytes[take..];
-            if self.npend < 8 {
-                return;
-            }
-            let w = u64::from_le_bytes(self.pending);
-            self.mix(w);
-            self.npend = 0;
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        self.pending[..rest.len()].copy_from_slice(rest);
-        self.npend = rest.len();
-    }
-
-    fn finish(mut self) -> (u64, usize) {
-        if self.npend > 0 {
-            self.pending[self.npend..].fill(0);
-            let w = u64::from_le_bytes(self.pending);
-            self.mix(w);
-        }
-        self.mix(self.len as u64);
-        (self.state, self.len)
-    }
-}
-
-impl std::fmt::Write for StreamDigest {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.push(s.as_bytes());
-        Ok(())
-    }
-}
-
-fn emit_unit<W: std::fmt::Write>(f: &Function, target: Target, out: &mut W) {
+fn emit_unit(f: &Function, target: Target, out: &mut String) {
     debug_assert!(
         target.supports_width(f.width),
         "function width ν={} is not supported by target `{target}` (widths {:?})",
@@ -680,7 +625,7 @@ fn helper_for(isa: &VecIsa, i: &Instr) -> Option<Helper> {
 /// Define the lane helpers the body of `f` calls, each once. Their
 /// bodies are the portable spill-and-select code; inlined with constant
 /// selectors, the compiler lowers them to register shuffles.
-fn emit_helpers<W: std::fmt::Write>(f: &Function, isa: &VecIsa, out: &mut W) {
+fn emit_helpers(f: &Function, isa: &VecIsa, out: &mut String) {
     let (mut sel, mut bc, mut lane) = (false, false, false);
     f.for_each_instr(&mut |i| match helper_for(isa, i) {
         Some(Helper::Sel) => sel = true,
@@ -845,8 +790,8 @@ fn binop_c(op: BinOp) -> &'static str {
 /// Writes the kernel body piecewise: register names come from the name
 /// tables and buffer names from the identifier table, so no line builds a
 /// `String`.
-struct Lines<'a, W> {
-    out: &'a mut W,
+struct Lines<'a> {
+    out: &'a mut String,
     /// C identifier per buffer.
     bufs: &'a [String],
     /// Name index per scalar register.
@@ -858,10 +803,10 @@ struct Lines<'a, W> {
 /// Indentation for up to 16 levels; deeper nests repeat it.
 const PAD: &str = "                                ";
 
-impl<W: std::fmt::Write> Lines<'_, W> {
+impl Lines<'_> {
     /// `s` as is.
     fn t(&mut self, s: &str) -> &mut Self {
-        let _ = self.out.write_str(s);
+        self.out.push_str(s);
         self
     }
 
@@ -1264,21 +1209,11 @@ mod tests {
     use crate::func::{BufKind, FunctionBuilder};
     use crate::instr::{BinOp, SReg};
 
-    /// `digest_c_for` must equal the digest of the materialized string fed
-    /// to the same hash in arbitrary chunkings — i.e. the streaming hash is
-    /// canonical over the byte stream, not the emitter's write pattern.
+    /// `digest_c_for` is the digest of the emitted string.
     fn assert_digest_matches(f: &Function, target: Target) {
         let c = to_c_for(f, target);
-        let streamed = digest_c_for(f, target);
-        for chunk in [1usize, 3, 7, 8, 64, c.len().max(1)] {
-            let mut d = StreamDigest::default();
-            for piece in c.as_bytes().chunks(chunk) {
-                d.push(piece);
-            }
-            assert_eq!(d.finish(), streamed, "chunk size {chunk}");
-        }
-        assert_eq!(digest_str(&c), streamed);
-        assert_eq!(streamed.1, c.len());
+        assert_eq!(digest_c_for(f, target), digest_str(&c));
+        assert_eq!(digest_c_for(f, target).1, c.len());
     }
 
     #[test]

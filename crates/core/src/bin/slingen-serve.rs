@@ -16,7 +16,8 @@
 //!   connection (socket mode); a missing/corrupt file starts empty
 //! * `--cache-max-entries N` cap the cache at N entries: every save
 //!   evicts the least-recently-hit surplus (memory and file), so a
-//!   long-running service keeps its hot working set bounded
+//!   long-running service keeps its hot working set bounded; eviction
+//!   runs only on a save, so the cap requires `--cache-file`
 //! * `--socket P`     listen on a Unix socket instead of stdin; each
 //!   connection is served with the worker pool, responses go back on
 //!   the same connection; a failed accept is logged, counted as an
@@ -48,7 +49,8 @@ struct Args {
     measure: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line (without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workers: 4,
         cache_file: None,
@@ -57,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
         target: Target::Avx2,
         measure: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
@@ -94,6 +96,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    if args.cache_max_entries.is_some() && args.cache_file.is_none() {
+        return Err("--cache-max-entries requires --cache-file: the cap is applied when the \
+                    cache is saved"
+            .into());
+    }
     Ok(args)
 }
 
@@ -105,7 +112,7 @@ fn save_cache(engine: &Engine, path: &std::path::Path, max_entries: Option<usize
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("slingen-serve: {e}");
@@ -222,6 +229,22 @@ const ACCEPT_RETRY: std::time::Duration = std::time::Duration::from_millis(10);
 mod tests {
     use super::*;
     use std::io::Read;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// A cache cap takes effect only when the cache is saved, so without
+    /// a cache file it would do nothing: the combination is an error.
+    #[test]
+    fn a_cache_cap_requires_a_cache_file() {
+        let err = parse_args(argv(&["--cache-max-entries", "8"])).err().expect("rejected");
+        assert!(err.contains("--cache-file"), "{err}");
+        let args = parse_args(argv(&["--cache-max-entries", "8", "--cache-file", "c.cache"]))
+            .expect("accepted with a cache file");
+        assert_eq!(args.cache_max_entries, Some(8));
+        assert!(parse_args(argv(&["--workers", "2"])).is_ok());
+    }
 
     /// A failed accept is counted and logged, and the connection after it
     /// is still served.

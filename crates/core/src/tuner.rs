@@ -44,7 +44,7 @@ pub use crate::cache::TuneCache;
 use crate::cache::{CachedWin, Claim, PersistedWin};
 use crate::pipeline::{Generated, Options};
 use crate::{workload, Error};
-use slingen_cir::passes::optimize;
+use slingen_cir::passes::optimize_with_stats;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program, LowerOptions};
@@ -239,6 +239,11 @@ pub struct RepCost {
     pub opt_ms: f64,
     /// Modeled-cycle measurement (VM run + scheduler).
     pub measure_ms: f64,
+    /// Cleanup rounds Stage 3 ran.
+    pub rounds: usize,
+    /// Whether Stage 3 stopped on a no-change round rather than on the
+    /// iteration cap.
+    pub converged: bool,
 }
 
 /// The capacity a key is built in: enough for every paper app at every
@@ -294,13 +299,15 @@ fn measure(
     Ok(slingen_perf::measure_budgeted(function, &mut bufs, &options.machine, budget)?)
 }
 
-/// One variant after Stages 2–3: the optimized function, and how long
-/// lowering and the optimization pipeline took, in milliseconds (the
-/// [`RepCost`] breakdown).
+/// One variant after Stages 2–3: the optimized function, how long
+/// lowering and the optimization pipeline took, in milliseconds, and the
+/// pipeline's fixpoint outcome (the [`RepCost`] breakdown).
 struct Lowered {
     function: Function,
     lower_ms: f64,
     opt_ms: f64,
+    rounds: usize,
+    converged: bool,
 }
 
 /// Stages 2–3 for one already-synthesized variant: lowering plus the
@@ -316,9 +323,15 @@ fn lower_variant(
     let mut function = lower_program(program, basic, program.name(), &spec.lower_options())?;
     let lower_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    optimize(&mut function, &options.passes_for_target());
+    let stats = optimize_with_stats(&mut function, &options.passes_for_target(), &mut |_, _| {});
     let opt_ms = t1.elapsed().as_secs_f64() * 1e3;
-    Ok(Lowered { function, lower_ms, opt_ms })
+    Ok(Lowered {
+        function,
+        lower_ms,
+        opt_ms,
+        rounds: stats.rounds.len(),
+        converged: stats.converged,
+    })
 }
 
 /// The dedupe key of one lowered body: its structural C-IR fingerprint
@@ -552,8 +565,16 @@ impl<'p> Search<'p> {
                         continue;
                     }
                 };
-            let Lowered { function, lower_ms, opt_ms } = lowered;
-            self.rep_costs.push(RepCost { spec, synth_ms, lower_ms, opt_ms, measure_ms });
+            let Lowered { function, lower_ms, opt_ms, rounds, converged } = lowered;
+            self.rep_costs.push(RepCost {
+                spec,
+                synth_ms,
+                lower_ms,
+                opt_ms,
+                measure_ms,
+                rounds,
+                converged,
+            });
             self.db_stats.0 += db_stats.0;
             self.db_stats.1 += db_stats.1;
             self.stats.lb_pruned += usize::from(lb_pruned);

@@ -316,12 +316,52 @@ fn empty_search_space_errors() {
     assert!(slingen::generate(&program, &opts).is_err());
 }
 
+/// The ledger is honest about Stage 3: every `RepCost` of a cold search
+/// reports the rounds and fixpoint outcome that `optimize_with_stats`
+/// gives when its spec is synthesized, lowered and optimized by hand with
+/// the target's pass configuration, and every variant converges within 3
+/// rounds.
+#[test]
+fn ledger_fixpoint_matches_a_hand_run_pipeline() {
+    for (name, program) in [("potrf16", apps::potrf(16)), ("kf8", apps::kf(8))] {
+        for target in [Target::Avx2, Target::Avx2Fma] {
+            let opts = Options::for_target(target);
+            let g = slingen::generate(&program, &opts).unwrap();
+            assert!(!g.rep_costs.is_empty(), "{name} {target}: a cold search has a ledger");
+            for r in &g.rep_costs {
+                let key = format!("{name} {target} {}", r.spec);
+                let mut db = AlgorithmDb::new();
+                let basic =
+                    synthesize_program(&program, r.spec.policy, r.spec.nu, &mut db).unwrap();
+                let mut f = slingen_lgen::lower_program(
+                    &program,
+                    &basic,
+                    program.name(),
+                    &r.spec.lower_options(),
+                )
+                .unwrap();
+                let config = opts.passes.for_target(target);
+                let stats =
+                    slingen_cir::passes::optimize_with_stats(&mut f, &config, &mut |_, _| {});
+                assert_eq!(r.rounds, stats.rounds.len(), "{key}: rounds");
+                assert_eq!(r.converged, stats.converged, "{key}: converged");
+                assert!(
+                    r.converged && r.rounds <= 3,
+                    "{key}: {} rounds, converged {}",
+                    r.rounds,
+                    r.converged
+                );
+            }
+        }
+    }
+}
+
 /// Deterministic tuner counters: for each key of a small grid (every app
 /// at small sizes on the default target, plus potrf8 and l1a8 on the other
 /// targets), the winning spec and the search's `explored`, `pruned`,
 /// `deduped`, `predicted` and `lb_pruned` counts, the number of
-/// representatives, and the winner's static and executed instruction
-/// counts must match `tests/snapshots/tune_counters.txt`. Like
+/// representatives, the winner's static and executed instruction counts,
+/// and the Stage-3 rounds its ledger entry records must match `tests/snapshots/tune_counters.txt`. Like
 /// the golden digests, a mismatch prints the fresh table so an
 /// intentional change can be reviewed and committed.
 #[test]
@@ -350,10 +390,11 @@ fn tune_counters_are_pinned() {
     for (key, program, target) in &keys {
         let g = slingen::generate(program, &Options::for_target(*target)).unwrap();
         let t = &g.tuning;
+        let won = g.rep_costs.iter().find(|r| r.spec == g.spec).expect("the winner's ledger entry");
         let _ = writeln!(
             fresh,
             "{key} {target} spec={} explored={} pruned={} deduped={} predicted={} \
-             lb_pruned={} reps={} static_instrs={} dyn_instrs={}",
+             lb_pruned={} reps={} static_instrs={} dyn_instrs={} rounds={}",
             g.spec,
             t.explored,
             t.pruned,
@@ -362,7 +403,8 @@ fn tune_counters_are_pinned() {
             t.lb_pruned,
             g.rep_costs.len(),
             g.function.static_instr_count(),
-            g.report.instructions
+            g.report.instructions,
+            won.rounds
         );
     }
     let path = format!("{}/../../tests/snapshots/tune_counters.txt", env!("CARGO_MANIFEST_DIR"));
