@@ -66,8 +66,6 @@ struct Record {
     /// The winner's stage times, each the median over the cold
     /// repetitions: synth, lower, opt, measure.
     stages: [f64; 4],
-    /// Whether every variant of every cold repetition converged.
-    converged: bool,
 }
 
 /// Time cold searches (a fresh cache each) and then cache hits on the
@@ -75,12 +73,10 @@ struct Record {
 fn measure(name: &str, program: &Program) -> Record {
     let mut last = None;
     let mut won = Vec::new();
-    let mut converged = true;
     let cold_ms = median(time_runs(|| {
         let opts = Options::default();
         let g = slingen::generate(program, &opts).unwrap();
         won.push(winner_cost(&g));
-        converged &= g.rep_costs.iter().all(|r| r.converged);
         last = Some((opts, g));
     }));
     let (opts, cold) = last.expect("at least one cold run");
@@ -99,7 +95,6 @@ fn measure(name: &str, program: &Program) -> Record {
             stage(|r| r.opt_ms),
             stage(|r| r.measure_ms),
         ],
-        converged,
     }
 }
 
@@ -350,7 +345,7 @@ fn main() {
         eprintln!("measuring {name} ...");
         let r = measure(name, program);
         let (g, t) = (&r.cold, &r.cold.tuning);
-        let [synth, lower, opt, measure] = r.stages;
+        let [synth_ms, lower_ms, opt_ms, measure_ms] = r.stages;
         eprintln!(
             "  winner {:16} explored {:2} (pruned {:2}, deduped {:2}, lb_pruned {:2})  \
              cold {:8.3} ms  cached {:8.4} ms  ({:.0}x)",
@@ -364,8 +359,8 @@ fn main() {
             r.cold_ms / r.cached_ms.max(1e-9)
         );
         eprintln!(
-            "  winner stages: synth {synth:8.3} ms  lower {lower:8.3} ms  opt {opt:8.3} ms  \
-             measure {measure:8.3} ms  ({} instrs)",
+            "  winner stages: synth {synth_ms:8.3} ms  lower {lower_ms:8.3} ms  \
+             opt {opt_ms:8.3} ms  measure {measure_ms:8.3} ms  ({} instrs)",
             g.function.static_instr_count()
         );
         for c in &g.rep_costs {
@@ -467,7 +462,7 @@ fn main() {
     json.push_str(",\n  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         let (g, t) = (&r.cold, &r.cold.tuning);
-        let [synth, lower, opt, measure] = r.stages;
+        let [synth_ms, lower_ms, opt_ms, measure_ms] = r.stages;
         let reps: Vec<String> = g
             .rep_costs
             .iter()
@@ -483,8 +478,8 @@ fn main() {
             "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
              \"variants_pruned\": {}, \"variants_deduped\": {}, \"lb_pruned\": {}, \
              \"cold_ms\": {:.3}, \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
-             \"synth_ms\": {synth:.3}, \"lower_ms\": {lower:.3}, \"opt_ms\": {opt:.3}, \
-             \"measure_ms\": {measure:.3}, \"static_instrs\": {}, \
+             \"synth_ms\": {synth_ms:.3}, \"lower_ms\": {lower_ms:.3}, \
+             \"opt_ms\": {opt_ms:.3}, \"measure_ms\": {measure_ms:.3}, \"static_instrs\": {}, \
              \"fixpoint\": {{\"rounds\": {}, \"converged\": {}}}, \"reps\": [{}]}}{}\n",
             r.app,
             g.spec,
@@ -497,7 +492,7 @@ fn main() {
             r.cold_ms / r.cached_ms.max(1e-9),
             g.function.static_instr_count(),
             winner_cost(g).rounds,
-            r.converged,
+            g.rep_costs.iter().all(|c| c.converged),
             reps.join(", "),
             if i + 1 < records.len() { "," } else { "" }
         ));

@@ -361,9 +361,10 @@ fn ledger_fixpoint_matches_a_hand_run_pipeline() {
 /// targets), the winning spec and the search's `explored`, `pruned`,
 /// `deduped`, `predicted` and `lb_pruned` counts, the number of
 /// representatives, the winner's static and executed instruction counts,
-/// and the Stage-3 rounds its ledger entry records must match `tests/snapshots/tune_counters.txt`. Like
-/// the golden digests, a mismatch prints the fresh table so an
-/// intentional change can be reviewed and committed.
+/// and the Stage-3 rounds its ledger entry records must match
+/// `tests/snapshots/tune_counters.txt`. Like the golden digests, a
+/// mismatch prints the fresh table so an intentional change can be
+/// reviewed and committed.
 #[test]
 fn tune_counters_are_pinned() {
     use std::fmt::Write;
