@@ -5,26 +5,28 @@
 //! Usage: `cargo run --release -p slingen-bench --bin bench [--serve]
 //! [--measure] [--calibrate] [--only APPS] [--out PATH]`
 //!
-//! The JSON holds a small metadata header and one `results` row per
-//! workload: the winner and the search's exploration counters, the
-//! cold-search and cache-hit wall times (`cold_ms`, `cached_ms`,
-//! `cache_speedup`), the winner's stage times from the tuner's own ledger
-//! ([`slingen::RepCost`]: `synth_ms`, `lower_ms`, `opt_ms`, `measure_ms`,
-//! each the median over the cold repetitions), the winner's
-//! `static_instrs`, the Stage-3 `fixpoint` (the winner's rounds, and
-//! whether every variant the search ran converged) and every variant's
-//! ledger entry (`reps`). The per-pass Stage-3 breakdown is perfbench's
-//! `--trace 1` (see `perfbench/`). `--serve` adds a serve-front-end
-//! report: requests/sec and p50/p99 latency at worker counts 1/4/16 on a
-//! hot cache over distinct keys and on a mixed hot/cold request stream
-//! (with coalescing counts). `--measure` adds the model-drift report:
-//! each workload's model-ranked vs hardware-ranked winner with measured
-//! cycle counts (two-stage measured autotuning; falls back per workload
-//! when no C compiler works). `--calibrate` fits per-op latencies and
-//! throughputs from generated microbenchmarks for Avx2/Avx2Fma and
-//! records them next to the model's cost-table entries. Each PR that
-//! touches the generation hot path should re-run this and compare
-//! against the committed numbers (see ROADMAP.md).
+//! The JSON holds a small metadata header — the `host` (CPU model,
+//! logical cores, the first line of `cc --version`) and the process's
+//! peak resident set `peak_rss_mb` (VmHWM, over the whole run) — and one
+//! `results` row per workload: the winner and the search's exploration
+//! counters, the cold-search and cache-hit wall times (`cold_ms`,
+//! `cached_ms`, `cache_speedup`), the winner's stage times from the
+//! tuner's own ledger ([`slingen::RepCost`]: `synth_ms`, `lower_ms`,
+//! `opt_ms`, `measure_ms`, each the median over the cold repetitions),
+//! the winner's `static_instrs`, the Stage-3 `fixpoint` (the winner's
+//! rounds, and whether every variant the search ran converged) and every
+//! variant's ledger entry (`reps`). The per-pass Stage-3 breakdown is
+//! perfbench's `--trace 1` (see `perfbench/`). `--serve` adds a
+//! serve-front-end report: requests/sec and p50/p99 latency at worker
+//! counts 1/4/16 on a hot cache over distinct keys and on a mixed
+//! hot/cold request stream (with coalescing counts). `--measure` adds the
+//! model-drift report: each workload's model-ranked vs hardware-ranked
+//! winner with measured cycle counts (two-stage measured autotuning;
+//! falls back per workload when no C compiler works). `--calibrate` fits
+//! per-op latencies and throughputs from generated microbenchmarks for
+//! Avx2/Avx2Fma and records them next to the model's cost-table entries.
+//! Each PR that touches the generation hot path should re-run this and
+//! compare against the committed numbers (see ROADMAP.md).
 
 use slingen::serve::Engine;
 use slingen::{apps, Generated, Options, RepCost, Target, TuneCache};
@@ -253,6 +255,43 @@ fn model_latency_for(target: Target, op: &str, vector: bool) -> f64 {
     }
 }
 
+/// A JSON string literal, or `null`.
+fn json_str(s: Option<&str>) -> String {
+    s.map_or("null".into(), |s| format!("\"{}\"", slingen::serve::escape_json(s)))
+}
+
+/// The `host` object: CPU model, logical core count, and the first line
+/// of `cc --version` (`null` when `cc` is missing), so wall times are
+/// only compared across runs on the same host and toolchain.
+fn host_json() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map(str::trim);
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cc = std::process::Command::new("cc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).lines().next().unwrap_or("").to_string());
+    format!(
+        "{{\"cpu\": {}, \"cores\": {cores}, \"cc\": {}}}",
+        json_str(cpu),
+        json_str(cc.as_deref())
+    )
+}
+
+/// This process's peak resident set (VmHWM) in MB, when the OS reports it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Extract `"key": <value>` (string, object, or array value) from the top
 /// level of a previously written JSON document, returning the raw text.
 fn extract_top_level(src: &str, key: &str) -> Option<String> {
@@ -457,6 +496,9 @@ fn main() {
     let prev = prev.as_deref();
     let mut json = String::from("{\n  \"benchmark\": \"slingen-generator-throughput\",\n");
     json.push_str("  \"unit\": \"wall-clock milliseconds (median)\"");
+    json.push_str(&format!(",\n  \"host\": {}", host_json()));
+    let peak = peak_rss_mb().map_or("null".into(), |mb| format!("{mb:.1}"));
+    json.push_str(&format!(",\n  \"peak_rss_mb\": {peak}"));
     carry_forward(&mut json, prev, "regenerate");
     carry_forward(&mut json, prev, "criterion_before_after");
     json.push_str(",\n  \"results\": [\n");

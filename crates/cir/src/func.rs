@@ -53,6 +53,12 @@ pub struct BufferDecl {
 }
 
 /// A structured C-IR statement.
+///
+/// Bodies are long runs of [`CStmt::I`] (a fully unrolled potrf64 lowers
+/// to about 189k of them), and every pass, the VM, the scheduler and the
+/// unparser stream over them. The rare `For`/`If` headers are therefore
+/// boxed, so a statement is no larger than an [`Instr`]: inline, the two
+/// [`Affine`] bounds made every statement half as large again.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub enum CStmt {
     /// A straight-line instruction.
@@ -62,9 +68,9 @@ pub enum CStmt {
         /// Induction variable (unique within the function).
         var: LoopVar,
         /// Inclusive lower bound.
-        lo: Affine,
+        lo: Box<Affine>,
         /// Exclusive upper bound.
-        hi: Affine,
+        hi: Box<Affine>,
         /// Positive step.
         step: i64,
         /// Loop body.
@@ -73,7 +79,7 @@ pub enum CStmt {
     /// `if (cond) then_ else else_`
     If {
         /// Affine condition.
-        cond: Cond,
+        cond: Box<Cond>,
         /// Taken branch.
         then_: Vec<CStmt>,
         /// Fallthrough branch (possibly empty).
@@ -410,7 +416,7 @@ impl FunctionBuilder {
     pub fn end_for(&mut self) {
         let body = self.blocks.pop().expect("unbalanced end_for");
         let (var, lo, hi, step) = self.pending_loops.pop().expect("unbalanced end_for");
-        self.stmt(CStmt::For { var, lo, hi, step, body });
+        self.stmt(CStmt::For { var, lo: Box::new(lo), hi: Box::new(hi), step, body });
     }
 
     /// Open an `if`; close with [`FunctionBuilder::end_if`] (or
@@ -437,7 +443,7 @@ impl FunctionBuilder {
             Some(t) => (t, last),
             None => (last, Vec::new()),
         };
-        self.stmt(CStmt::If { cond, then_, else_ });
+        self.stmt(CStmt::If { cond: Box::new(cond), then_, else_ });
     }
 
     /// Finish and return the function.
@@ -464,6 +470,13 @@ impl FunctionBuilder {
 mod tests {
     use super::*;
     use crate::affine::CmpOp;
+
+    /// A statement is no larger than an instruction: a new variant that
+    /// grows `CStmt` would grow every body by the same factor.
+    #[test]
+    fn a_statement_is_the_size_of_an_instruction() {
+        assert_eq!(std::mem::size_of::<CStmt>(), std::mem::size_of::<Instr>());
+    }
 
     #[test]
     fn builder_allocates_fresh_registers() {

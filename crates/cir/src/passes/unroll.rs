@@ -230,7 +230,7 @@ mod tests {
         // rewrite inner hi to depend on the outer var
         if let CStmt::For { body, .. } = &mut f.body[0] {
             if let CStmt::For { hi, .. } = &mut body[0] {
-                *hi = Affine::var(i).scaled(10).offset(20);
+                **hi = Affine::var(i).scaled(10).offset(20);
             }
         }
         unroll(&mut f, 100);

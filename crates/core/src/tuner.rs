@@ -339,14 +339,17 @@ fn lower_variant(
 /// count as a collision guard. A search runs on one target, for which the
 /// IR determines the emitted C, so equal keys mean byte-identical C; no
 /// body is unparsed until the winner is emitted. Debug builds assert `==`
-/// on every pair of bodies that share a key.
+/// on every pair of bodies that share a key while both are kept (a
+/// cut-off or failed body keeps only its key).
 type BodyKey = (u64, usize);
 
 /// The remembered measurement of one distinct lowered body.
 #[derive(Debug, Clone)]
 enum MeasureOutcome {
-    /// Full report (boxed: the other variants are unit-sized).
-    Measured(Box<Report>),
+    /// Full report and the body itself, which only a measured body can
+    /// need again: the winner is emitted from it, and hardware ranking
+    /// compiles it.
+    Measured(Box<Report>, Function),
     /// Abandoned by the cycle-budget cutoff: provably dominated. Budgets
     /// only shrink as the incumbent improves, so a cut-off body stays
     /// dominated for the rest of the search.
@@ -356,11 +359,12 @@ enum MeasureOutcome {
 }
 
 /// One distinct lowered body: variants whose Stage-3 output is identical
-/// share it, so it is measured once and its function is retained once —
-/// the winner is emitted without re-lowering, and the stage-two hardware
-/// ranking compiles each distinct kernel once.
+/// share it, so it is measured once. A measured body keeps its function
+/// once — the winner is emitted without re-lowering, and the stage-two
+/// hardware ranking compiles each distinct kernel once — while a cut-off
+/// or failed one is dropped as soon as it is recorded, leaving only its
+/// fingerprint (the [`BodyKey`] it is stored under).
 struct Body {
-    function: Function,
     outcome: MeasureOutcome,
     /// The lowest canonical enumeration index (and its spec) among the
     /// variants that landed on this body: the label hardware trials carry.
@@ -371,7 +375,15 @@ impl Body {
     /// The modeled report, when the body was fully measured.
     fn report(&self) -> Option<&Report> {
         match &self.outcome {
-            MeasureOutcome::Measured(report) => Some(report),
+            MeasureOutcome::Measured(report, _) => Some(report),
+            MeasureOutcome::CutOff | MeasureOutcome::Failed => None,
+        }
+    }
+
+    /// The body's function, kept only when it was fully measured.
+    fn function(&self) -> Option<&Function> {
+        match &self.outcome {
+            MeasureOutcome::Measured(_, function) => Some(function),
             MeasureOutcome::CutOff | MeasureOutcome::Failed => None,
         }
     }
@@ -583,7 +595,7 @@ impl<'p> Search<'p> {
                 Entry::Occupied(mut kept) => {
                     let body = kept.get_mut();
                     debug_assert!(
-                        body.function == function,
+                        body.function().is_none_or(|kept| *kept == function),
                         "two different bodies share the fingerprint {key:?} ({spec})"
                     );
                     if ord < body.first.0 {
@@ -593,19 +605,19 @@ impl<'p> Search<'p> {
                 }
                 Entry::Vacant(slot) => {
                     let outcome = match measured.expect("a body new to the search is measured") {
-                        Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
+                        Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report), function),
                         Ok(None) => MeasureOutcome::CutOff,
                         Err(e) => {
                             self.last_err = Some(e);
                             MeasureOutcome::Failed
                         }
                     };
-                    slot.insert(Body { function, outcome, first: (ord, spec) });
+                    slot.insert(Body { outcome, first: (ord, spec) });
                     false
                 }
             };
             let cycles = match &self.bodies[&key].outcome {
-                MeasureOutcome::Measured(report) => report.cycles,
+                MeasureOutcome::Measured(report, _) => report.cycles,
                 MeasureOutcome::CutOff => {
                     // cut off: provably slower than the incumbent
                     self.stats.explored += 1;
@@ -669,7 +681,8 @@ impl<'p> Search<'p> {
             };
         let mut trials: Vec<HwTrial> = Vec::with_capacity(candidates.len());
         for &(model_cycles, _, key, spec) in &candidates {
-            match hw.measure(self.program, &self.bodies[&key].function, self.options.seed) {
+            let function = self.bodies[&key].function().expect("a ranked body was measured");
+            match hw.measure(self.program, function, self.options.seed) {
                 Ok(m) if m.cycles.is_finite() && m.cycles >= 0.0 => {
                     trials.push(HwTrial { spec, model_cycles, measured: m });
                 }
@@ -704,7 +717,7 @@ impl<'p> Search<'p> {
             })
             .expect("at least one trial");
         let (_, ord, key, spec) = candidates[win];
-        if let Some(MeasureOutcome::Measured(report)) =
+        if let Some(MeasureOutcome::Measured(report, _)) =
             self.bodies.get_mut(&key).map(|body| &mut body.outcome)
         {
             report.measured = Some(trials[win].measured);
@@ -724,12 +737,11 @@ impl<'p> Search<'p> {
             }));
         };
         let body = self.bodies.remove(&best.key).expect("the winning body is retained");
-        let MeasureOutcome::Measured(report) = body.outcome else {
+        let MeasureOutcome::Measured(report, function) = body.outcome else {
             unreachable!("the incumbent's body was measured")
         };
-        let c_code = slingen_cir::unparse::to_c_for(&body.function, self.options.target);
-        let win =
-            CachedWin::new(best.spec, body.function, c_code, *report, self.db_stats, self.stats);
+        let c_code = slingen_cir::unparse::to_c_for(&function, self.options.target);
+        let win = CachedWin::new(best.spec, function, c_code, *report, self.db_stats, self.stats);
         Ok(Found { win, rep_costs: self.rep_costs, hw_trials: self.hw_trials })
     }
 }
